@@ -389,10 +389,15 @@ def microaggregate_multivariate(
 
 
 def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
-    """Maximum-distance-to-average grouping of points into runs of k.
+    """Maximum-distance-to-average grouping of points into groups of k to
+    2k-1 points (a single smaller group when there are fewer than k).
 
-    Ties in distance always resolve to the lowest record index, so the
-    grouping is deterministic.
+    The loop of Domingo-Ferrer & Mateo-Sanz (2002): while at least 3k points
+    remain, group k around the point farthest from the centroid and k around
+    the point farthest from that one. With 2k to 3k-1 left, group k around
+    the point farthest from the centroid and keep the rest as the last
+    group; with fewer, they form one group. Ties in distance always resolve
+    to the lowest record index, so the grouping is deterministic.
     """
     remaining = list(range(len(coords)))
     groups: list[list[int]] = []
@@ -401,10 +406,12 @@ def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
         r = max(remaining, key=lambda i: (_dist2(coords[i], centroid), -i))
         group_r = _nearest_group(coords, remaining, r, k)
         remaining = [i for i in remaining if i not in group_r]
+        groups.append(sorted(group_r))
+        if len(remaining) < 2 * k:
+            break
         s = max(remaining, key=lambda i: (_dist2(coords[i], coords[r]), -i))
         group_s = _nearest_group(coords, remaining, s, k)
         remaining = [i for i in remaining if i not in group_s]
-        groups.append(sorted(group_r))
         groups.append(sorted(group_s))
     if remaining:
         groups.append(remaining)

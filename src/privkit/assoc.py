@@ -121,8 +121,10 @@ def solid_rules(
     n = len(transactions)
     if n == 0:
         return []
-    sup_thr = Fraction(min_support)
-    cert_thr = Fraction(min_certainty)
+    # Decimal value of the threshold as written: Fraction(0.1) > 1/10 would
+    # drop itemsets sitting exactly on it.
+    sup_thr = Fraction(str(min_support))
+    cert_thr = Fraction(str(min_certainty))
 
     def frequent(count: int) -> bool:
         return count * sup_thr.denominator >= sup_thr.numerator * n

@@ -17,7 +17,7 @@ import os
 import random
 import sys
 import tempfile
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from . import anonymize as anon
 from . import assoc, dpcheck, rappor, smc
@@ -44,8 +44,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise UsageError("--threads must be >= 1")
         handler: Callable = args.handler
         result = handler(args)
     except UsageError as exc:
@@ -63,12 +61,12 @@ def _emit(result: dict) -> None:
     print(json.dumps(result, sort_keys=True))
 
 
-def _write_atomic(path: str, data: bytes) -> None:
+def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".privkit-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -100,6 +98,16 @@ def _comma_names(text: str) -> list[str]:
     return names
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _comma_ints(text: str) -> list[int]:
     try:
         return [int(n) for n in text.split(",") if n != ""]
@@ -122,10 +130,10 @@ def table2_fixture() -> Dataset:
 
 def _cmd_fixtures_export(args) -> dict:
     dataset = {"table1": fixture_table1, "table2": table2_fixture}[args.name]()
-    _write_atomic(args.output, write_csv(dataset))
+    _write_atomic(args.output, [write_csv(dataset)])
     written = [args.output]
     if args.schema_output:
-        _write_atomic(args.schema_output, dataset.schema.to_json().encode("utf-8"))
+        _write_atomic(args.schema_output, [dataset.schema.to_json().encode("utf-8")])
         written.append(args.schema_output)
     return {"fixture": args.name, "records": len(dataset), "written": written}
 
@@ -224,7 +232,7 @@ def _cmd_anonymize(args) -> dict:
     for i, action in enumerate(actions):
         log.info("step %d: %s", i, steps[i].get("op"))
         dataset = action(dataset)
-    _write_atomic(output_path, write_csv(dataset))
+    _write_atomic(output_path, [write_csv(dataset)])
     return {
         "output": output_path,
         "records": len(dataset),
@@ -297,11 +305,8 @@ def _cmd_rappor_simulate(args) -> dict:
     if not isinstance(dist, dict):
         raise ConfigError("distribution file must map value -> share")
     counts = rappor.allocate_counts(dist, args.clients)
-    reports = rappor.simulate_reports(counts, params, args.seed)
-    lines = "".join(
-        json.dumps(r.envelope(params), sort_keys=True) + "\n" for r in reports
-    )
-    _write_atomic(args.output, lines.encode("utf-8"))
+    packed = rappor.simulate_packed(counts, params, args.seed)
+    _write_atomic(args.output, rappor.envelope_lines(packed, params))
     return {
         "clients": args.clients,
         "true_counts": counts,
@@ -313,20 +318,23 @@ def _cmd_rappor_simulate(args) -> dict:
 def _cmd_rappor_estimate(args) -> dict:
     params = _params_from_arg(args.params)
     candidates = _load_json_arg("@" + args.candidates)
-    if not isinstance(candidates, list):
+    if not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
         raise ConfigError("candidates file must be a JSON array of strings")
-    reports = []
     with open(args.reports, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                envelope = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"reports line {lineno}: {exc}") from exc
-            reports.append(rappor.Report.from_envelope(envelope, params))
-    estimates = rappor.estimate_counts(reports, candidates, params)
-    return {"reports": len(reports), "estimates": estimates}
+        counts, n = rappor.count_envelopes(_json_lines(fh), params)
+    estimates = rappor.estimate_from_counts(counts, n, candidates, params)
+    return {"reports": n, "estimates": estimates}
+
+
+def _json_lines(fh: TextIO) -> Iterator:
+    """The JSON value of each non-blank line."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            yield json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"reports line {lineno}: {exc}") from exc
 
 
 # --- dpcheck ----------------------------------------------------------------
@@ -415,8 +423,6 @@ def _cmd_assoc_mine(args) -> dict:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="privkit", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for parallelizable stages")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     fixtures = sub.add_parser("fixtures", help="bundled example data")
@@ -455,7 +461,7 @@ def _build_parser() -> _Parser:
     eps.set_defaults(handler=_cmd_rappor_epsilon)
     sim = rap_sub.add_parser("simulate")
     sim.add_argument("--params", required=True)
-    sim.add_argument("--clients", type=int, required=True)
+    sim.add_argument("--clients", type=_non_negative_int, required=True)
     sim.add_argument("--dist", required=True, help="JSON file: value -> share")
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--output", required=True)

@@ -6,9 +6,17 @@ function of the client secret and the value, then through a fresh
 instantaneous randomized response (IRR, probabilities ``q``/``p``) for every
 report sent.
 
-Server side: ``estimate_counts`` inverts the per-bit randomization using the
-marginal probabilities ``q*``/``p*`` of observing a set bit, and scores each
-candidate string by the most pessimistic of its Bloom indices.
+Server side: ``estimate_from_counts`` inverts the per-bit randomization
+using the marginal probabilities ``q*``/``p*`` of observing a set bit, and
+scores each candidate string by the most pessimistic of its Bloom indices.
+It needs only the per-bit set counts, which ``count_envelopes`` folds from a
+stream of report envelopes in O(k) memory plus one chunk.
+
+Many clients are simulated in chunks of reports by ``simulate_packed``, with
+numpy doing the PRR and IRR comparisons. It draws from the same keyed hashes
+and the same seeded stream as the scalar ``prr``/``irr``/``make_report``,
+which stay as the reference the batch path is tested against, so both give
+identical bits.
 
 All hashing is keyed BLAKE2b, so encodings and permanent responses are
 bit-identical across processes and platforms for fixed parameters.
@@ -22,7 +30,10 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     DegenerateParams,
@@ -33,6 +44,10 @@ from .errors import (
 )
 
 _MASK64 = (1 << 64) - 1
+
+# Report bits per numpy chunk of the batch path: k=16 gives 4096 reports per
+# chunk, k=256 gives 256, so a chunk's arrays stay near 0.5 MiB each.
+_CHUNK_BITS = 1 << 16
 
 Bits = tuple[int, ...]
 
@@ -73,9 +88,8 @@ class RapporParams:
             raise InvalidParams(f"p and q must be in [0, 1], got p={self.p}, q={self.q}")
         if self.q < self.p:
             raise InvalidParams(f"need q >= p, got q={self.q}, p={self.p}")
-
-    def digest(self) -> str:
-        """Short stable fingerprint used to bind serialized reports."""
+        if not 0 <= self.hash_seed <= _MASK64:
+            raise InvalidParams(f"hash_seed must be in [0, 2^64), got {self.hash_seed}")
         canonical = json.dumps(
             {
                 "k": self.k,
@@ -88,7 +102,14 @@ class RapporParams:
             sort_keys=True,
             separators=(",", ":"),
         )
-        return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:16]
+        # Fields are frozen, so the fingerprint is computed once per object.
+        object.__setattr__(
+            self, "_digest", hashlib.sha256(canonical.encode("ascii")).hexdigest()[:16]
+        )
+
+    def digest(self) -> str:
+        """Short stable fingerprint used to bind serialized reports."""
+        return self._digest
 
     @classmethod
     def from_json(cls, obj: Union[str, Mapping]) -> "RapporParams":
@@ -99,6 +120,9 @@ class RapporParams:
                 raise InvalidParams(f"params are not valid JSON: {exc}") from exc
         if not isinstance(obj, Mapping):
             raise InvalidParams("params JSON must be an object")
+        for name in ("k", "h", "hash_seed"):
+            if isinstance(obj.get(name), bool):
+                raise InvalidParams(f"{name} must be an integer, got {obj[name]}")
         try:
             return cls(
                 k=int(obj["k"]),
@@ -110,6 +134,8 @@ class RapporParams:
             )
         except KeyError as exc:
             raise InvalidParams(f"params JSON missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"bad params field: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -154,34 +180,47 @@ class Report:
 
     @classmethod
     def from_hex(cls, text: str, k: int) -> "Report":
-        try:
-            raw = bytes.fromhex(text)
-        except ValueError as exc:
-            raise ReportFormatError(f"bad report hex: {exc}") from exc
-        if len(raw) != (k + 7) // 8:
-            raise ReportFormatError(
-                f"report holds {len(raw)} bytes, expected {(k + 7) // 8}"
-            )
-        bits = tuple((raw[i // 8] >> (i % 8)) & 1 for i in range(k))
-        for i in range(k, 8 * len(raw)):
-            if (raw[i // 8] >> (i % 8)) & 1:
-                raise ReportFormatError("padding bits beyond k must be zero")
-        return cls(bits)
+        return cls(_unpack_bits(_report_bytes(text, k), k))
 
     def envelope(self, params: RapporParams) -> dict:
         return {"params_digest": params.digest(), "report_hex": self.to_hex()}
 
     @classmethod
     def from_envelope(cls, obj: Mapping, params: RapporParams) -> "Report":
-        try:
-            digest, text = obj["params_digest"], obj["report_hex"]
-        except (KeyError, TypeError) as exc:
-            raise ReportFormatError(f"malformed report envelope: {exc}") from exc
-        if digest != params.digest():
-            raise ReportFormatError(
-                f"report bound to params {digest}, expected {params.digest()}"
-            )
-        return cls.from_hex(text, params.k)
+        return cls(_unpack_bits(_envelope_bytes(obj, params.digest(), params.k), params.k))
+
+
+def _unpack_bits(raw: bytes, k: int) -> Bits:
+    return tuple((raw[i // 8] >> (i % 8)) & 1 for i in range(k))
+
+
+def _report_bytes(text: str, k: int) -> bytes:
+    """Decode report hex, checking it holds ceil(k/8) bytes with zero padding."""
+    if not isinstance(text, str):
+        raise ReportFormatError(f"report hex must be a string, got {type(text).__name__}")
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError as exc:
+        raise ReportFormatError(f"bad report hex: {exc}") from exc
+    if len(raw) != (k + 7) // 8:
+        raise ReportFormatError(
+            f"report holds {len(raw)} bytes, expected {(k + 7) // 8}"
+        )
+    if k % 8 and raw[-1] >> (k % 8):
+        raise ReportFormatError("padding bits beyond k must be zero")
+    return raw
+
+
+def _envelope_bytes(obj: Mapping, digest: str, k: int) -> bytes:
+    """The packed report of an envelope, after checking it is bound to the
+    params with this digest and that its hex is well formed."""
+    try:
+        bound, text = obj["params_digest"], obj["report_hex"]
+    except (KeyError, TypeError) as exc:
+        raise ReportFormatError(f"malformed report envelope: {exc}") from exc
+    if bound != digest:
+        raise ReportFormatError(f"report bound to params {bound}, expected {digest}")
+    return _report_bytes(text, k)
 
 
 def bloom_indices(value: str, params: RapporParams) -> tuple[int, ...]:
@@ -218,28 +257,31 @@ def bloom_check(filter: BloomFilter, value: str, params: RapporParams) -> bool:
     return all(filter.bits[i] for i in bloom_indices(value, params))
 
 
+def _prr_messages(value: str, params: RapporParams) -> list[bytes]:
+    """The inputs hashed for a value's PRR uniforms, one block per 8 bits."""
+    ctx = params.digest().encode("ascii") + b"\x00" + value.encode("utf-8")
+    return [ctx + struct.pack("<I", block) for block in range((params.k + 7) // 8)]
+
+
+def _prr_blocks(client_secret: bytes, messages: Sequence[bytes]) -> bytes:
+    """Keyed BLAKE2b blocks of 8 little-endian 64-bit words each; word i
+    divided by 2^64 is the uniform of bit i."""
+    key = hashlib.blake2b(
+        client_secret, digest_size=32, person=b"privkit.prrkey"
+    ).digest()
+    return b"".join([
+        hashlib.blake2b(m, key=key, digest_size=64, person=b"privkit.prruni").digest()
+        for m in messages
+    ])
+
+
 def _prr_uniforms(
     client_secret: bytes, value: str, params: RapporParams
 ) -> list[float]:
     """Deterministic per-bit uniforms keyed by (secret, value, params)."""
-    key = hashlib.blake2b(
-        client_secret, digest_size=32, person=b"privkit.prrkey"
-    ).digest()
-    ctx = params.digest().encode("ascii") + b"\x00" + value.encode("utf-8")
-    uniforms: list[float] = []
-    block = 0
-    while len(uniforms) < params.k:
-        digest = hashlib.blake2b(
-            ctx + struct.pack("<I", block),
-            key=key,
-            digest_size=64,
-            person=b"privkit.prruni",
-        ).digest()
-        for off in range(0, 64, 8):
-            word = int.from_bytes(digest[off : off + 8], "little")
-            uniforms.append(word / 2.0**64)
-        block += 1
-    return uniforms[: params.k]
+    blocks = _prr_blocks(client_secret, _prr_messages(value, params))
+    words = struct.unpack(f"<{len(blocks) // 8}Q", blocks)
+    return [word / 2.0**64 for word in words[: params.k]]
 
 
 def prr(
@@ -336,33 +378,64 @@ def estimate_counts(
     candidates: Sequence[str],
     params: RapporParams,
 ) -> dict[str, float]:
-    """Estimate how many reports encoded each candidate value.
+    """Estimate how many reports encoded each candidate value; see
+    ``estimate_from_counts``."""
+    if not reports:
+        raise LengthMismatch("need at least one report")
+    for r in reports:
+        if len(r.bits) != params.k:
+            raise LengthMismatch(
+                f"report has {len(r.bits)} bits, params say {params.k}"
+            )
+    counts = np.array([r.bits for r in reports], dtype=np.int64).sum(axis=0)
+    return estimate_from_counts(counts.tolist(), len(reports), candidates, params)
+
+
+def estimate_from_counts(
+    counts: Sequence[int],
+    n: int,
+    candidates: Sequence[str],
+    params: RapporParams,
+) -> dict[str, float]:
+    """Estimate how many of n reports encoded each candidate value, from the
+    number of reports with each bit set.
 
     Per bit i the set-count c_i over N reports is inverted to
     t_i = (c_i - p* N) / (q* - p*), clamped to [0, N]; a candidate scores the
     minimum of t_i over its Bloom indices, since every index is a necessary
     condition for carrying that value.
     """
-    if not reports:
+    if n < 1:
         raise LengthMismatch("need at least one report")
-    k = params.k
-    counts = [0] * k
-    for r in reports:
-        if len(r.bits) != k:
-            raise LengthMismatch(
-                f"report has {len(r.bits)} bits, params say {k}"
-            )
-        for i, b in enumerate(r.bits):
-            counts[i] += b
+    if len(counts) != params.k:
+        raise LengthMismatch(f"{len(counts)} bit counts, params say {params.k}")
     q_star, p_star = lemma1(params)
     denom = q_star - p_star
     if denom == 0.0:
         raise DegenerateParams("q* equals p*, reports carry no signal")
-    n = len(reports)
     t = [min(max((c - p_star * n) / denom, 0.0), float(n)) for c in counts]
     return {
         v: min(t[i] for i in bloom_indices(v, params)) for v in candidates
     }
+
+
+def count_envelopes(
+    envelopes: Iterable[Mapping], params: RapporParams
+) -> tuple[list[int], int]:
+    """Fold report envelopes into (per-bit set counts, number of reports),
+    one chunk at a time, rejecting any envelope ``Report.from_envelope``
+    would reject. Memory is O(k) plus one chunk, whatever the stream length.
+    """
+    k, digest = params.k, params.digest()
+    rows = _chunk_rows(k)
+    counts = np.zeros(k, dtype=np.int64)
+    n = 0
+    envelopes = iter(envelopes)
+    while chunk := [_envelope_bytes(e, digest, k) for e in islice(envelopes, rows)]:
+        packed = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(len(chunk), -1)
+        counts += _unpack_rows(packed, k).sum(axis=0, dtype=np.int64)
+        n += len(chunk)
+    return counts.tolist(), n
 
 
 def allocate_counts(
@@ -402,16 +475,80 @@ def simulate_reports(
 
     Client i reports the value assigned by iterating ``counts`` in sorted
     order; each client has its own derived secret, and all IRR draws come
-    from a single seeded stream.
+    from a single seeded stream. The reports are those of ``make_report``
+    applied client by client with ``random.Random(seed)``.
     """
-    rng = random.Random(seed)
-    reports = []
-    index = 0
-    for value in sorted(counts):
-        filter = bloom_encode(value, params)
-        for _ in range(counts[value]):
-            secret = client_secret(seed, index)
-            perm = prr(filter, secret, value, params)
-            reports.append(irr(perm, params, rng))
-            index += 1
-    return reports
+    return [
+        Report(tuple(bits))
+        for packed in simulate_packed(counts, params, seed)
+        for bits in _unpack_rows(packed, params.k).tolist()
+    ]
+
+
+def simulate_packed(
+    counts: Mapping[str, int], params: RapporParams, seed: int
+) -> Iterator[np.ndarray]:
+    """The reports of ``simulate_reports`` as uint8 arrays of ceil(k/8)
+    bytes per row, laid out like ``Report.to_hex``, a chunk of rows at a time.
+
+    PRR uniforms come from the same keyed blocks as ``prr``. IRR uniforms
+    come from a numpy generator handed the state of ``random.Random(seed)``,
+    whose ``random_sample`` yields the same doubles as ``rng.random()``.
+    """
+    k = params.k
+    values = sorted(counts)
+    blooms = np.array([bloom_encode(v, params).bits for v in values], dtype=bool)
+    messages = [_prr_messages(v, params) for v in values]
+    owners = np.repeat(np.arange(len(values)), [counts[v] for v in values])
+    half_f = params.f / 2.0
+    stream = _numpy_stream(random.Random(seed))
+    rows = _chunk_rows(k)
+    for start in range(0, len(owners), rows):
+        owner = owners[start : start + rows]
+        blocks = b"".join([
+            _prr_blocks(client_secret(seed, i), messages[j])
+            for i, j in enumerate(owner.tolist(), start)
+        ])
+        words = np.frombuffer(blocks, dtype="<u8").reshape(len(owner), -1)[:, :k]
+        uniforms = words.astype(np.float64) / 2.0**64
+        perm = (uniforms < half_f) | ((uniforms >= params.f) & blooms[owner])
+        draws = stream.random_sample((len(owner), k))
+        report = draws < np.where(perm, params.q, params.p)
+        yield np.packbits(report, axis=1, bitorder="little")
+
+
+def envelope_lines(
+    packed_chunks: Iterable[np.ndarray], params: RapporParams
+) -> Iterator[bytes]:
+    """JSON lines of each chunk of packed reports: per report, the bytes of
+    ``json.dumps(report.envelope(params), sort_keys=True)`` and a newline."""
+    template = json.dumps(
+        {"params_digest": params.digest(), "report_hex": "@"}, sort_keys=True
+    ) + "\n"
+    head, tail = (
+        np.frombuffer(part.encode("ascii"), dtype=np.uint8) for part in template.split("@")
+    )
+    for packed in packed_chunks:
+        n = len(packed)
+        hexed = np.frombuffer(packed.tobytes().hex().encode("ascii"), dtype=np.uint8)
+        yield np.hstack([
+            np.broadcast_to(head, (n, len(head))),
+            hexed.reshape(n, -1),
+            np.broadcast_to(tail, (n, len(tail))),
+        ]).tobytes()
+
+
+def _chunk_rows(k: int) -> int:
+    return max(1, _CHUNK_BITS // k)
+
+
+def _unpack_rows(packed: np.ndarray, k: int) -> np.ndarray:
+    return np.unpackbits(packed, axis=1, count=k, bitorder="little")
+
+
+def _numpy_stream(rng: random.Random) -> np.random.RandomState:
+    """A numpy Mersenne Twister continuing ``rng``'s stream where it stands."""
+    _, internal, _ = rng.getstate()
+    stream = np.random.RandomState()
+    stream.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+    return stream

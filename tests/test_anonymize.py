@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privkit import anonymize
 from privkit.anonymize import (
     GeneralizationRule,
     NoiseSpec,
@@ -394,6 +395,44 @@ def test_multivariate_group_sizes():
     sizes = sorted(len(g) for g in groups)
     assert sum(sizes) == 11
     assert all(s >= 2 for s in sizes[:-1]) and sizes.count(3) <= 1
+
+
+def parent_mdav_groups(coords, k):
+    """MDAV as it ran before the 3k rule: pairs of groups while 2k points
+    remain, then the rest as one group, which could hold fewer than k."""
+    remaining = list(range(len(coords)))
+    groups = []
+    while len(remaining) >= 2 * k:
+        centroid = anonymize._mean_point([coords[i] for i in remaining])
+        r = max(remaining, key=lambda i: (anonymize._dist2(coords[i], centroid), -i))
+        group_r = anonymize._nearest_group(coords, remaining, r, k)
+        remaining = [i for i in remaining if i not in group_r]
+        s = max(remaining, key=lambda i: (anonymize._dist2(coords[i], coords[r]), -i))
+        group_s = anonymize._nearest_group(coords, remaining, s, k)
+        remaining = [i for i in remaining if i not in group_s]
+        groups += [sorted(group_r), sorted(group_s)]
+    if remaining:
+        groups.append(remaining)
+    return groups
+
+
+def test_mdav_small_last_group():
+    coords = [[float(x)] for x in range(11)]
+    assert sorted(len(g) for g in mdav_groups(coords, 5)) == [5, 6]
+    coords = [[float(x)] for x in range(12)]
+    assert sorted(len(g) for g in mdav_groups(coords, 5)) == [5, 7]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_mdav_groups_hold_at_least_k(k):
+    rng = random.Random(k)
+    for n in range(k, 6 * k):
+        coords = [[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(n)]
+        groups = mdav_groups(coords, k)
+        assert sorted(i for g in groups for i in g) == list(range(n))
+        assert all(k <= len(g) < 2 * k for g in groups)
+        if n % (2 * k) >= k:
+            assert groups == parent_mdav_groups(coords, k)
 
 
 def test_multivariate_too_small():

@@ -184,6 +184,22 @@ def test_exact_threshold_boundary():
     assert got == brute_force_rules(ts, 0.35, 0.60)
 
 
+@pytest.mark.parametrize("num", [1, 2, 9])
+def test_on_threshold_decimal_thresholds(num):
+    # {a, b} sits exactly on the threshold num/10, which as a binary float is
+    # a little above or below num/10; the oracle counts against Fraction(num, 10)
+    on_support = TransactionSet.from_iterables([{"a", "b"}] * num + [{"c"}] * (10 - num))
+    on_certainty = TransactionSet.from_iterables([{"a", "b"}] * num + [{"a"}] * (10 - num))
+    cases = [
+        (on_support, num / 10, 0.6, Fraction(num, 10), Fraction(3, 5)),
+        (on_certainty, 0.05, num / 10, Fraction(1, 20), Fraction(num, 10)),
+    ]
+    for ts, sup, cert, exact_sup, exact_cert in cases:
+        got = {(r.antecedent, r.consequent) for r in solid_rules(ts, sup, cert, 2)}
+        assert (frozenset({"a"}), frozenset({"b"})) in got
+        assert got == brute_force_rules(ts, exact_sup, exact_cert)
+
+
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_support_anti_monotone(data):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -232,6 +233,98 @@ def test_rappor_simulate_then_estimate(capsys, tmp_path):
     assert abs(est["estimates"]["C"] - 800) < 700
 
 
+# SHA-256 of the simulate JSONL and of the estimate stdout, produced by the
+# per-report implementation that preceded the batch path. k=12 leaves four
+# padding bits in every report's last byte.
+GOLDENS = {
+    16: ("3288fb73281892e6b702c0642223ee00623097f16880cfc55938f57c8c2d4cae",
+         "5a3140b7d8c08a190f33c37ab1c324014c465060018f042cd41092cdaa90b8f6"),
+    12: ("b0290da62e04272fd1822e4b5a6972a0a9e35f190b8c3b3588d18c07ae4d9894",
+         "3958d9bdea04aa8da4db17222ed4f0c4ffcbd832b8f46b7df6eec51478ffbf6a"),
+}
+
+
+@pytest.fixture
+def rappor_inputs(tmp_path):
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"A": 0.5, "B": 0.3, "C": 0.2}))
+    candidates = tmp_path / "candidates.json"
+    candidates.write_text(json.dumps(["A", "B", "C", "D"]))
+    return dist, candidates
+
+
+@pytest.mark.parametrize("k", sorted(GOLDENS))
+def test_rappor_simulate_estimate_byte_identical(capsys, tmp_path, rappor_inputs, k):
+    dist, candidates = rappor_inputs
+    params = f'{{"k":{k},"h":2,"f":0.5,"p":0.5,"q":0.75,"hash_seed":7}}'
+    reports = tmp_path / "reports.jsonl"
+    run_json(capsys, "rappor", "simulate", "--params", params, "--clients", "6000",
+             "--dist", str(dist), "--seed", "2024", "--output", str(reports))
+    code, out, _ = run(capsys, "rappor", "estimate", "--params", params,
+                       "--reports", str(reports), "--candidates", str(candidates))
+    assert code == 0
+    assert (hashlib.sha256(reports.read_bytes()).hexdigest(),
+            hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDENS[k]
+
+
+def test_rappor_estimate_rejects_bad_lines(capsys, tmp_path, rappor_inputs):
+    _, candidates = rappor_inputs
+    reports = tmp_path / "reports.jsonl"
+    digest = run_json(capsys, "rappor", "epsilon", "--params", PAPER_PARAMS)["params_digest"]
+    good = json.dumps({"params_digest": digest, "report_hex": "ef0c"})
+    reports.write_text(f"\n{good}\n   \n{good}\n\n")
+    est = run_json(capsys, "rappor", "estimate", "--params", PAPER_PARAMS,
+                   "--reports", str(reports), "--candidates", str(candidates))
+    assert est["reports"] == 2  # blank lines are skipped
+    bad_lines = [
+        json.dumps({"params_digest": "0" * 16, "report_hex": "ef0c"}),  # digest
+        json.dumps({"params_digest": digest, "report_hex": "zz0c"}),  # hex
+        json.dumps({"params_digest": digest, "report_hex": 61196}),  # not a string
+        json.dumps({"params_digest": digest, "report_hex": "ef0c00"}),  # length
+        json.dumps({"params_digest": digest, "report_hex": "ef1c"}),  # padding bits
+        json.dumps({"params_digest": digest}),  # missing field
+        json.dumps(["ef0c"]),  # not an object
+        '{"params_digest": ',  # bad JSON
+    ]
+    for bad in bad_lines:
+        reports.write_text(f"{good}\n{bad}\n{good}\n")
+        code, out, err = run(capsys, "rappor", "estimate", "--params", PAPER_PARAMS,
+                             "--reports", str(reports), "--candidates", str(candidates))
+        assert (code, out) == (2, ""), bad
+        assert "Traceback" not in err and err.startswith("error: "), bad
+
+
+def test_rappor_estimate_rejects_non_string_candidate(capsys, tmp_path):
+    digest = run_json(capsys, "rappor", "epsilon", "--params", PAPER_PARAMS)["params_digest"]
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text(json.dumps({"params_digest": digest, "report_hex": "ef0c"}) + "\n")
+    candidates = tmp_path / "candidates.json"
+    candidates.write_text(json.dumps(["A", 7]))
+    code, _, err = run(capsys, "rappor", "estimate", "--params", PAPER_PARAMS,
+                       "--reports", str(reports), "--candidates", str(candidates))
+    assert code == 2 and "Traceback" not in err
+
+
+def test_rappor_simulate_rejects_negative_clients(capsys, tmp_path, rappor_inputs):
+    dist, _ = rappor_inputs
+    output = tmp_path / "reports.jsonl"
+    for clients in ("-5", "five"):
+        code, out, err = run(capsys, "rappor", "simulate", "--params", PAPER_PARAMS,
+                             "--clients", clients, "--dist", str(dist), "--seed", "1",
+                             "--output", str(output))
+        assert (code, out) == (1, "") and "--clients" in err
+    assert not output.exists()
+    run_json(capsys, "rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "0",
+             "--dist", str(dist), "--seed", "1", "--output", str(output))
+    assert output.read_bytes() == b""
+
+
+def test_rappor_params_bool_rejected(capsys):
+    code, _, err = run(capsys, "rappor", "epsilon", "--params",
+                       '{"k":true,"h":1,"f":0.5,"p":0.5,"q":0.75}')
+    assert code == 2 and "Traceback" not in err
+
+
 def test_dpcheck_modes(capsys):
     params = '{"k":8,"h":2,"f":0.5,"p":0.5,"q":0.75}'
     out = run_json(capsys, "dpcheck", "--params", params, "--mode", "prr",
@@ -294,10 +387,3 @@ def test_log_level_env(capsys, monkeypatch):
     code, out, err = run(capsys, "rappor", "epsilon", "--params", PAPER_PARAMS)
     assert code == 0
     assert json.loads(out)["version"] == 1  # logs never pollute stdout
-
-
-def test_threads_flag_accepted(capsys, tmp_path):
-    code, out, _ = run(capsys, "--threads", "2", "rappor", "epsilon", "--params", PAPER_PARAMS)
-    assert code == 0
-    code, _, _ = run(capsys, "--threads", "0", "rappor", "epsilon", "--params", PAPER_PARAMS)
-    assert code == 1

@@ -1,10 +1,13 @@
+import json
 import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privkit import rappor
 from privkit.dpcheck import prr_distribution, report_distribution, exact_epsilon
 from privkit.errors import (
     DegenerateParams,
@@ -23,13 +26,17 @@ from privkit.rappor import (
     bloom_encode,
     bloom_indices,
     client_secret,
+    count_envelopes,
+    envelope_lines,
     epsilon_infinity,
     epsilon_one,
     estimate_counts,
+    estimate_from_counts,
     irr,
     lemma1,
     make_report,
     prr,
+    simulate_packed,
     simulate_reports,
 )
 
@@ -54,6 +61,34 @@ def test_params_json_round_trip():
     assert params == RapporParams(k=12, h=2, f=0.5, q=0.75, p=0.5, hash_seed=0)
     with pytest.raises(InvalidParams):
         RapporParams.from_json('{"k":12}')
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", True), ("h", True), ("hash_seed", True), ("hash_seed", False),
+    ("hash_seed", -1), ("hash_seed", 2**64), ("k", None),
+])
+def test_params_json_rejects_bool_and_out_of_range(field, value):
+    obj = {"k": 12, "h": 1, "f": 0.5, "q": 0.75, "p": 0.5, field: value}
+    with pytest.raises(InvalidParams):
+        RapporParams.from_json(json.dumps(obj))
+
+
+def test_hash_seed_range_ends_accepted():
+    for seed in (0, 2**64 - 1):
+        params = RapporParams(k=12, h=2, f=0.5, q=0.75, p=0.5, hash_seed=seed)
+        assert len(bloom_indices("v", params)) == 2
+
+
+def test_digest_computed_once_per_params(monkeypatch):
+    params = RapporParams(k=12, h=2, f=0.5, q=0.75, p=0.5)
+    first = params.digest()
+    calls = []
+    real = rappor.hashlib.sha256
+    monkeypatch.setattr(rappor.hashlib, "sha256", lambda *a: calls.append(a) or real(*a))
+    for _ in range(5):
+        assert params.digest() == first
+    Report((1,) * 12).envelope(params)
+    assert calls == []
 
 
 # --- bloom filter -------------------------------------------------------------
@@ -312,6 +347,35 @@ def test_estimate_counts_errors():
         estimate_counts([Report((1, 0, 0, 0))], ["A"], degenerate)
 
 
+def test_estimate_from_counts_errors():
+    with pytest.raises(LengthMismatch):
+        estimate_from_counts([0] * 12, 0, ["A"], PAPER)
+    with pytest.raises(LengthMismatch):
+        estimate_from_counts([0] * 11, 3, ["A"], PAPER)
+
+
+@given(
+    k=st.integers(1, 20),
+    rows=st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=60),
+    chunk_bits=st.sampled_from([1, 7, 64, 1 << 16]),
+)
+@settings(max_examples=60, deadline=None)
+def test_streamed_estimate_equals_estimate_counts(k, rows, chunk_bits):
+    params = RapporParams(k=k, h=1, f=0.5, q=0.75, p=0.5)
+    reports = [Report(tuple((r >> i) & 1 for i in range(k))) for r in rows]
+    candidates = ["A", "B", "C", "chlamydia"]
+    old_chunk = rappor._CHUNK_BITS
+    rappor._CHUNK_BITS = chunk_bits
+    try:
+        counts, n = count_envelopes((r.envelope(params) for r in reports), params)
+    finally:
+        rappor._CHUNK_BITS = old_chunk
+    assert n == len(reports)
+    assert estimate_from_counts(counts, n, candidates, params) == estimate_counts(
+        reports, candidates, params
+    )
+
+
 def test_estimate_counts_clamped_to_population():
     est = estimate_counts([Report((1,) * 12)] * 5, ["chlamydia"], PAPER)
     assert 0.0 <= est["chlamydia"] <= 5.0
@@ -327,6 +391,58 @@ def test_allocate_counts():
     assert sum(thirds.values()) == 10 and thirds == {"A": 4, "B": 3, "C": 3}
     with pytest.raises(InvalidParams):
         allocate_counts({"A": 0.7}, 10)
+
+
+def scalar_simulate(counts, params, seed):
+    """The reference: make_report's stages applied client by client."""
+    rng = random.Random(seed)
+    reports = []
+    index = 0
+    for value in sorted(counts):
+        filt = bloom_encode(value, params)
+        for _ in range(counts[value]):
+            perm = prr(filt, client_secret(seed, index), value, params)
+            reports.append(irr(perm, params, rng))
+            index += 1
+    return reports
+
+
+BATCH_PARAMS = [
+    PAPER,
+    RapporParams(k=16, h=2, f=0.5, q=0.75, p=0.5, hash_seed=7),
+    RapporParams(k=1, h=1, f=0.5, q=0.75, p=0.25),
+    RapporParams(k=9, h=3, f=1.0, q=1.0, p=0.0),
+    RapporParams(k=70, h=4, f=0.0, q=0.9, p=0.1, hash_seed=2**64 - 1),
+    RapporParams(k=256, h=4, f=0.5, q=0.75, p=0.5, hash_seed=12345),
+]
+
+
+@pytest.mark.parametrize("params", BATCH_PARAMS, ids=lambda p: f"k{p.k}")
+@pytest.mark.parametrize("chunk_bits", [rappor._CHUNK_BITS, 1, 100])
+def test_batch_client_matches_scalar_reference(params, chunk_bits, monkeypatch):
+    monkeypatch.setattr(rappor, "_CHUNK_BITS", chunk_bits)
+    counts = {"b": 23, "a": 40, "never": 0, "c": 1}
+    for seed in (0, 5, -3, 2**70):
+        expected = scalar_simulate(counts, params, seed)
+        assert simulate_reports(counts, params, seed) == expected
+        lines = b"".join(envelope_lines(simulate_packed(counts, params, seed), params))
+        assert lines == "".join(
+            json.dumps(r.envelope(params), sort_keys=True) + "\n" for r in expected
+        ).encode("utf-8")
+
+
+def test_numpy_word_to_float_matches_python():
+    # PRR uniforms are word / 2^64; words straddling float64 rounding ties
+    # must convert the same way in numpy as in Python
+    rng = random.Random(3)
+    words = [rng.getrandbits(64) for _ in range(20_000)]
+    for top in range(11, 64):
+        base = 1 << top
+        half_ulp = 1 << (top - 53) if top > 53 else 0
+        words += [base, base - 1, base + half_ulp, base + 3 * half_ulp, (1 << 64) - 1]
+    words = [w for w in words if w < 1 << 64]
+    converted = np.array(words, dtype=np.uint64).astype(np.float64) / 2.0**64
+    assert converted.tolist() == [w / 2.0**64 for w in words]
 
 
 def test_simulate_reports_deterministic():
@@ -370,3 +486,22 @@ def test_report_envelope_round_trip():
     other = RapporParams(k=12, h=2, f=0.5, q=0.75, p=0.5, hash_seed=3)
     with pytest.raises(ReportFormatError):
         Report.from_envelope(env, other)
+
+
+@pytest.mark.parametrize("bad", [
+    {"params_digest": "0" * 16, "report_hex": "ef0c"},
+    {"params_digest": PAPER.digest(), "report_hex": "zz0c"},
+    {"params_digest": PAPER.digest(), "report_hex": "ef"},
+    {"params_digest": PAPER.digest(), "report_hex": "ef1c"},
+    {"params_digest": PAPER.digest(), "report_hex": 61196},
+    {"params_digest": PAPER.digest()},
+    ["ef0c"],
+    "ef0c",
+    None,
+])
+def test_bad_envelope_rejected_by_both_paths(bad):
+    with pytest.raises(ReportFormatError):
+        Report.from_envelope(bad, PAPER)
+    good = Report((1,) * 12).envelope(PAPER)
+    with pytest.raises(ReportFormatError):
+        count_envelopes([good, bad], PAPER)
