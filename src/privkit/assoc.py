@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -54,6 +55,16 @@ class TransactionSet:
     def __len__(self):
         return len(self.transactions)
 
+    @cached_property
+    def bitmaps(self) -> dict[str, int]:
+        """Per-item transaction bitmaps (Eclat's vertical layout): bit n of
+        an item's bitmap is set when transaction n contains the item."""
+        rows = {item: bytearray((len(self.transactions) + 7) // 8) for item in self.items}
+        for n, t in enumerate(self.transactions):
+            for item in t:
+                rows[item][n >> 3] |= 1 << (n & 7)
+        return {item: int.from_bytes(row, "little") for item, row in rows.items()}
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -71,7 +82,11 @@ def support_count(transactions: TransactionSet, itemset: Iterable[str]) -> int:
     stray = wanted - transactions.items
     if stray:
         raise UnknownItem(f"items {sorted(stray)} outside universe")
-    return sum(1 for t in transactions.transactions if wanted <= t)
+    bitmaps = transactions.bitmaps
+    mask = (1 << len(transactions)) - 1
+    for item in wanted:
+        mask &= bitmaps[item]
+    return mask.bit_count()
 
 
 def support(transactions: TransactionSet, itemset: Iterable[str]) -> float:

@@ -91,6 +91,10 @@ def _load_dataset(input_path: str, schema_path: str) -> Dataset:
         return load_csv(fh, schema)
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _comma_names(text: str) -> list[str]:
     names = [n for n in text.split(",") if n]
     if not names:
@@ -318,7 +322,7 @@ def _cmd_rappor_simulate(args) -> dict:
 def _cmd_rappor_estimate(args) -> dict:
     params = _params_from_arg(args.params)
     candidates = _load_json_arg("@" + args.candidates)
-    if not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
+    if not _is_string_list(candidates):
         raise ConfigError("candidates file must be a JSON array of strings")
     with open(args.reports, "r", encoding="utf-8") as fh:
         counts, n = rappor.count_envelopes(_json_lines(fh), params)
@@ -391,14 +395,16 @@ def _cmd_assoc_mine(args) -> dict:
         transactions = assoc.transactions_from_dataset(dataset, include_qi)
     else:
         raw = _load_json_arg("@" + args.input)
-        if isinstance(raw, dict):
-            transactions = assoc.TransactionSet.from_iterables(
-                raw.get("transactions", []), raw.get("items")
-            )
-        elif isinstance(raw, list):
-            transactions = assoc.TransactionSet.from_iterables(raw)
-        else:
+        if isinstance(raw, list):
+            raw = {"transactions": raw}
+        if not isinstance(raw, dict):
             raise ConfigError("transactions file must be a list or an object")
+        txs, items = raw.get("transactions", []), raw.get("items")
+        if not isinstance(txs, list) or not all(_is_string_list(t) for t in txs):
+            raise ConfigError("transactions must be a JSON array of arrays of strings")
+        if items is not None and not _is_string_list(items):
+            raise ConfigError("items must be a JSON array of strings")
+        transactions = assoc.TransactionSet.from_iterables(txs, items)
     rules = assoc.solid_rules(
         transactions,
         min_support=args.min_support,

@@ -23,7 +23,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Sequence, Union
 
 from .errors import ArityError, HeaderMismatch, KindMismatch, ParseError, UnknownAttribute
 
@@ -296,9 +296,3 @@ def fixture_table1() -> Dataset:
     Diagnosis is the sensitive attribute.
     """
     return Dataset(_FIXTURE_SCHEMA, _FIXTURE_ROWS)
-
-
-def column_values(dataset: Dataset, names: Iterable[str]) -> list[tuple[Cell, ...]]:
-    """Per-record tuples of the named columns, in record order."""
-    idxs = [dataset.schema.index(n) for n in names]
-    return [tuple(rec[i] for i in idxs) for rec in dataset.records]

@@ -120,22 +120,24 @@ class RapporParams:
                 raise InvalidParams(f"params are not valid JSON: {exc}") from exc
         if not isinstance(obj, Mapping):
             raise InvalidParams("params JSON must be an object")
-        for name in ("k", "h", "hash_seed"):
-            if isinstance(obj.get(name), bool):
-                raise InvalidParams(f"{name} must be an integer, got {obj[name]}")
         try:
-            return cls(
-                k=int(obj["k"]),
-                h=int(obj["h"]),
-                f=float(obj["f"]),
-                q=float(obj["q"]),
-                p=float(obj["p"]),
-                hash_seed=int(obj.get("hash_seed", 0)),
-            )
+            fields = {name: obj[name] for name in ("k", "h", "f", "q", "p")}
         except KeyError as exc:
             raise InvalidParams(f"params JSON missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        fields["hash_seed"] = obj.get("hash_seed", 0)
+        # Fields take their JSON type as written: int() would truncate 12.7
+        # and float() would parse "0.5". bool is an int subclass in Python.
+        for name, value in fields.items():
+            integer = name in ("k", "h", "hash_seed")
+            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+                kind = "an integer" if integer else "a number"
+                raise InvalidParams(f"{name} must be {kind}, got {value!r}")
+        try:
+            for name in ("f", "q", "p"):
+                fields[name] = float(fields[name])
+        except OverflowError as exc:
             raise InvalidParams(f"bad params field: {exc}") from exc
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,11 @@ def secret_sum_transcript(
     modulus: int = DEFAULT_MODULUS,
     rng: random.Random | None = None,
 ) -> SecretSumTranscript:
-    """Run the full protocol among len(votes) simulated parties."""
+    """Run the full protocol among len(votes) simulated parties.
+
+    Shares are drawn from ``rng`` when given (for reproducible runs), else
+    from the operating system's cryptographic source.
+    """
     n = len(votes)
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
@@ -118,7 +122,7 @@ def secret_sum_transcript(
             f"modulus {modulus} does not exceed the reachable sum {sum(votes)}"
         )
     if rng is None:
-        rng = random.Random()
+        rng = random.SystemRandom()
     polys = [gen_polynomial(v, n - 1, modulus, rng) for v in votes]
     shares = tuple(
         tuple(evaluate(poly, j, modulus) for j in range(1, n + 1))

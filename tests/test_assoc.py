@@ -214,6 +214,30 @@ def test_support_anti_monotone(data):
     assert support_count(ts, smaller) >= support_count(ts, larger)
 
 
+# Sizes on each side of CPython's 30-bit int digits and of a 64-bit word.
+@pytest.mark.parametrize("n", [0, 1, 29, 30, 31, 59, 60, 61, 63, 64, 65, 200])
+def test_support_count_at_digit_boundaries(n):
+    ts = TransactionSet.from_iterables([{"a"}] * n, items={"a", "b"})
+    assert support_count(ts, set()) == n
+    assert support_count(ts, {"a"}) == n
+    assert support_count(ts, {"b"}) == 0
+    assert support_count(ts, {"a", "b"}) == 0
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_support_count_equals_subset_scan(data):
+    # i6 and i7 are in the universe but occur in no transaction
+    universe = [f"i{j}" for j in range(8)]
+    n = data.draw(st.integers(0, 200))
+    masks = data.draw(st.lists(st.integers(0, 2**6 - 1), min_size=n, max_size=n))
+    txs = [{universe[j] for j in range(6) if m >> j & 1} for m in masks]
+    ts = TransactionSet.from_iterables(txs, universe)
+    for _ in range(5):
+        itemset = data.draw(st.sets(st.sampled_from(universe), max_size=4))
+        assert support_count(ts, itemset) == sum(1 for t in txs if itemset <= t)
+
+
 def test_transactions_from_fixture():
     ts = transactions_from_dataset(fixture_table1(), include_qi=["Gender"])
     assert len(ts) == 10

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from privkit.cli import main
 from privkit.dataset import fixture_table1, write_csv
@@ -359,6 +361,79 @@ def test_assoc_mine(capsys, tmp_path):
                    "--min-support", "0.35", "--min-certainty", "0.60",
                    "--max-itemset", "3")
     assert {"antecedent": ["b"], "consequent": ["a"], "support": 0.5, "certainty": 1.0} in out["rules"]
+
+
+def seeded_baskets(seed, n=3000, n_items=30, n_types=5):
+    """Correlated baskets: each keeps most of one of n_types six-item cores
+    and picks up every other item with probability 0.05."""
+    rng = random.Random(seed)
+    items = [f"item{j:02d}" for j in range(n_items)]
+    cores = [rng.sample(items, 6) for _ in range(n_types)]
+    baskets = []
+    for _ in range(n):
+        basket = {i for i in rng.choice(cores) if rng.random() < 0.8}
+        basket.update(i for i in items if rng.random() < 0.05)
+        baskets.append(sorted(basket))
+    return baskets
+
+
+def test_assoc_mine_byte_identical(capsys, tmp_path):
+    # golden stdout of the per-transaction subset scan that support counting replaced
+    txs = tmp_path / "baskets.json"
+    txs.write_text(json.dumps(seeded_baskets(20261018)))
+    code, out, err = run(capsys, "assoc", "mine", "--input", str(txs),
+                         "--min-support", "0.1", "--min-certainty", "0.6",
+                         "--max-itemset", "3")
+    assert code == 0, err
+    assert len(json.loads(out)["rules"]) == 327
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "21b7827e7bfcd98279b61b51fd69f8446a10d9facbb343f1d397037c636e816f"
+    )
+
+
+@pytest.mark.parametrize("raw", [
+    [["a", 1], ["a"]],
+    [[None], ["a"]],
+    [[["x"]], ["a"]],
+    ["abc", ["b"]],
+    [1],
+    {"items": "ab"},
+    {"transactions": "ab"},
+    {"transactions": [["a"]], "items": ["a", 2]},
+    "abc",
+], ids=repr)
+def test_assoc_mine_rejects_non_string_transactions(capsys, tmp_path, raw):
+    txs = tmp_path / "transactions.json"
+    txs.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "assoc", "mine", "--input", str(txs))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+_FIELDS = ["transactions", "items", "k", "h", "f", "q", "p", "hash_seed"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["a", "b", "c"]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=3), inner, max_size=6),
+    max_leaves=20,
+)
+_PARAMS = st.fixed_dictionaries(
+    {name: st.integers(-1, 20) | st.floats() | _JSON for name in ("k", "h", "f", "q", "p")},
+    optional={"hash_seed": st.integers(-1, 2**64) | _JSON},
+)
+
+
+@given(value=_JSON | _PARAMS)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_json_inputs_fuzz(capsys, tmp_path, value):
+    # json.dumps writes NaN and Infinity, which Python's JSON reader accepts
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(value))
+    for argv in (["assoc", "mine", "--input", str(path), "--max-itemset", "2"],
+                 ["rappor", "epsilon", "--params", "@" + str(path)]):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2) and "Traceback" not in err
 
 
 def test_assoc_mine_from_dataset_csv(capsys, export_fixture):

@@ -73,6 +73,39 @@ def test_params_json_rejects_bool_and_out_of_range(field, value):
         RapporParams.from_json(json.dumps(obj))
 
 
+# Each field written as several JSON types; the valid ones are in range.
+_FIELD_VARIANTS = {
+    "k": [12, 12.0, 12.7, "12", True, None, [12]],
+    "h": [2, 2.0, "2", False, None, {"h": 2}],
+    "hash_seed": [5, 5.0, "5", True, None],
+    "f": [0.5, 0, 1, "0.5", True, None, [0.5]],
+    "q": [0.75, 1, "0.75", True, None],
+    "p": [0.5, 0, "0.5", False, None],
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param(field, value, id=f"{field}={value!r}")
+    for field, values in _FIELD_VARIANTS.items() for value in values
+])
+def test_params_json_field_types(field, value):
+    obj = {"k": 12, "h": 2, "f": 0.5, "q": 0.75, "p": 0.5, "hash_seed": 5, field: value}
+    # oracle: the JSON type of the field (bool is not a JSON number)
+    integer = field in ("k", "h", "hash_seed")
+    if type(value) in ({int} if integer else {int, float}):
+        params = RapporParams.from_json(json.dumps(obj))
+        assert getattr(params, field) == value
+        assert type(getattr(params, field)) is (int if integer else float)
+    else:
+        with pytest.raises(InvalidParams):
+            RapporParams.from_json(json.dumps(obj))
+
+
+def test_params_json_float_overflow_rejected():
+    with pytest.raises(InvalidParams):
+        RapporParams.from_json('{"k":12,"h":2,"f":1%s,"q":0.75,"p":0.5}' % ("0" * 400))
+
+
 def test_hash_seed_range_ends_accepted():
     for seed in (0, 2**64 - 1):
         params = RapporParams(k=12, h=2, f=0.5, q=0.75, p=0.5, hash_seed=seed)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privkit import smc
 from privkit.errors import BadModulus, DuplicateX
 from privkit.smc import (
     DEFAULT_MODULUS,
@@ -145,3 +146,11 @@ def test_two_shares_reveal_nothing_about_the_secret():
         pair = (evaluate(poly, 1, prime), evaluate(poly, 2, prime))
         consistent.setdefault(pair, set()).add(secret)
     assert all(secrets == set(range(prime)) for secrets in consistent.values())
+
+
+def test_default_rng_is_not_a_seedable_mersenne_twister(monkeypatch):
+    def mersenne(*args, **kwargs):
+        raise AssertionError("shares drawn from random.Random")
+
+    monkeypatch.setattr(smc.random, "Random", mersenne)
+    assert run_secret_sum([3, 0, 4]) == 7
