@@ -5,8 +5,10 @@ every column they do not target bit-identical. Randomized transforms take an
 explicit ``random.Random`` so that every result is reproducible from
 (input, seed).
 
-Generalized cells (Interval, MaskedText, SUPPRESSED) pass through
-``suppress`` and ``generalize`` unchanged -- they are already at least as
+Suppression is the most general generalization: ``suppress`` is
+``generalize`` with a ``SuppressAll`` rule per column, and turns every cell
+into SUPPRESSED. Bin and prefix rules pass generalized cells (Interval,
+MaskedText, SUPPRESSED) through unchanged -- they are already at least as
 general as the rule would make them -- while value-perturbing transforms
 (``add_noise``, ``rank_swap``, microaggregation) require raw integers and
 reject generalized cells.
@@ -17,9 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from .dataset import (
+    GENERALIZED,
     SUPPRESSED,
     Cell,
     Dataset,
@@ -48,12 +51,17 @@ class NumericBins:
 
     width: int
     origin: int = 0
+    kind: ClassVar[Kind] = Kind.INTEGER
 
     def __post_init__(self):
         if self.width < 1:
             raise ValueError(f"bin width must be >= 1, got {self.width}")
 
-    def apply(self, x: int) -> Interval:
+    def apply(self, x: Cell) -> Cell:
+        if isinstance(x, GENERALIZED):
+            return x
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise KindMismatch(f"cannot bin non-integer cell {x!r}")
         lo = self.origin + self.width * ((x - self.origin) // self.width)
         return Interval(lo, lo + self.width - 1)
 
@@ -63,18 +71,28 @@ class TextPrefix:
     """Keep the first ``keep`` characters of a text value, mask the rest."""
 
     keep: int
+    kind: ClassVar[Kind] = Kind.TEXT
 
     def __post_init__(self):
         if self.keep < 0:
             raise ValueError(f"prefix length must be >= 0, got {self.keep}")
 
-    def apply(self, t: str) -> MaskedText:
+    def apply(self, t: Cell) -> Cell:
+        if isinstance(t, GENERALIZED):
+            return t
+        if not isinstance(t, str):
+            raise KindMismatch(f"cannot mask non-text cell {t!r}")
         return MaskedText(t[: self.keep])
 
 
 @dataclass(frozen=True)
 class SuppressAll:
-    """Suppress every value of the attribute."""
+    """Suppress every value of the attribute, generalized or not."""
+
+    kind: ClassVar[Optional[Kind]] = None
+
+    def apply(self, cell: Cell) -> Suppressed:
+        return SUPPRESSED
 
 
 Strategy = Union[NumericBins, TextPrefix, SuppressAll]
@@ -119,8 +137,8 @@ class NoiseSpec:
         for delta, prob in probs.items():
             if not isinstance(delta, int) or isinstance(delta, bool):
                 raise InvalidSpec(f"delta {delta!r} is not an integer")
-            if prob < 0:
-                raise InvalidSpec(f"probability of delta {delta} is negative")
+            if not prob >= 0:  # false for NaN as well
+                raise InvalidSpec(f"probability of delta {delta} must be >= 0, got {prob}")
         total = sum(probs.values())
         if abs(total - 1.0) > _PROB_TOL:
             raise InvalidSpec(f"probabilities sum to {total}, expected 1")
@@ -156,65 +174,33 @@ class NoiseSpec:
 
 def suppress(dataset: Dataset, attributes: Sequence[str]) -> Dataset:
     """Replace every value of the named columns with SUPPRESSED."""
-    for name in attributes:
-        dataset.schema.index(name)
-    out = dataset
-    for name in attributes:
-        out = out.replace_column(name, [SUPPRESSED] * len(out))
-    return out
+    return generalize(dataset, [GeneralizationRule(a, SuppressAll()) for a in attributes])
 
 
 def generalize(dataset: Dataset, rules: Sequence[GeneralizationRule]) -> Dataset:
     """Apply bin/prefix/suppression rules column by column.
 
-    Already-generalized cells pass through unchanged; a TextPrefix rule that
-    would not shorten any value in its column is rejected as vacuous.
+    Each rule's strategy maps every cell of its column; a TextPrefix rule
+    that would not shorten any value in its column is rejected as vacuous.
     """
     out = dataset
     for rule in rules:
-        attr = dataset.schema.attribute(rule.attribute)
-        column = out.column(rule.attribute)
         strategy = rule.strategy
-        if isinstance(strategy, NumericBins):
-            if attr.kind is not Kind.INTEGER:
-                raise KindMismatch(
-                    f"numeric bins on text attribute {rule.attribute!r}"
-                )
-            new = [_apply_bins(c, strategy) for c in column]
-        elif isinstance(strategy, TextPrefix):
-            if attr.kind is not Kind.TEXT:
-                raise KindMismatch(
-                    f"text prefix on integer attribute {rule.attribute!r}"
-                )
+        kind = dataset.schema.attribute(rule.attribute).kind
+        if strategy.kind not in (None, kind):
+            raise KindMismatch(
+                f"{type(strategy).__name__} on {kind.value} attribute {rule.attribute!r}"
+            )
+        column = out.column(rule.attribute)
+        if isinstance(strategy, TextPrefix):
             lengths = [len(c) for c in column if isinstance(c, str)]
             if lengths and strategy.keep >= min(lengths):
                 raise VacuousRule(
                     f"prefix {strategy.keep} does not shorten the shortest "
                     f"value (length {min(lengths)}) of {rule.attribute!r}"
                 )
-            new = [_apply_prefix(c, strategy) for c in column]
-        elif isinstance(strategy, SuppressAll):
-            new = [SUPPRESSED] * len(column)
-        else:
-            raise KindMismatch(f"unknown strategy {strategy!r}")
-        out = out.replace_column(rule.attribute, new)
+        out = out.replace_column(rule.attribute, [strategy.apply(c) for c in column])
     return out
-
-
-def _apply_bins(cell: Cell, bins: NumericBins) -> Cell:
-    if isinstance(cell, (Interval, MaskedText, Suppressed)):
-        return cell
-    if not isinstance(cell, int) or isinstance(cell, bool):
-        raise KindMismatch(f"cannot bin non-integer cell {cell!r}")
-    return bins.apply(cell)
-
-
-def _apply_prefix(cell: Cell, prefix: TextPrefix) -> Cell:
-    if isinstance(cell, (Interval, MaskedText, Suppressed)):
-        return cell
-    if not isinstance(cell, str):
-        raise KindMismatch(f"cannot mask non-text cell {cell!r}")
-    return prefix.apply(cell)
 
 
 def equivalence_classes(dataset: Dataset, qi: Sequence[str]) -> Partition:
@@ -257,8 +243,7 @@ def add_noise(
     dataset: Dataset, attribute: str, spec: NoiseSpec, rng: random.Random
 ) -> Dataset:
     """Independently shift each value of an integer column by a sampled delta."""
-    _require_integer_column(dataset, attribute)
-    column = dataset.column(attribute)
+    column = _integer_column(dataset, attribute)
     return dataset.replace_column(
         attribute, [c + spec.sample(rng) for c in column]
     )
@@ -298,8 +283,7 @@ def rank_swap(
     """
     if p < 1:
         raise ValueError(f"rank-swap window must be >= 1, got {p}")
-    _require_integer_column(dataset, attribute)
-    column = list(dataset.column(attribute))
+    column = _integer_column(dataset, attribute)
     n = len(column)
     order = sorted(range(n), key=lambda i: column[i])
     values = [column[i] for i in order]
@@ -466,19 +450,16 @@ def _mixed_coordinates(
 
 
 def _integer_column(dataset: Dataset, attribute: str) -> tuple[int, ...]:
-    _require_integer_column(dataset, attribute)
-    return dataset.column(attribute)  # type: ignore[return-value]
-
-
-def _require_integer_column(dataset: Dataset, attribute: str) -> None:
-    attr = dataset.schema.attribute(attribute)
-    if attr.kind is not Kind.INTEGER:
+    """The column of an integer attribute, each cell checked to be a raw int."""
+    if dataset.schema.attribute(attribute).kind is not Kind.INTEGER:
         raise KindMismatch(f"{attribute!r} is not an integer attribute")
-    for recno, cell in enumerate(dataset.column(attribute)):
+    column = dataset.column(attribute)
+    for recno, cell in enumerate(column):
         if not isinstance(cell, int) or isinstance(cell, bool):
             raise KindMismatch(
                 f"record {recno} of {attribute!r} holds {cell!r}, not an integer"
             )
+    return column  # type: ignore[return-value]
 
 
 def _round_half_away(x: Fraction) -> int:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Te
 from . import anonymize as anon
 from . import assoc, dpcheck, rappor, smc
 from .dataset import Dataset, Schema, fixture_table1, load_csv, render_cell, write_csv
-from .errors import ConfigError, DomainError, PrivkitError, UsageError
+from .errors import ConfigError, DomainError, InvalidParams, PrivkitError, UsageError
 
 log = logging.getLogger("privkit")
 
@@ -147,12 +147,29 @@ def _cmd_fixtures_export(args) -> dict:
 _RANDOMIZED_OPS = {"add_noise", "swap_values", "rank_swap"}
 
 
-def _parse_rule(obj: Mapping) -> anon.GeneralizationRule:
+def _int_field(obj: Mapping, name: str, default: Optional[int] = None) -> int:
+    """A field that must be a JSON integer: int() would truncate 2.9 and parse "7"."""
+    value = obj[name] if default is None else obj.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _names_field(step: Mapping) -> list[str]:
+    names = step["attributes"]
+    if not _is_string_list(names):  # list() would take a dict's keys or a string's letters
+        raise TypeError(f"attributes must be an array of strings, got {names!r}")
+    return names
+
+
+def _parse_rule(obj) -> anon.GeneralizationRule:
+    if not isinstance(obj, dict):
+        raise TypeError(f"each rule must be an object, got {obj!r}")
     strategy_name = obj.get("strategy")
     if strategy_name == "numeric_bins":
-        strategy = anon.NumericBins(int(obj["width"]), int(obj.get("origin", 0)))
+        strategy = anon.NumericBins(_int_field(obj, "width"), _int_field(obj, "origin", 0))
     elif strategy_name == "text_prefix":
-        strategy = anon.TextPrefix(int(obj["keep"]))
+        strategy = anon.TextPrefix(_int_field(obj, "keep"))
     elif strategy_name == "suppress":
         strategy = anon.SuppressAll()
     else:
@@ -160,47 +177,57 @@ def _parse_rule(obj: Mapping) -> anon.GeneralizationRule:
     return anon.GeneralizationRule(obj["attribute"], strategy)
 
 
-def _compile_step(step: Mapping, schema: Schema, stepno: int) -> Callable[[Dataset], Dataset]:
+def _compile_step(step, schema: Schema, stepno: int) -> Callable[[Dataset], Dataset]:
     """Validate one pipeline step against the schema and return its action."""
+    if not isinstance(step, dict):
+        raise ConfigError(f"step {stepno} must be an object, got {step!r}")
     op = step.get("op")
     try:
         if op in _RANDOMIZED_OPS and "seed" not in step:
             raise ConfigError(f"randomized op {op!r} requires a seed")
         if op == "suppress":
-            names = list(step["attributes"])
+            names = _names_field(step)
             for n in names:
                 schema.index(n)
             return lambda d: anon.suppress(d, names)
         if op == "generalize":
+            if not isinstance(step["rules"], list):
+                raise TypeError("rules must be an array")
             rules = [_parse_rule(r) for r in step["rules"]]
             for r in rules:
                 schema.index(r.attribute)
             return lambda d: anon.generalize(d, rules)
         if op == "add_noise":
-            spec = anon.NoiseSpec({int(k): float(v) for k, v in step["deltas"].items()})
-            name, seed = step["attribute"], int(step["seed"])
+            deltas = step["deltas"]
+            if not isinstance(deltas, dict) or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) for v in deltas.values()
+            ):
+                raise TypeError("deltas must be an object of numbers")
+            spec = anon.NoiseSpec({int(k): float(v) for k, v in deltas.items()})
+            name, seed = step["attribute"], _int_field(step, "seed")
             schema.index(name)
             return lambda d: anon.add_noise(d, name, spec, random.Random(seed))
         if op == "swap_values":
-            name, n_swaps, seed = step["attribute"], int(step["n_swaps"]), int(step["seed"])
+            name, seed = step["attribute"], _int_field(step, "seed")
+            n_swaps = _int_field(step, "n_swaps")
             schema.index(name)
             if n_swaps < 0:
                 raise ConfigError(f"step {stepno}: n_swaps must be >= 0")
             return lambda d: anon.swap_values(d, name, n_swaps, random.Random(seed))
         if op == "rank_swap":
-            name, p, seed = step["attribute"], int(step["p"]), int(step["seed"])
+            name, p, seed = step["attribute"], _int_field(step, "p"), _int_field(step, "seed")
             schema.index(name)
             if p < 1:
                 raise ConfigError(f"step {stepno}: p must be >= 1")
             return lambda d: anon.rank_swap(d, name, p, random.Random(seed))
         if op == "microaggregate_univariate":
-            name, k = step["attribute"], int(step["k"])
+            name, k = step["attribute"], _int_field(step, "k")
             schema.index(name)
             if k < 2:
                 raise ConfigError(f"step {stepno}: k must be >= 2")
             return lambda d: anon.microaggregate_univariate(d, name, k)
         if op == "microaggregate_multivariate":
-            names, k = list(step["attributes"]), int(step["k"])
+            names, k = _names_field(step), _int_field(step, "k")
             for n in names:
                 schema.index(n)
             if k < 2:
@@ -208,7 +235,7 @@ def _compile_step(step: Mapping, schema: Schema, stepno: int) -> Callable[[Datas
             return lambda d: anon.microaggregate_multivariate(d, names, k)
     except KeyError as exc:
         raise ConfigError(f"step {stepno} ({op}): missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"step {stepno} ({op}): {exc}") from exc
     raise ConfigError(f"step {stepno}: unknown op {op!r}")
 
@@ -227,6 +254,8 @@ def _cmd_anonymize(args) -> dict:
         steps = config["steps"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"pipeline config missing field {exc}") from exc
+    if not isinstance(steps, list):
+        raise ConfigError("pipeline config steps must be an array")
     with open(schema_path, "r", encoding="utf-8") as fh:
         schema = Schema.from_json(fh.read())
     actions = [
@@ -266,7 +295,10 @@ def _cmd_metrics(args) -> dict:
 # --- rappor -----------------------------------------------------------------
 
 def _params_from_arg(text: str) -> rappor.RapporParams:
-    return rappor.RapporParams.from_json(_load_json_arg(text))
+    obj = _load_json_arg(text)
+    if not isinstance(obj, dict):  # from_json would decode a JSON string again
+        raise InvalidParams("params JSON must be an object")
+    return rappor.RapporParams.from_json(obj)
 
 
 def _cmd_rappor_encode(args) -> dict:

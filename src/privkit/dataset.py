@@ -79,7 +79,10 @@ class Suppressed:
 
 SUPPRESSED = Suppressed()
 
+GENERALIZED = (Interval, MaskedText, Suppressed)
+
 Cell = Union[str, int, Interval, MaskedText, Suppressed]
+_CELL_TYPES = (str, int, *GENERALIZED)
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _INTERVAL_RE = re.compile(r"^(-?\d+)-(-?\d+)$")
@@ -87,15 +90,9 @@ _INTERVAL_RE = re.compile(r"^(-?\d+)-(-?\d+)$")
 
 def render_cell(cell: Cell) -> str:
     """Serialize one cell to its CSV text form."""
-    if isinstance(cell, bool):
-        raise KindMismatch("bool is not a valid cell value")
-    if isinstance(cell, (Interval, MaskedText, Suppressed)):
-        return str(cell)
-    if isinstance(cell, int):
-        return str(cell)
-    if isinstance(cell, str):
-        return cell
-    raise KindMismatch(f"unsupported cell value {cell!r}")
+    if isinstance(cell, bool) or not isinstance(cell, _CELL_TYPES):
+        raise KindMismatch(f"unsupported cell value {cell!r}")
+    return str(cell)
 
 
 def parse_cell(text: str, kind: Kind) -> Cell:

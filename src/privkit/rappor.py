@@ -445,11 +445,12 @@ def allocate_counts(
 ) -> dict[str, int]:
     """Split a client population across values by largest remainder, so the
     realized counts match the target shares as closely as integers allow."""
+    for share in distribution.values():
+        if isinstance(share, bool) or not isinstance(share, (int, float)) or not 0 <= share <= 1:
+            raise InvalidParams(f"distribution share {share!r} is not a number in [0, 1]")
     total = sum(distribution.values())
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise InvalidParams(f"distribution sums to {total}, expected 1")
-    if any(share < 0 for share in distribution.values()):
-        raise InvalidParams("distribution shares must be non-negative")
     exact = {v: share * clients for v, share in sorted(distribution.items())}
     counts = {v: int(x) for v, x in exact.items()}
     leftover = clients - sum(counts.values())

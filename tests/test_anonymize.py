@@ -127,6 +127,30 @@ def test_generalize_passes_generalized_cells_through():
     assert again == t2
 
 
+def test_suppression_replaces_generalized_cells():
+    schema = Schema(
+        (
+            Attribute("Age", AttributeRole.QUASI_IDENTIFIER, Kind.INTEGER),
+            Attribute("ZIP", AttributeRole.QUASI_IDENTIFIER, Kind.TEXT),
+        )
+    )
+    ds = Dataset(
+        schema,
+        ((44, "12345"), (Interval(40, 49), MaskedText("12")), (SUPPRESSED, SUPPRESSED)),
+    )
+    # suppression is the most general step: every cell becomes "*"
+    for out in (
+        suppress(ds, ["Age", "ZIP"]),
+        generalize(ds, [GeneralizationRule("Age", SuppressAll()),
+                        GeneralizationRule("ZIP", SuppressAll())]),
+    ):
+        assert out.records == ((SUPPRESSED, SUPPRESSED),) * 3
+    # bins and prefixes map raw cells and leave generalized ones as they are
+    out = generalize(ds, TABLE2_RULES)
+    assert out.column("Age") == (Interval(40, 49), Interval(40, 49), SUPPRESSED)
+    assert out.column("ZIP") == (MaskedText("12"), MaskedText("12"), SUPPRESSED)
+
+
 # --- partitions and metrics ---------------------------------------------------
 
 def test_equivalence_classes_table3():
@@ -194,6 +218,8 @@ def test_noise_spec_validation():
         NoiseSpec({-1: 0.5, 1: 0.6})  # sum != 1
     with pytest.raises(InvalidSpec):
         NoiseSpec({-1: -0.5, 1: 1.5})
+    with pytest.raises(InvalidSpec):
+        NoiseSpec({-1: float("nan"), 1: float("nan")})  # sum and mean checks pass NaN
     with pytest.raises(InvalidSpec):
         NoiseSpec({})
     sym = NoiseSpec.symmetric(2)

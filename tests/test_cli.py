@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from privkit.cli import main
 from privkit.dataset import fixture_table1, write_csv
+from privkit.rappor import RapporParams
 
 PAPER_PARAMS = '{"k":12,"h":2,"f":0.5,"p":0.5,"q":0.75}'
 
@@ -184,6 +186,86 @@ def test_anonymize_seeded_steps_deterministic(capsys, tmp_path, export_fixture):
     assert outputs[0] == outputs[1]
 
 
+VALID_STEPS = {
+    "suppress": {"op": "suppress", "attributes": ["Name"]},
+    "numeric_bins": {"op": "generalize", "rules": [
+        {"attribute": "Age", "strategy": "numeric_bins", "width": 10, "origin": 0}]},
+    "text_prefix": {"op": "generalize", "rules": [
+        {"attribute": "ZIP", "strategy": "text_prefix", "keep": 2}]},
+    "add_noise": {"op": "add_noise", "attribute": "Age",
+                  "deltas": {"-1": 0.5, "1": 0.5}, "seed": 11},
+    "swap_values": {"op": "swap_values", "attribute": "Diagnosis", "n_swaps": 2, "seed": 12},
+    "rank_swap": {"op": "rank_swap", "attribute": "Age", "p": 2, "seed": 13},
+    "microaggregate_univariate": {"op": "microaggregate_univariate", "attribute": "Age", "k": 2},
+    "microaggregate_multivariate": {"op": "microaggregate_multivariate",
+                                    "attributes": ["Age", "Gender"], "k": 2},
+}
+INTEGER_FIELDS = [
+    ("numeric_bins", "width"), ("numeric_bins", "origin"), ("text_prefix", "keep"),
+    ("add_noise", "seed"), ("swap_values", "n_swaps"), ("swap_values", "seed"),
+    ("rank_swap", "p"), ("rank_swap", "seed"), ("microaggregate_univariate", "k"),
+    ("microaggregate_multivariate", "k"),
+]
+
+
+def with_field(name, field, value):
+    """A copy of VALID_STEPS[name] with one field (of its rule, if any) replaced."""
+    step = copy.deepcopy(VALID_STEPS[name])
+    (step["rules"][0] if "rules" in step else step)[field] = value
+    return step
+
+
+def run_pipeline(capsys, tmp_path, export_fixture, steps):
+    csv_path, schema_path = export_fixture("table1")
+    out_path = tmp_path / "anon.csv"
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(json.dumps({"input": str(csv_path), "schema": str(schema_path),
+                               "output": str(out_path), "steps": steps}))
+    code, out, err = run(capsys, "anonymize", "--config", str(cfg))
+    return code, out, err, out_path.exists()
+
+
+@pytest.mark.parametrize("name", sorted(VALID_STEPS))
+def test_anonymize_config_valid_steps(capsys, tmp_path, export_fixture, name):
+    code, _, err, written = run_pipeline(capsys, tmp_path, export_fixture, [VALID_STEPS[name]])
+    assert code == 0 and written, err
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"], ids=repr)
+@pytest.mark.parametrize("name,field", INTEGER_FIELDS)
+def test_anonymize_config_integer_fields_strict(capsys, tmp_path, export_fixture,
+                                                name, field, value):
+    # each of these fields is a JSON integer; int() would accept every value here
+    steps = [with_field(name, field, value)]
+    code, out, err, written = run_pipeline(capsys, tmp_path, export_fixture, steps)
+    assert (code, out, written) == (2, "", False)
+    assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("steps", [
+    {"0": VALID_STEPS["suppress"]},
+    [3],
+    ["suppress"],
+    [[VALID_STEPS["suppress"]]],
+    [{"op": "generalize", "rules": [3]}],
+    [{"op": "generalize", "rules": {"attribute": "Age", "strategy": "suppress"}}],
+    [with_field("add_noise", "deltas", [1])],
+    [with_field("add_noise", "deltas", {"-1": "0.5", "1": "0.5"})],
+    [with_field("add_noise", "deltas", {"0": True})],
+    [with_field("add_noise", "deltas", {"0": 10**400})],
+    [with_field("suppress", "attributes", {"Name": 0})],
+    [with_field("microaggregate_multivariate", "attributes", "Age")],
+], ids=["steps-object", "step-int", "step-str", "step-array", "rule-int", "rules-object",
+        "deltas-array", "deltas-str", "deltas-bool", "deltas-beyond-float",
+        "attributes-object", "attributes-str"])
+def test_anonymize_config_shapes_strict(capsys, tmp_path, export_fixture, steps):
+    # steps and rules are arrays of objects, deltas an object of numbers and
+    # attributes an array of strings
+    code, out, err, written = run_pipeline(capsys, tmp_path, export_fixture, steps)
+    assert (code, out, written) == (2, "", False)
+    assert err.startswith("error: ")
+
+
 def test_rappor_encode_golden(capsys):
     out = run_json(capsys, "rappor", "encode", "--params", PAPER_PARAMS, "--value", "chlamydia")
     assert out["indices"] == [4, 11]
@@ -327,6 +409,28 @@ def test_rappor_params_bool_rejected(capsys):
     assert code == 2 and "Traceback" not in err
 
 
+def test_rappor_params_must_be_object(capsys, tmp_path):
+    # a JSON string holding the params object is a string, not an object
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(PAPER_PARAMS))
+    for params in (json.dumps(PAPER_PARAMS), "@" + str(path), "[1]", "12"):
+        code, out, err = run(capsys, "rappor", "epsilon", "--params", params)
+        assert (code, out) == (2, "") and err.startswith("error: "), params
+
+
+@pytest.mark.parametrize("dist", [{"A": "x"}, {"A": True}, {"A": "0.5", "B": 0.5}, {"A": None}],
+                         ids=repr)
+def test_rappor_simulate_rejects_non_number_shares(capsys, tmp_path, dist):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(dist))
+    output = tmp_path / "reports.jsonl"
+    code, out, err = run(capsys, "rappor", "simulate", "--params", PAPER_PARAMS,
+                         "--clients", "10", "--dist", str(path), "--seed", "1",
+                         "--output", str(output))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert not output.exists()
+
+
 def test_dpcheck_modes(capsys):
     params = '{"k":8,"h":2,"f":0.5,"p":0.5,"q":0.75}'
     out = run_json(capsys, "dpcheck", "--params", params, "--mode", "prr",
@@ -409,10 +513,14 @@ def test_assoc_mine_rejects_non_string_transactions(capsys, tmp_path, raw):
     assert (code, out) == (2, "") and err.startswith("error: ")
 
 
-_FIELDS = ["transactions", "items", "k", "h", "f", "q", "p", "hash_seed"]
+_OPS = sorted({step["op"] for step in VALID_STEPS.values()})
+_FIELDS = ["transactions", "items", "k", "h", "f", "q", "p", "hash_seed", "input", "schema",
+           "output", "steps", "op", "attribute", "attributes", "rules", "strategy", "deltas",
+           "seed", "n_swaps", "width", "origin", "keep"]
+_WORDS = ["a", "b", "c", "Age", "ZIP", "Name", "numeric_bins", "text_prefix", "suppress", *_OPS]
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
-    | st.sampled_from(["a", "b", "c"]) | st.text(max_size=3),
+    | st.sampled_from(_WORDS) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=5)
     | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=3), inner, max_size=6),
     max_leaves=20,
@@ -421,17 +529,48 @@ _PARAMS = st.fixed_dictionaries(
     {name: st.integers(-1, 20) | st.floats() | _JSON for name in ("k", "h", "f", "q", "p")},
     optional={"hash_seed": st.integers(-1, 2**64) | _JSON},
 )
+_SMALL = st.integers(-1, 12) | st.floats(-1, 12) | st.sampled_from([True, "2", 0.5]) | _JSON
+_RULE = st.fixed_dictionaries(
+    {"attribute": st.sampled_from(["Age", "ZIP", "Gender"]),
+     "strategy": st.sampled_from(["numeric_bins", "text_prefix", "suppress"])},
+    optional={field: _SMALL for field in ("width", "origin", "keep")},
+)
+_STEP = st.fixed_dictionaries({"op": st.sampled_from(_OPS)}, optional={
+    "attribute": st.sampled_from(["Age", "Diagnosis", "Name"]) | _JSON,
+    "attributes": st.lists(st.sampled_from(["Age", "Gender", "Name"]), max_size=3) | _JSON,
+    "rules": st.lists(_RULE | _JSON, max_size=3) | _JSON,
+    "deltas": st.dictionaries(st.sampled_from(["-1", "0", "1", "x"]), _SMALL, max_size=3),
+    **{field: _SMALL for field in ("seed", "k", "p", "n_swaps")},
+})
+# paths are resolved against the directory of the config file
+_CONFIG = st.fixed_dictionaries({
+    "input": st.just("t1.csv"), "schema": st.just("t1.schema.json"),
+    "output": st.just("out.csv"), "steps": st.lists(_STEP | _JSON, max_size=4) | _JSON,
+})
+_DIST = st.dictionaries(st.sampled_from(["a", "b", "c"]),
+                        st.sampled_from([0.5, 1, 1.0, 0.25]) | _JSON, max_size=3)
+_REPORT = json.dumps({"params_digest": RapporParams.from_json(PAPER_PARAMS).digest(),
+                      "report_hex": "ef0c"})
 
 
-@given(value=_JSON | _PARAMS)
+@given(value=_JSON | _PARAMS | _CONFIG | _DIST)
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_json_inputs_fuzz(capsys, tmp_path, value):
     # json.dumps writes NaN and Infinity, which Python's JSON reader accepts
     path = tmp_path / "input.json"
     path.write_text(json.dumps(value))
+    (tmp_path / "t1.csv").write_bytes(write_csv(fixture_table1()))
+    (tmp_path / "t1.schema.json").write_text(fixture_table1().schema.to_json())
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text(_REPORT + "\n")
     for argv in (["assoc", "mine", "--input", str(path), "--max-itemset", "2"],
-                 ["rappor", "epsilon", "--params", "@" + str(path)]):
+                 ["rappor", "epsilon", "--params", "@" + str(path)],
+                 ["anonymize", "--config", str(path)],
+                 ["rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "20",
+                  "--dist", str(path), "--seed", "1", "--output", str(tmp_path / "sim.jsonl")],
+                 ["rappor", "estimate", "--params", PAPER_PARAMS, "--reports", str(reports),
+                  "--candidates", str(path)]):
         code, _, err = run(capsys, *argv)
         assert code in (0, 1, 2) and "Traceback" not in err
 

@@ -19,7 +19,7 @@ from privkit.dataset import (
     render_cell,
     write_csv,
 )
-from privkit.errors import ArityError, HeaderMismatch, ParseError, UnknownAttribute
+from privkit.errors import ArityError, HeaderMismatch, KindMismatch, ParseError, UnknownAttribute
 
 QI = AttributeRole.QUASI_IDENTIFIER
 
@@ -91,6 +91,12 @@ def test_generalized_cell_encodings():
     assert parse_cell("*", Kind.TEXT) is SUPPRESSED
     assert parse_cell("*", Kind.INTEGER) is SUPPRESSED
     assert parse_cell("-5--2", Kind.INTEGER) == Interval(-5, -2)
+
+
+def test_render_cell_rejects_foreign_values():
+    for cell in (True, False, 1.5, None, b"x"):
+        with pytest.raises(KindMismatch):
+            render_cell(cell)
 
 
 def test_interval_validates_bounds():

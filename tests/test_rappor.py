@@ -426,6 +426,16 @@ def test_allocate_counts():
         allocate_counts({"A": 0.7}, 10)
 
 
+@pytest.mark.parametrize("dist", [
+    {"A": "x"}, {"A": "0.5", "B": 0.5}, {"A": True}, {"A": None}, {"A": [1]},
+    {"A": float("nan")}, {"A": 1.5, "B": -0.5}, {"A": 1 + 1e-10}, {"A": 10**400},
+], ids=["str", "numeric-str", "bool", "null", "array", "nan", "negative", "above-1", "huge"])
+def test_allocate_counts_rejects_non_shares(dist):
+    # a share is a JSON number in [0, 1]; bool is an int subclass in Python
+    with pytest.raises(InvalidParams):
+        allocate_counts(dist, 10**10)
+
+
 def scalar_simulate(counts, params, seed):
     """The reference: make_report's stages applied client by client."""
     rng = random.Random(seed)
