@@ -68,7 +68,8 @@ class NumericBins:
 
 @dataclass(frozen=True)
 class TextPrefix:
-    """Keep the first ``keep`` characters of a text value, mask the rest."""
+    """Keep the first ``keep`` characters of a text value, mask the rest; an
+    empty prefix is SUPPRESSED, so the cell reads back the same from CSV."""
 
     keep: int
     kind: ClassVar[Kind] = Kind.TEXT
@@ -82,7 +83,7 @@ class TextPrefix:
             return t
         if not isinstance(t, str):
             raise KindMismatch(f"cannot mask non-text cell {t!r}")
-        return MaskedText(t[: self.keep])
+        return MaskedText(t[: self.keep]) if self.keep and t else SUPPRESSED
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,8 @@ def equivalence_classes(dataset: Dataset, qi: Sequence[str]) -> Partition:
     """
     if not qi:
         raise EmptyQiList("quasi-identifier list is empty")
-    idxs = [dataset.schema.index(n) for n in qi]
     order: dict[tuple, list[int]] = {}
-    for recno, rec in enumerate(dataset.records):
-        key = tuple(rec[i] for i in idxs)
+    for recno, key in enumerate(zip(*(dataset.column(n) for n in qi))):
         order.setdefault(key, []).append(recno)
     return Partition(
         tuple(EquivalenceClass(key, tuple(members)) for key, members in order.items())
@@ -231,12 +230,9 @@ def l_diversity(dataset: Dataset, qi: Sequence[str], sensitive: str) -> int:
     """Minimum count of distinct sensitive values over equivalence classes."""
     if not len(dataset):
         raise EmptyDataset("l-diversity of an empty dataset is undefined")
-    sens = dataset.schema.index(sensitive)
+    column = dataset.column(sensitive)
     partition = equivalence_classes(dataset, qi)
-    return min(
-        len({dataset.records[m][sens] for m in cls.members})
-        for cls in partition.classes
-    )
+    return min(len({column[m] for m in cls.members}) for cls in partition.classes)
 
 
 def add_noise(
@@ -424,10 +420,10 @@ _ONE_HOT = 0.5 ** 0.5  # two distinct text values sit at distance exactly 1
 
 def _mixed_coordinates(
     dataset: Dataset, attributes: Sequence[str]
-) -> list[list[float]]:
+) -> list[tuple[float, ...]]:
     """Embed records in Euclidean space: z-scored integers plus scaled
     one-hot text categories (distinct values at mutual distance 1)."""
-    per_record: list[list[float]] = [[] for _ in dataset.records]
+    axes: list[list[float]] = []
     for name in attributes:
         attr = dataset.schema.attribute(name)
         if attr.kind is Kind.INTEGER:
@@ -435,18 +431,12 @@ def _mixed_coordinates(
             mu = sum(column) / len(column)
             var = sum((x - mu) ** 2 for x in column) / len(column)
             sd = var ** 0.5
-            for rec, x in zip(per_record, column):
-                rec.append((x - mu) / sd if sd > 0 else 0.0)
+            axes.append([(x - mu) / sd if sd > 0 else 0.0 for x in column])
         else:
             column = dataset.column(name)
-            levels = {}
-            for c in column:
-                levels.setdefault(c, len(levels))
-            for rec, c in zip(per_record, column):
-                one_hot = [0.0] * len(levels)
-                one_hot[levels[c]] = _ONE_HOT
-                rec.extend(one_hot)
-    return per_record
+            for level in dict.fromkeys(column):  # in order of first appearance
+                axes.append([_ONE_HOT if c == level else 0.0 for c in column])
+    return list(zip(*axes)) or [()] * len(dataset)  # no attributes: zero-length points
 
 
 def _integer_column(dataset: Dataset, attribute: str) -> tuple[int, ...]:

@@ -231,11 +231,8 @@ def transactions_from_dataset(
         if dataset.schema.attribute(name).role is not AttributeRole.QUASI_IDENTIFIER:
             raise UnknownItem(f"{name!r} is not a quasi-identifier")
     picked = names + list(include_qi)
-    txs = []
-    for rec in dataset.records:
-        items = set()
-        for name in picked:
-            idx = dataset.schema.index(name)
-            items.add(f"{name}={render_cell(rec[idx])}")
-        txs.append(items)
+    txs: list[set[str]] = [set() for _ in range(len(dataset))]
+    for name in picked:
+        for items, cell in zip(txs, dataset.column(name)):
+            items.add(f"{name}={render_cell(cell)}")
     return TransactionSet.from_iterables(txs)

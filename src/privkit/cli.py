@@ -242,17 +242,20 @@ def _compile_step(step, schema: Schema, stepno: int) -> Callable[[Dataset], Data
 
 def _cmd_anonymize(args) -> dict:
     config = _load_json_arg("@" + args.config)
+    if not isinstance(config, dict):
+        raise ConfigError("pipeline config must be a JSON object")
     base = os.path.dirname(os.path.abspath(args.config))
 
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
+    def resolve(field):
+        path = config[field]
+        if not isinstance(path, str):
+            raise ConfigError(f"pipeline config field {field!r} must be a string, got {path!r}")
+        return path if os.path.isabs(path) else os.path.join(base, path)
 
     try:
-        input_path = resolve(config["input"])
-        schema_path = resolve(config["schema"])
-        output_path = resolve(config["output"])
+        input_path, schema_path, output_path = map(resolve, ("input", "schema", "output"))
         steps = config["steps"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ConfigError(f"pipeline config missing field {exc}") from exc
     if not isinstance(steps, list):
         raise ConfigError("pipeline config steps must be an array")

@@ -1,12 +1,12 @@
-"""Role-annotated tabular records with CSV ingestion and serialization.
+"""Role-annotated tables, stored by column, with CSV ingestion and serialization.
 
 Cells are plain Python values for raw data (str for text, int for integers)
 plus three generalized forms produced by anonymization transforms:
 
 * ``Interval(lo, hi)`` -- an integer replaced by the bin it falls into,
   serialized as ``lo-hi``;
-* ``MaskedText(prefix)`` -- a text value reduced to a prefix, serialized as
-  ``prefix*``;
+* ``MaskedText(prefix)`` -- a text value reduced to a non-empty prefix,
+  serialized as ``prefix*`` (an empty prefix is SUPPRESSED);
 * ``SUPPRESSED`` -- a fully removed value, serialized as ``*``.
 
 The textual encodings are reversible given the schema, so generalized
@@ -129,6 +129,8 @@ class Schema:
 
     def __post_init__(self):
         names = [a.name for a in self.attributes]
+        if not names:
+            raise ValueError("schema has no attributes")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate attribute names in schema: {names}")
 
@@ -160,11 +162,13 @@ class Schema:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"schema is not valid JSON: {exc}") from exc
-        if not isinstance(raw, list):
-            raise ParseError("schema JSON must be a list of attribute objects")
+        if not isinstance(raw, list) or not raw:
+            raise ParseError("schema JSON must be a non-empty list of attribute objects")
         attrs = []
         for i, entry in enumerate(raw):
             try:
+                if not isinstance(entry["name"], str):
+                    raise TypeError(f"attribute name {entry['name']!r} is not a string")
                 attrs.append(
                     Attribute(
                         name=entry["name"],
@@ -179,41 +183,49 @@ class Schema:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable ordered records under a schema.
+    """Immutable table under a schema, stored by column: one equal-length
+    tuple of cells per attribute, in schema order.
 
-    Transforms never mutate; they return new datasets. Instances are safe to
-    share across threads.
+    Transforms never mutate; they return new datasets, which share every
+    column they do not replace. ``from_records`` builds a dataset from rows,
+    and ``records`` is a derived row view. Instances are safe to share
+    across threads.
     """
 
     schema: Schema
-    records: tuple[tuple[Cell, ...], ...]
+    columns: tuple[tuple[Cell, ...], ...]
 
     def __post_init__(self):
-        width = len(self.schema.attributes)
-        for i, rec in enumerate(self.records):
+        lengths = [len(column) for column in self.columns]
+        if len(lengths) != len(self.schema.attributes) or len(set(lengths)) > 1:
+            raise ArityError(f"columns of lengths {lengths} for attributes {self.schema.names}")
+
+    @classmethod
+    def from_records(cls, schema: Schema, rows: Sequence[Sequence[Cell]]) -> "Dataset":
+        width = len(schema.attributes)
+        for i, rec in enumerate(rows):
             if len(rec) != width:
                 raise ArityError(
                     f"record {i} has {len(rec)} values, schema has {width}"
                 )
+        return cls(schema, tuple(zip(*rows)) or ((),) * width)
+
+    @property
+    def records(self) -> tuple[tuple[Cell, ...], ...]:
+        return tuple(zip(*self.columns))
 
     def __len__(self):
-        return len(self.records)
+        return len(self.columns[0])
 
     def column(self, name: str) -> tuple[Cell, ...]:
-        idx = self.schema.index(name)
-        return tuple(rec[idx] for rec in self.records)
+        return self.columns[self.schema.index(name)]
 
     def replace_column(self, name: str, cells: Sequence[Cell]) -> "Dataset":
         idx = self.schema.index(name)
-        if len(cells) != len(self.records):
-            raise ArityError(
-                f"column has {len(cells)} values for {len(self.records)} records"
-            )
-        records = tuple(
-            rec[:idx] + (cell,) + rec[idx + 1 :]
-            for rec, cell in zip(self.records, cells)
-        )
-        return Dataset(self.schema, records)
+        if len(cells) != len(self):
+            raise ArityError(f"column has {len(cells)} values for {len(self)} records")
+        columns = self.columns[:idx] + (tuple(cells),) + self.columns[idx + 1 :]
+        return Dataset(self.schema, columns)
 
 
 def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
@@ -227,29 +239,23 @@ def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
     else:
         data = source.read()
     reader = csv.reader(io.StringIO(data.decode("utf-8")))
-    rows = list(reader)
-    if not rows:
+    header = next(reader, None)
+    if header is None:
         raise HeaderMismatch("empty input, expected a header row")
-    header = tuple(rows[0])
-    if header != schema.names:
-        raise HeaderMismatch(f"header {header} does not match schema {schema.names}")
-    records = []
-    for rownum, row in enumerate(rows[1:], start=1):
-        if len(row) != len(schema.attributes):
-            raise ArityError(
-                f"row {rownum} has {len(row)} cells, schema has "
-                f"{len(schema.attributes)}"
-            )
-        cells = []
-        for attr, text in zip(schema.attributes, row):
+    if tuple(header) != schema.names:
+        raise HeaderMismatch(f"header {tuple(header)} does not match schema {schema.names}")
+    columns: list[list[Cell]] = [[] for _ in schema.attributes]
+    for rownum, row in enumerate(reader, start=1):
+        if len(row) != len(columns):
+            raise ArityError(f"row {rownum} has {len(row)} cells, schema has {len(columns)}")
+        for attr, text, column in zip(schema.attributes, row, columns):
             try:
-                cells.append(parse_cell(text, attr.kind))
+                column.append(parse_cell(text, attr.kind))
             except ParseError as exc:
                 raise ParseError(
                     f"row {rownum}, column {attr.name!r}: {exc}"
                 ) from exc
-        records.append(tuple(cells))
-    return Dataset(schema, tuple(records))
+    return Dataset(schema, tuple(map(tuple, columns)))
 
 
 def write_csv(dataset: Dataset) -> bytes:
@@ -257,8 +263,7 @@ def write_csv(dataset: Dataset) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(dataset.schema.names)
-    for rec in dataset.records:
-        writer.writerow([render_cell(c) for c in rec])
+    writer.writerows(zip(*(map(render_cell, column) for column in dataset.columns)))
     return buf.getvalue().encode("utf-8")
 
 
@@ -292,4 +297,4 @@ def fixture_table1() -> Dataset:
     Name is an explicit identifier, Age/Gender/ZIP are quasi-identifiers and
     Diagnosis is the sensitive attribute.
     """
-    return Dataset(_FIXTURE_SCHEMA, _FIXTURE_ROWS)
+    return Dataset.from_records(_FIXTURE_SCHEMA, _FIXTURE_ROWS)

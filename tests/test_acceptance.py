@@ -103,7 +103,7 @@ def test_criterion_02_microaggregation_tables():
     assert out.column("Age") == AGGREGATED_AGES
     # the same means come out of the univariate path, group by group
     for members in GROUPS_BY_GENDER_AGE:
-        sub = Dataset(t1.schema, tuple(t1.records[i] for i in members))
+        sub = Dataset.from_records(t1.schema, tuple(t1.records[i] for i in members))
         agg = microaggregate_univariate(sub, "Age", len(members))
         assert set(agg.column("Age")) == {AGGREGATED_AGES[members[0]]}
 
@@ -206,7 +206,7 @@ def _random_dataset(rng):
     records = tuple(
         (rng.randrange(-100, 101), rng.choice("abcde")) for _ in range(n)
     )
-    return Dataset(schema, records)
+    return Dataset.from_records(schema, records)
 
 
 def test_criterion_08_transform_properties():

@@ -266,6 +266,31 @@ def test_anonymize_config_shapes_strict(capsys, tmp_path, export_fixture, steps)
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field", ["input", "schema", "output"])
+@pytest.mark.parametrize("value", [3, None, ["t1.csv"]], ids=repr)
+def test_anonymize_config_paths_must_be_strings(capsys, tmp_path, export_fixture,
+                                                field, value):
+    csv_path, schema_path = export_fixture("table1")
+    config = {"input": str(csv_path), "schema": str(schema_path),
+              "output": str(tmp_path / "anon.csv"), "steps": [], field: value}
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "anonymize", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert f"'{field}' must be a string" in err and "missing" not in err
+
+
+@pytest.mark.parametrize("name", [["Age"], 3, None], ids=repr)
+def test_metrics_schema_names_must_be_strings(capsys, tmp_path, export_fixture, name):
+    csv_path, _ = export_fixture("table1")
+    schema = tmp_path / "bad.schema.json"
+    schema.write_text(json.dumps([{"name": name, "role": "sensitive", "kind": "text"}]))
+    code, out, err = run(capsys, "metrics", "--input", str(csv_path),
+                         "--schema", str(schema), "--qi", "Age")
+    assert (code, out) == (2, "")
+    assert "not a string" in err and "Traceback" not in err
+
+
 def test_rappor_encode_golden(capsys):
     out = run_json(capsys, "rappor", "encode", "--params", PAPER_PARAMS, "--value", "chlamydia")
     assert out["indices"] == [4, 11]
@@ -516,8 +541,10 @@ def test_assoc_mine_rejects_non_string_transactions(capsys, tmp_path, raw):
 _OPS = sorted({step["op"] for step in VALID_STEPS.values()})
 _FIELDS = ["transactions", "items", "k", "h", "f", "q", "p", "hash_seed", "input", "schema",
            "output", "steps", "op", "attribute", "attributes", "rules", "strategy", "deltas",
-           "seed", "n_swaps", "width", "origin", "keep"]
-_WORDS = ["a", "b", "c", "Age", "ZIP", "Name", "numeric_bins", "text_prefix", "suppress", *_OPS]
+           "seed", "n_swaps", "width", "origin", "keep", "name", "role", "kind",
+           "params_digest", "report_hex"]
+_WORDS = ["a", "b", "c", "Age", "ZIP", "Name", "numeric_bins", "text_prefix", "suppress", *_OPS,
+          "text", "integer", "sensitive", "quasi_identifier", "ef0c"]
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.sampled_from(_WORDS) | st.text(max_size=3),
@@ -549,11 +576,20 @@ _CONFIG = st.fixed_dictionaries({
 })
 _DIST = st.dictionaries(st.sampled_from(["a", "b", "c"]),
                         st.sampled_from([0.5, 1, 1.0, 0.25]) | _JSON, max_size=3)
-_REPORT = json.dumps({"params_digest": RapporParams.from_json(PAPER_PARAMS).digest(),
-                      "report_hex": "ef0c"})
+_DIGEST = RapporParams.from_json(PAPER_PARAMS).digest()
+_REPORT = json.dumps({"params_digest": _DIGEST, "report_hex": "ef0c"})
+_SCHEMA = st.lists(st.fixed_dictionaries({
+    "name": st.sampled_from(["Name", "Age", "Gender", "ZIP", "Diagnosis"]) | _JSON,
+    "role": st.sampled_from(["explicit_identifier", "quasi_identifier", "sensitive"]) | _JSON,
+    "kind": st.sampled_from(["text", "integer"]) | _JSON,
+}), max_size=6)
+_ENVELOPE = st.fixed_dictionaries({
+    "params_digest": st.just(_DIGEST) | _JSON,
+    "report_hex": st.sampled_from(["ef0c", "ef1c", "ef", "ef0c00", "zz0c"]) | _JSON,
+})
 
 
-@given(value=_JSON | _PARAMS | _CONFIG | _DIST)
+@given(value=_JSON | _PARAMS | _CONFIG | _DIST | _SCHEMA | _ENVELOPE)
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_json_inputs_fuzz(capsys, tmp_path, value):
@@ -564,7 +600,16 @@ def test_cli_json_inputs_fuzz(capsys, tmp_path, value):
     (tmp_path / "t1.schema.json").write_text(fixture_table1().schema.to_json())
     reports = tmp_path / "reports.jsonl"
     reports.write_text(_REPORT + "\n")
+    # the value as one line of a reports file, between two valid reports
+    fuzzed_reports = tmp_path / "fuzzed.jsonl"
+    fuzzed_reports.write_text("\n".join([_REPORT, json.dumps(value), _REPORT]) + "\n")
+    candidates = tmp_path / "candidates.json"
+    candidates.write_text('["a", "b"]')
     for argv in (["assoc", "mine", "--input", str(path), "--max-itemset", "2"],
+                 ["metrics", "--input", str(tmp_path / "t1.csv"), "--schema", str(path),
+                  "--qi", "Age,ZIP", "--sensitive", "Diagnosis"],
+                 ["rappor", "estimate", "--params", PAPER_PARAMS, "--reports",
+                  str(fuzzed_reports), "--candidates", str(candidates)],
                  ["rappor", "epsilon", "--params", "@" + str(path)],
                  ["anonymize", "--config", str(path)],
                  ["rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "20",

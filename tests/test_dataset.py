@@ -1,9 +1,11 @@
 import io
+import json
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from privkit.anonymize import NumericBins, TextPrefix
 from privkit.dataset import (
     SUPPRESSED,
     Attribute,
@@ -78,7 +80,7 @@ def test_load_accepts_file_object():
 
 
 def test_write_empty_dataset_is_header_only():
-    ds = Dataset(two_col_schema(), ())
+    ds = Dataset.from_records(two_col_schema(), ())
     assert write_csv(ds) == b"Name,Age\n"
 
 
@@ -134,6 +136,42 @@ def test_schema_rejects_duplicate_names():
         Schema((Attribute("A", QI, Kind.TEXT), Attribute("A", QI, Kind.TEXT)))
 
 
+@pytest.mark.parametrize("raw", [
+    [],
+    [{"name": ["a"], "role": "sensitive", "kind": "text"}],
+    [{"name": 3, "role": "sensitive", "kind": "text"}],
+    [{"name": None, "role": "sensitive", "kind": "text"}],
+], ids=["empty", "list-name", "int-name", "null-name"])
+def test_schema_from_json_rejects(raw):
+    with pytest.raises(ParseError):
+        Schema.from_json(json.dumps(raw))
+
+
+def test_schema_needs_an_attribute():
+    # without a column there is nothing to carry the row count
+    with pytest.raises(ValueError, match="no attributes"):
+        Schema(())
+
+
+def test_dataset_is_stored_by_column():
+    t1 = fixture_table1()
+    assert t1.columns[1] == (44, 22, 39, 35, 42, 22, 47, 27, 26, 21)
+    assert t1.column("Age") is t1.columns[1]
+    out = t1.replace_column("Age", [0] * 10)
+    assert out.column("Age") == (0,) * 10
+    assert all(out.columns[i] is t1.columns[i] for i in (0, 2, 3, 4))
+    assert t1.column("Age")[0] == 44  # the input is untouched
+    with pytest.raises(ArityError):
+        t1.replace_column("Age", [0] * 9)
+    with pytest.raises(ArityError):
+        Dataset(t1.schema, t1.columns[:4])
+    with pytest.raises(ArityError):
+        Dataset(t1.schema, t1.columns[:4] + ((),))
+    with pytest.raises(ArityError, match="record 1"):
+        Dataset.from_records(two_col_schema(), (("a", 1), ("b",)))
+    assert Dataset.from_records(t1.schema, t1.records) == t1
+
+
 def test_unknown_attribute():
     with pytest.raises(UnknownAttribute):
         fixture_table1().schema.index("Salary")
@@ -149,12 +187,31 @@ _text_cell = st.text(
 ).filter(lambda s: not s.endswith("*"))
 
 
+_int_cell = st.integers(-(10**9), 10**9)
+# generalized cells as the transforms make them, TextPrefix(keep=0) included
+_any_text_cell = st.one_of(
+    _text_cell,
+    st.builds(lambda t, keep: TextPrefix(keep).apply(t), _text_cell, st.integers(0, 4)),
+    st.just(SUPPRESSED),
+)
+_any_int_cell = st.one_of(
+    _int_cell,
+    st.builds(
+        lambda x, width, origin: NumericBins(width, origin).apply(x),
+        _int_cell,
+        st.integers(1, 100),
+        st.integers(-50, 50),
+    ),
+    st.just(SUPPRESSED),
+)
+
+
 @given(
     st.lists(
-        st.tuples(_text_cell, st.integers(-(10**9), 10**9)),
+        st.tuples(_any_text_cell, _any_int_cell),
         max_size=25,
     )
 )
 def test_csv_round_trip_identity(rows):
-    ds = Dataset(two_col_schema(), tuple(rows))
+    ds = Dataset.from_records(two_col_schema(), tuple(rows))
     assert load_csv(write_csv(ds), ds.schema) == ds
