@@ -16,6 +16,7 @@ reject generalized cells.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +41,7 @@ from .errors import (
     KindMismatch,
     TooManySwaps,
     VacuousRule,
+    ValueOutOfRange,
 )
 
 _PROB_TOL = 1e-12
@@ -219,19 +221,36 @@ def equivalence_classes(dataset: Dataset, qi: Sequence[str]) -> Partition:
     )
 
 
-def k_anonymity(dataset: Dataset, qi: Sequence[str]) -> int:
-    """Minimum equivalence-class size over the quasi-identifier partition."""
+def k_anonymity(
+    dataset: Dataset, qi: Sequence[str], partition: Optional[Partition] = None
+) -> int:
+    """Minimum equivalence-class size over the quasi-identifier partition.
+
+    ``partition``, if given, must be ``equivalence_classes(dataset, qi)``;
+    it saves building that partition again.
+    """
     if not len(dataset):
         raise EmptyDataset("k-anonymity of an empty dataset is undefined")
-    return min(equivalence_classes(dataset, qi).sizes())
+    if partition is None:
+        partition = equivalence_classes(dataset, qi)
+    return min(partition.sizes())
 
 
-def l_diversity(dataset: Dataset, qi: Sequence[str], sensitive: str) -> int:
-    """Minimum count of distinct sensitive values over equivalence classes."""
+def l_diversity(
+    dataset: Dataset,
+    qi: Sequence[str],
+    sensitive: str,
+    partition: Optional[Partition] = None,
+) -> int:
+    """Minimum count of distinct sensitive values over equivalence classes.
+
+    ``partition`` is as for ``k_anonymity``.
+    """
     if not len(dataset):
         raise EmptyDataset("l-diversity of an empty dataset is undefined")
     column = dataset.column(sensitive)
-    partition = equivalence_classes(dataset, qi)
+    if partition is None:
+        partition = equivalence_classes(dataset, qi)
     return min(len({column[m] for m in cls.members}) for cls in partition.classes)
 
 
@@ -376,43 +395,59 @@ def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
     remain, group k around the point farthest from the centroid and k around
     the point farthest from that one. With 2k to 3k-1 left, group k around
     the point farthest from the centroid and keep the rest as the last
-    group; with fewer, they form one group. Ties in distance always resolve
-    to the lowest record index, so the grouping is deterministic.
+    group; with fewer, they form one group.
+
+    The points are one float64 array, and a mask marks those still
+    unassigned. The arithmetic is fixed so that the grouping is exactly
+    reproducible, not merely close:
+
+    * a squared distance adds the axes' squared differences one axis at a
+      time, from the first axis to the last, and squares with C ``pow``
+      (``np.float_power``), as Python's ``**`` does; ``t * t`` and
+      ``np.sum`` can round differently;
+    * each centroid coordinate is the left-to-right sum of the unassigned
+      points' values, in record order, divided by their count;
+    * ties in distance go to the lowest record index, both for the
+      farthest point and for the k-1 nearest ones.
+
+    Coordinates must be finite. Returns the groups as lists of record
+    indices (plain ints), each sorted, the last one holding the leftovers.
     """
-    remaining = list(range(len(coords)))
+    import numpy as np
+
+    n = len(coords)
+    points = np.array(coords, dtype=np.float64).reshape(n, len(coords[0]) if n else 0)
+    free = np.ones(n, dtype=bool)
     groups: list[list[int]] = []
-    while len(remaining) >= 2 * k:
-        centroid = _mean_point([coords[i] for i in remaining])
-        r = max(remaining, key=lambda i: (_dist2(coords[i], centroid), -i))
-        group_r = _nearest_group(coords, remaining, r, k)
-        remaining = [i for i in remaining if i not in group_r]
-        groups.append(sorted(group_r))
-        if len(remaining) < 2 * k:
+
+    def dist2(sub, centre):
+        d = np.zeros(len(sub))
+        for column, c in zip(sub.T, centre):
+            d = d + np.float_power(column - c, 2.0)
+        return d
+
+    def take(rows, d, at):
+        """Group rows[at] with the k-1 other rows nearest it by d."""
+        d[at] = -1.0  # the centre first, ahead of other rows at distance 0 from it
+        group = rows[np.argsort(d, kind="stable")[:k]]
+        free[group] = False
+        groups.append(sorted(group.tolist()))
+
+    while len(rows := np.flatnonzero(free)) >= 2 * k:
+        sub = points[rows]
+        centroid = [np.cumsum(column)[-1] / len(rows) for column in sub.T]
+        at = int(np.argmax(dist2(sub, centroid)))  # argmax: first of equal maxima
+        d = dist2(sub, sub[at])
+        take(rows, d, at)
+        if len(rows) < 3 * k:  # fewer than 2k left: they form the last group
             break
-        s = max(remaining, key=lambda i: (_dist2(coords[i], coords[r]), -i))
-        group_s = _nearest_group(coords, remaining, s, k)
-        remaining = [i for i in remaining if i not in group_s]
-        groups.append(sorted(group_s))
-    if remaining:
-        groups.append(remaining)
+        keep = free[rows]
+        rows, sub, d = rows[keep], sub[keep], d[keep]
+        at = int(np.argmax(d))  # farthest from the first centre
+        take(rows, dist2(sub, sub[at]), at)
+    if free.any():
+        groups.append(np.flatnonzero(free).tolist())
     return groups
-
-
-def _nearest_group(coords, remaining, center, k) -> set[int]:
-    others = sorted(
-        (i for i in remaining if i != center),
-        key=lambda i: (_dist2(coords[i], coords[center]), i),
-    )
-    return {center, *others[: k - 1]}
-
-
-def _mean_point(points: Sequence[Sequence[float]]) -> list[float]:
-    dims = len(points[0])
-    return [sum(p[d] for p in points) / len(points) for d in range(dims)]
-
-
-def _dist2(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
 _ONE_HOT = 0.5 ** 0.5  # two distinct text values sit at distance exactly 1
@@ -422,14 +457,27 @@ def _mixed_coordinates(
     dataset: Dataset, attributes: Sequence[str]
 ) -> list[tuple[float, ...]]:
     """Embed records in Euclidean space: z-scored integers plus scaled
-    one-hot text categories (distinct values at mutual distance 1)."""
+    one-hot text categories (distinct values at mutual distance 1).
+
+    An integer attribute whose mean or variance does not fit in a float
+    raises ValueOutOfRange; values below about 1e150 in magnitude always
+    fit in tables of up to a million records.
+    """
     axes: list[list[float]] = []
     for name in attributes:
         attr = dataset.schema.attribute(name)
         if attr.kind is Kind.INTEGER:
             column = _integer_column(dataset, name)
-            mu = sum(column) / len(column)
-            var = sum((x - mu) ** 2 for x in column) / len(column)
+            try:
+                mu = sum(column) / len(column)
+                var = sum((x - mu) ** 2 for x in column) / len(column)
+            except OverflowError:
+                var = math.inf
+            if not math.isfinite(var):  # a finite variance bounds every z-score
+                raise ValueOutOfRange(
+                    f"integer attribute {name!r} is too large to z-score: "
+                    "its mean or variance overflows a float"
+                )
             sd = var ** 0.5
             axes.append([(x - mu) / sd if sd > 0 else 0.0 for x in column])
         else:

@@ -283,14 +283,14 @@ def _cmd_metrics(args) -> dict:
     out = {
         "records": len(dataset),
         "qi": qi,
-        "k": anon.k_anonymity(dataset, qi),
+        "k": anon.k_anonymity(dataset, qi, partition),
         "classes": [
             {"key": [render_cell(c) for c in cls.key], "size": cls.size}
             for cls in partition.classes
         ],
     }
     if args.sensitive:
-        out["l"] = anon.l_diversity(dataset, qi, args.sensitive)
+        out["l"] = anon.l_diversity(dataset, qi, args.sensitive, partition)
         out["sensitive"] = args.sensitive
     return out
 

@@ -232,29 +232,36 @@ def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
     """Parse UTF-8 CSV whose header matches the schema names in order.
 
     Rejects the whole file on the first malformed row; no partial dataset is
-    ever returned.
+    ever returned. Data rows count from 1, after the header; a row the
+    ``csv`` module cannot split (say, a bare carriage return in an unquoted
+    field) is a ParseError naming that row.
     """
     if isinstance(source, bytes):
         data = source
     else:
         data = source.read()
     reader = csv.reader(io.StringIO(data.decode("utf-8")))
-    header = next(reader, None)
-    if header is None:
-        raise HeaderMismatch("empty input, expected a header row")
-    if tuple(header) != schema.names:
-        raise HeaderMismatch(f"header {tuple(header)} does not match schema {schema.names}")
-    columns: list[list[Cell]] = [[] for _ in schema.attributes]
-    for rownum, row in enumerate(reader, start=1):
-        if len(row) != len(columns):
-            raise ArityError(f"row {rownum} has {len(row)} cells, schema has {len(columns)}")
-        for attr, text, column in zip(schema.attributes, row, columns):
-            try:
-                column.append(parse_cell(text, attr.kind))
-            except ParseError as exc:
-                raise ParseError(
-                    f"row {rownum}, column {attr.name!r}: {exc}"
-                ) from exc
+    header, rownum = None, 0  # rownum: the last data row read
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise HeaderMismatch("empty input, expected a header row")
+        if tuple(header) != schema.names:
+            raise HeaderMismatch(f"header {tuple(header)} does not match schema {schema.names}")
+        columns: list[list[Cell]] = [[] for _ in schema.attributes]
+        for rownum, row in enumerate(reader, start=1):
+            if len(row) != len(columns):
+                raise ArityError(f"row {rownum} has {len(row)} cells, schema has {len(columns)}")
+            for attr, text, column in zip(schema.attributes, row, columns):
+                try:
+                    column.append(parse_cell(text, attr.kind))
+                except ParseError as exc:
+                    raise ParseError(
+                        f"row {rownum}, column {attr.name!r}: {exc}"
+                    ) from exc
+    except csv.Error as exc:
+        where = "header row" if header is None else f"row {rownum + 1}"
+        raise ParseError(f"{where}: {exc}") from exc
     return Dataset(schema, tuple(map(tuple, columns)))
 
 

@@ -61,6 +61,10 @@ class BadGrouping(PrivkitError):
     """Explicit record groups do not form a partition of the dataset."""
 
 
+class ValueOutOfRange(PrivkitError):
+    """A value is too large for the float arithmetic an operation needs."""
+
+
 # --- rappor -----------------------------------------------------------------
 
 class InvalidParams(PrivkitError):

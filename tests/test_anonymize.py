@@ -1,8 +1,10 @@
+import functools
+import operator
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from privkit import anonymize
 from privkit.anonymize import (
@@ -47,6 +49,7 @@ from privkit.errors import (
     TooManySwaps,
     UnknownAttribute,
     VacuousRule,
+    ValueOutOfRange,
 )
 
 _small_ages = st.lists(st.integers(-1000, 1000), min_size=2, max_size=40)
@@ -466,23 +469,131 @@ def test_multivariate_group_sizes():
     assert all(s >= 2 for s in sizes[:-1]) and sizes.count(3) <= 1
 
 
+# The pure-Python MDAV that the array version replaced, kept as the oracle
+# that it must match group for group. One edit: sums are spelled out left to
+# right, because sum() of floats is compensated from Python 3.12 on, and the
+# array version fixes the plain left-to-right order.
+
+def oracle_mdav_groups(coords, k):
+    remaining = list(range(len(coords)))
+    groups = []
+    while len(remaining) >= 2 * k:
+        centroid = _oracle_mean_point([coords[i] for i in remaining])
+        r = max(remaining, key=lambda i: (_oracle_dist2(coords[i], centroid), -i))
+        group_r = _oracle_nearest_group(coords, remaining, r, k)
+        remaining = [i for i in remaining if i not in group_r]
+        groups.append(sorted(group_r))
+        if len(remaining) < 2 * k:
+            break
+        s = max(remaining, key=lambda i: (_oracle_dist2(coords[i], coords[r]), -i))
+        group_s = _oracle_nearest_group(coords, remaining, s, k)
+        remaining = [i for i in remaining if i not in group_s]
+        groups.append(sorted(group_s))
+    if remaining:
+        groups.append(remaining)
+    return groups
+
+
+def _oracle_nearest_group(coords, remaining, center, k):
+    others = sorted(
+        (i for i in remaining if i != center),
+        key=lambda i: (_oracle_dist2(coords[i], coords[center]), i),
+    )
+    return {center, *others[: k - 1]}
+
+
+def _oracle_mean_point(points):
+    dims = len(points[0])
+    return [_left_sum(p[d] for p in points) / len(points) for d in range(dims)]
+
+
+def _oracle_dist2(a, b):
+    return _left_sum((x - y) ** 2 for x, y in zip(a, b))
+
+
+def _left_sum(values):
+    return functools.reduce(operator.add, values, 0)
+
+
 def parent_mdav_groups(coords, k):
     """MDAV as it ran before the 3k rule: pairs of groups while 2k points
     remain, then the rest as one group, which could hold fewer than k."""
     remaining = list(range(len(coords)))
     groups = []
     while len(remaining) >= 2 * k:
-        centroid = anonymize._mean_point([coords[i] for i in remaining])
-        r = max(remaining, key=lambda i: (anonymize._dist2(coords[i], centroid), -i))
-        group_r = anonymize._nearest_group(coords, remaining, r, k)
+        centroid = _oracle_mean_point([coords[i] for i in remaining])
+        r = max(remaining, key=lambda i: (_oracle_dist2(coords[i], centroid), -i))
+        group_r = _oracle_nearest_group(coords, remaining, r, k)
         remaining = [i for i in remaining if i not in group_r]
-        s = max(remaining, key=lambda i: (anonymize._dist2(coords[i], coords[r]), -i))
-        group_s = anonymize._nearest_group(coords, remaining, s, k)
+        s = max(remaining, key=lambda i: (_oracle_dist2(coords[i], coords[r]), -i))
+        group_s = _oracle_nearest_group(coords, remaining, s, k)
         remaining = [i for i in remaining if i not in group_s]
         groups += [sorted(group_r), sorted(group_s)]
     if remaining:
         groups.append(remaining)
     return groups
+
+
+@st.composite
+def mdav_cases(draw):
+    """Points drawn from a small pool, so duplicates are common; grid values
+    make exact distance ties, and n is often in [2k, 3k), the last-pair case."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(0, 5 * k) | st.integers(2 * k, 3 * k - 1))
+    if draw(st.booleans()):
+        value = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0, 0.5 ** 0.5])
+    else:
+        value = st.floats(-1e6, 1e6)
+    point = st.tuples(*[value] * draw(st.integers(0, 3)))
+    pool = draw(st.lists(point, min_size=1, max_size=max(1, n)))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), k
+
+
+@given(mdav_cases())
+# 1 and 2 are almost equally far from 0; squaring by t * t instead of ** 2
+# rounds one of the two distances differently (with glibc's pow)
+@example(([(0.0, 0.0), (0.5541073592760104, 1.8477517867186066),
+           (1.622405046322486, 1.0435628857874204), (1.5, 1.5)], 2))
+# np.sum's pairwise centroid of these 20 points changes which pair forms
+@example(([(x,) for x in (2.9, 1.3, 0.1, 1.3, 0.6, 0.1, 0.7, 0.3, 0.3, 0.2,
+                          1.1, 0.1, 0.2, 0.2, 0.1, 0.6, 0.1, 1.1, 0.7, 1.1)], 2))
+# the squared distances between these points underflow to 0, so 0 and 4 tie
+# with the centre 5 itself; the centre must still be in its own group
+@example(([(1e-162,), (2e-162,), (3e-162,), (5e-162,), (1e-162,), (0.0,)], 2))
+@settings(max_examples=400, deadline=None)
+def test_mdav_groups_equal_pure_python_oracle(case):
+    coords, k = case
+    groups = mdav_groups(coords, k)
+    assert groups == oracle_mdav_groups(coords, k)
+    assert all(type(i) is int for g in groups for i in g)
+
+
+def test_mdav_groups_on_benchmark_sized_input():
+    rng = random.Random(2007)
+    ages = [rng.randint(18, 90) for _ in range(600)]
+    incomes = [rng.randint(10_000, 150_000) for _ in range(600)]
+    ds = Dataset.from_records(
+        Schema((Attribute("Age", AttributeRole.QUASI_IDENTIFIER, Kind.INTEGER),
+                Attribute("Income", AttributeRole.SENSITIVE, Kind.INTEGER))),
+        list(zip(ages, incomes)),
+    )
+    coords = anonymize._mixed_coordinates(ds, ["Age", "Income"])
+    assert mdav_groups(coords, 5) == oracle_mdav_groups(coords, 5)
+
+
+@pytest.mark.parametrize("ages", [
+    [10**400, 1, 2],  # the mean overflows
+    [10**200, -(10**200), 0],  # a squared deviation overflows
+    [10**154, -(10**154)] * 2,  # only the sum of the squares overflows, to inf
+])
+def test_multivariate_rejects_integers_beyond_float_range(ages):
+    with pytest.raises(ValueOutOfRange, match="'Age'"):
+        microaggregate_multivariate(ages_dataset(ages), ["Age"], 2)
+
+
+def test_multivariate_takes_large_integers_within_float_range():
+    out = microaggregate_multivariate(ages_dataset([10**150, 10**150 + 2, 0, 2]), ["Age"], 2)
+    assert out.column("Age") == (10**150 + 1, 10**150 + 1, 1, 1)
 
 
 def test_mdav_small_last_group():

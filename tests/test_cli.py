@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from privkit import anonymize
 from privkit.cli import main
 from privkit.dataset import fixture_table1, write_csv
 from privkit.rappor import RapporParams
@@ -78,6 +79,23 @@ def test_metrics_on_generalized_fixture(capsys, export_fixture):
     assert out["k"] == 2
     assert out["l"] == 1
     assert sorted(c["size"] for c in out["classes"]) == [2, 2, 3, 3]
+
+
+def test_metrics_partitions_once(capsys, monkeypatch, export_fixture):
+    calls = []
+    equivalence_classes = anonymize.equivalence_classes
+
+    def counted(*args):
+        calls.append(args)
+        return equivalence_classes(*args)
+
+    monkeypatch.setattr(anonymize, "equivalence_classes", counted)
+    csv_path, schema_path = export_fixture("table2")
+    out = run_json(
+        capsys, "metrics", "--input", str(csv_path), "--schema", str(schema_path),
+        "--qi", "Age,Gender,ZIP", "--sensitive", "Diagnosis",
+    )
+    assert (out["k"], out["l"], len(calls)) == (2, 1, 1)
 
 
 def test_metrics_deterministic_output(capsys, export_fixture):
@@ -278,6 +296,19 @@ def test_anonymize_config_paths_must_be_strings(capsys, tmp_path, export_fixture
     code, out, err = run(capsys, "anonymize", "--config", str(cfg))
     assert (code, out) == (2, "")
     assert f"'{field}' must be a string" in err and "missing" not in err
+
+
+def test_anonymize_multivariate_rejects_integers_beyond_float_range(capsys, tmp_path,
+                                                                     export_fixture):
+    csv_path, schema_path = export_fixture("table1")
+    csv_path.write_bytes(csv_path.read_bytes().replace(b",44,", b"," + b"9" * 400 + b",", 1))
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(json.dumps({"input": str(csv_path), "schema": str(schema_path),
+                               "output": str(tmp_path / "anon.csv"),
+                               "steps": [VALID_STEPS["microaggregate_multivariate"]]}))
+    code, out, err = run(capsys, "anonymize", "--config", str(cfg))
+    assert code == 2 and out == "" and "'Age'" in err and "Traceback" not in err
+    assert not (tmp_path / "anon.csv").exists()
 
 
 @pytest.mark.parametrize("name", [["Age"], 3, None], ids=repr)
@@ -618,6 +649,56 @@ def test_cli_json_inputs_fuzz(capsys, tmp_path, value):
                   "--candidates", str(path)]):
         code, _, err = run(capsys, *argv)
         assert code in (0, 1, 2) and "Traceback" not in err
+
+
+_TABLE1_CSV = write_csv(fixture_table1())
+# byte runs that the csv module or a transform may choke on: a bare \r in an
+# unquoted field, NUL, an unbalanced quote, invalid UTF-8, a generalized
+# cell, an integer too large for a float, a field over the csv field limit
+_CSV_HAZARDS = [b"\r", b"\0", b'"', b",", b"\n", b"\xff", b"*", b"-", b"9" * 400,
+                b"x" * 131073]
+
+
+@st.composite
+def _mutated_table1(draw):
+    data = bytearray(_TABLE1_CSV)
+    for _ in range(draw(st.integers(1, 3))):
+        at, cut = draw(st.integers(0, len(data))), draw(st.integers(0, 3))
+        data[at:at + cut] = draw(st.binary(max_size=3) | st.sampled_from(_CSV_HAZARDS))
+    return bytes(data)
+
+
+@given(data=st.binary(max_size=200) | _mutated_table1())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_csv_inputs_fuzz(capsys, tmp_path, data):
+    (tmp_path / "in.csv").write_bytes(data)
+    (tmp_path / "t1.schema.json").write_text(fixture_table1().schema.to_json())
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({
+        "input": "in.csv", "schema": "t1.schema.json", "output": "out.csv",
+        "steps": [VALID_STEPS["suppress"], VALID_STEPS["microaggregate_multivariate"]],
+    }))
+    for argv in (["metrics", "--input", str(tmp_path / "in.csv"),
+                  "--schema", str(tmp_path / "t1.schema.json"),
+                  "--qi", "Age,ZIP", "--sensitive", "Diagnosis"],
+                 ["anonymize", "--config", str(config)]):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cut,insert,where", [
+    (b"Jane", b"Ja\rne", "row 1"),
+    (b"Migraine", b"M" * 131073, "row 2"),
+    (b"Name", b"Na\rme", "header row"),
+])
+def test_metrics_rejects_rows_the_csv_module_cannot_split(capsys, export_fixture,
+                                                          cut, insert, where):
+    csv_path, schema_path = export_fixture("table1")
+    csv_path.write_bytes(csv_path.read_bytes().replace(cut, insert, 1))
+    code, out, err = run(capsys, "metrics", "--input", str(csv_path),
+                         "--schema", str(schema_path), "--qi", "Age")
+    assert code == 2 and out == "" and f"error: {where}: " in err
 
 
 def test_assoc_mine_from_dataset_csv(capsys, export_fixture):
