@@ -101,10 +101,10 @@ def parse_cell(text: str, kind: Kind) -> Cell:
         return SUPPRESSED
     if kind is Kind.INTEGER:
         if _INT_RE.match(text):
-            return int(text)
+            return _int(text)
         m = _INTERVAL_RE.match(text)
         if m:
-            lo, hi = int(m.group(1)), int(m.group(2))
+            lo, hi = _int(m.group(1)), _int(m.group(2))
             if lo > hi:
                 raise ParseError(f"interval {text!r} has lo > hi")
             return Interval(lo, hi)
@@ -112,6 +112,15 @@ def parse_cell(text: str, kind: Kind) -> Cell:
     if text.endswith("*"):
         return MaskedText(text[:-1])
     return text
+
+
+def _int(digits: str) -> int:
+    """int() of text the integer patterns matched; the only ValueError left
+    is the interpreter's limit on digits (``sys.set_int_max_str_digits``)."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(f"integer too long: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from .errors import FilterTooLarge, SpaceMismatch
 from .rappor import BloomFilter, RapporParams, lemma1
 
@@ -44,6 +42,7 @@ class MechanismDistribution:
         self.log_probs.setflags(write=False)
 
     def prob(self, outcome: int) -> float:
+        import numpy as np
         return float(np.exp(self.log_probs[outcome]))
 
     def as_dict(self) -> dict[int, float]:
@@ -57,6 +56,8 @@ class MechanismDistribution:
             raise FilterTooLarge(
                 f"{k} bits exceed the exact enumeration cap of {ENUMERATION_CAP}"
             )
+        import numpy as np
+
         log_probs = np.zeros(1)
         with np.errstate(divide="ignore"):
             for p in p_one:
@@ -101,6 +102,8 @@ def exact_epsilon(
     """
     if d1.k != d2.k:
         raise SpaceMismatch(f"outcome spaces differ: k={d1.k} vs k={d2.k}")
+    import numpy as np
+
     l1, l2 = d1.log_probs, d2.log_probs
     zero1 = np.isneginf(l1)
     zero2 = np.isneginf(l2)
@@ -124,6 +127,8 @@ def _check_size(bloom: BloomFilter, params: RapporParams) -> None:
 
 
 def _logsumexp(log_probs: np.ndarray) -> float:
+    import numpy as np
+
     m = np.max(log_probs)
     if np.isneginf(m):
         return -math.inf

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-import numpy as np
-
 from .errors import (
     DegenerateParams,
     DomainError,
@@ -389,6 +387,8 @@ def estimate_counts(
             raise LengthMismatch(
                 f"report has {len(r.bits)} bits, params say {params.k}"
             )
+    import numpy as np
+
     counts = np.array([r.bits for r in reports], dtype=np.int64).sum(axis=0)
     return estimate_from_counts(counts.tolist(), len(reports), candidates, params)
 
@@ -428,6 +428,8 @@ def count_envelopes(
     one chunk at a time, rejecting any envelope ``Report.from_envelope``
     would reject. Memory is O(k) plus one chunk, whatever the stream length.
     """
+    import numpy as np
+
     k, digest = params.k, params.digest()
     rows = _chunk_rows(k)
     counts = np.zeros(k, dtype=np.int64)
@@ -498,6 +500,8 @@ def simulate_packed(
     come from a numpy generator handed the state of ``random.Random(seed)``,
     whose ``random_sample`` yields the same doubles as ``rng.random()``.
     """
+    import numpy as np
+
     k = params.k
     values = sorted(counts)
     blooms = np.array([bloom_encode(v, params).bits for v in values], dtype=bool)
@@ -525,6 +529,8 @@ def envelope_lines(
 ) -> Iterator[bytes]:
     """JSON lines of each chunk of packed reports: per report, the bytes of
     ``json.dumps(report.envelope(params), sort_keys=True)`` and a newline."""
+    import numpy as np
+
     template = json.dumps(
         {"params_digest": params.digest(), "report_hex": "@"}, sort_keys=True
     ) + "\n"
@@ -546,11 +552,14 @@ def _chunk_rows(k: int) -> int:
 
 
 def _unpack_rows(packed: np.ndarray, k: int) -> np.ndarray:
+    import numpy as np
     return np.unpackbits(packed, axis=1, count=k, bitorder="little")
 
 
 def _numpy_stream(rng: random.Random) -> np.random.RandomState:
     """A numpy Mersenne Twister continuing ``rng``'s stream where it stands."""
+    import numpy as np
+
     _, internal, _ = rng.getstate()
     stream = np.random.RandomState()
     stream.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))

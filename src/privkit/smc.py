@@ -9,6 +9,13 @@ Arithmetic runs over a prime field so that the interpolation coefficients
 are exact and every share is uniformly distributed whatever the secret. The
 protocol is simulated in-process with a synchronous share table; parties are
 assumed honest.
+
+The share table has two paths with equal results. While
+``(modulus - 1) * n + modulus < 2**63`` no Horner step can overflow a signed
+64-bit integer, so numpy evaluates all n polynomials at all n points at once,
+one degree at a time. Above that bound (say, the Mersenne prime 2**127 - 1)
+each share comes from the scalar ``evaluate``, in Python integers; that loop
+is also the reference the array path is tested against.
 """
 
 from __future__ import annotations
@@ -21,19 +28,27 @@ from .errors import BadModulus, DuplicateX
 
 DEFAULT_MODULUS = 2**31 - 1
 
+# The first 13 primes. No odd composite below psi_13 = 3317044064679887385961981
+# is a strong pseudoprime to all of them (Sorenson & Webster, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Miller-Rabin to the prime bases 2..41: exact for n < 3.3e24.
+
+    A larger n that passes is only a strong probable prime to those 13
+    bases. Mersenne primes such as 2**127 - 1 are accepted.
+    """
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _WITNESSES:
         if n % small == 0:
             return n == small
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -124,16 +139,32 @@ def secret_sum_transcript(
     if rng is None:
         rng = random.SystemRandom()
     polys = [gen_polynomial(v, n - 1, modulus, rng) for v in votes]
-    shares = tuple(
-        tuple(evaluate(poly, j, modulus) for j in range(1, n + 1))
-        for poly in polys
-    )
-    aggregated = tuple(
-        sum(shares[i][j] for i in range(n)) % modulus for j in range(n)
-    )
+    shares = _share_table(polys, modulus)
+    aggregated = tuple(sum(column) % modulus for column in zip(*shares))
     points = [(j + 1, aggregated[j]) for j in range(n)]
     total = lagrange_at(points, 0, modulus)
     return SecretSumTranscript(modulus, tuple(votes), shares, aggregated, total)
+
+
+def _share_table(
+    polys: Sequence[Sequence[int]], modulus: int
+) -> tuple[tuple[int, ...], ...]:
+    """Row i holds polynomial i evaluated at the points 1..n, n = len(polys);
+    every polynomial has n coefficients."""
+    n = len(polys)
+    if (modulus - 1) * n + modulus >= 2**63:
+        return tuple(
+            tuple(evaluate(poly, j, modulus) for j in range(1, n + 1))
+            for poly in polys
+        )
+    import numpy as np
+
+    coeffs = np.array(polys, dtype=np.int64)
+    xs = np.arange(1, n + 1, dtype=np.int64)
+    acc = np.zeros((n, n), dtype=np.int64)
+    for d in range(n - 1, -1, -1):
+        acc = (acc * xs + coeffs[:, d, None]) % modulus
+    return tuple(map(tuple, acc.tolist()))
 
 
 def run_secret_sum(

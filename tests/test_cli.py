@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -699,6 +700,18 @@ def test_metrics_rejects_rows_the_csv_module_cannot_split(capsys, export_fixture
     code, out, err = run(capsys, "metrics", "--input", str(csv_path),
                          "--schema", str(schema_path), "--qi", "Age")
     assert code == 2 and out == "" and f"error: {where}: " in err
+
+
+def test_metrics_names_the_cell_of_an_oversized_integer(capsys, export_fixture):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer strings of any length")
+    csv_path, schema_path = export_fixture("table1")
+    csv_path.write_bytes(csv_path.read_bytes().replace(b",44,", b"," + b"9" * (limit + 700) + b",", 1))
+    code, out, err = run(capsys, "metrics", "--input", str(csv_path),
+                         "--schema", str(schema_path), "--qi", "Age")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "row 1, column 'Age'" in err
 
 
 def test_assoc_mine_from_dataset_csv(capsys, export_fixture):

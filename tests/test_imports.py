@@ -1,0 +1,94 @@
+"""numpy is imported only by the calls that compute with it.
+
+Each case runs in a fresh interpreter, because the test process itself has
+numpy loaded long before any of these run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import privkit
+from privkit.cli import main
+
+SRC = str(Path(privkit.__file__).resolve().parent.parent)
+PAPER_PARAMS = '{"k":12,"h":2,"f":0.5,"p":0.5,"q":0.75}'
+
+_PROBE = """\
+import contextlib, io, json, sys
+{setup}
+print(json.dumps({{"result": result, "numpy": "numpy" in sys.modules}}))
+"""
+
+_RUN_MAIN = """\
+from privkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    result = main({argv!r})
+"""
+
+
+def probe(setup, cwd):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", _PROBE.format(setup=setup)],
+                          capture_output=True, text=True, cwd=cwd, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("setup", [
+    "import privkit; result = None",
+    "import privkit.cli; result = None",
+    "from privkit import *; result = None",
+], ids=["import privkit", "import privkit.cli", "star import"])
+def test_imports_leave_numpy_unloaded(tmp_path, setup):
+    assert probe(setup, tmp_path) == {"result": None, "numpy": False}
+
+
+@pytest.fixture
+def workdir(tmp_path, capsys):
+    assert main(["fixtures", "export", "--name", "table1",
+                 "--output", str(tmp_path / "t1.csv"),
+                 "--schema-output", str(tmp_path / "t1.schema.json")]) == 0
+    steps = [
+        {"op": "suppress", "attributes": ["Name"]},
+        {"op": "add_noise", "attribute": "Age", "deltas": {"-1": 0.5, "1": 0.5}, "seed": 3},
+        {"op": "rank_swap", "attribute": "Age", "p": 2, "seed": 4},
+        {"op": "swap_values", "attribute": "Diagnosis", "n_swaps": 2, "seed": 5},
+        {"op": "microaggregate_univariate", "attribute": "Age", "k": 2},
+        {"op": "generalize", "rules": [
+            {"attribute": "Age", "strategy": "numeric_bins", "width": 10},
+            {"attribute": "ZIP", "strategy": "text_prefix", "keep": 2}]},
+    ]
+    mdav = {"op": "microaggregate_multivariate", "attributes": ["Age", "Gender"], "k": 2}
+    for name, config_steps in (("pipeline", steps), ("mdav", [mdav])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({
+            "input": "t1.csv", "schema": "t1.schema.json", "output": f"{name}.csv",
+            "steps": config_steps}))
+    (tmp_path / "baskets.json").write_text(json.dumps([["a", "b"], ["a"], ["b", "c"]]))
+    capsys.readouterr()
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv,loads_numpy", [
+    (["rappor", "epsilon", "--params", PAPER_PARAMS], False),
+    (["rappor", "encode", "--params", PAPER_PARAMS, "--value", "flu"], False),
+    (["metrics", "--input", "t1.csv", "--schema", "t1.schema.json",
+      "--qi", "Age,Gender,ZIP", "--sensitive", "Diagnosis"], False),
+    (["anonymize", "--config", "pipeline.json"], False),
+    (["assoc", "mine", "--input", "baskets.json", "--min-support", "0.3",
+      "--min-certainty", "0.5", "--max-itemset", "2"], False),
+    (["smc", "demo", "--votes", "1,1,0", "--seed", "7",
+      "--modulus", str(2**127 - 1)], False),
+    # the calls that compute with numpy do load it, so the probe can see it
+    (["smc", "demo", "--votes", "1,1,0", "--seed", "7"], True),
+    (["anonymize", "--config", "mdav.json"], True),
+    (["dpcheck", "--params", PAPER_PARAMS, "--mode", "report",
+      "--bits1", "0,1", "--bits2", "2,3"], True),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else str(v))
+def test_cli_calls_load_numpy_only_when_used(workdir, argv, loads_numpy):
+    setup = _RUN_MAIN.format(argv=argv)
+    assert probe(setup, workdir) == {"result": 0, "numpy": loads_numpy}

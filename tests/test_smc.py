@@ -1,9 +1,10 @@
+import functools
 import random
 from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from privkit import smc
 from privkit.errors import BadModulus, DuplicateX
@@ -24,6 +25,38 @@ def test_is_prime():
     assert is_prime(2) and is_prime(7) and is_prime(97)
     assert is_prime(DEFAULT_MODULUS)
     assert not is_prime(1) and not is_prime(15) and not is_prime(2**31 - 3)
+
+
+# Smallest strong pseudoprimes to the first 12 and 13 prime bases, as products
+# of two factors (Sorenson & Webster, Math. Comp. 86, 2017).
+PSI_12 = (399165290221, 798330580441)
+PSI_13 = (1287836182261, 2575672364521)
+
+
+@pytest.mark.parametrize("factors", [
+    PSI_12,
+    (151 * 751, 28351),  # strong pseudoprime to bases 2, 3, 5, 7
+    (149491 * 747451, 34233211),  # strong pseudoprime to bases 2 through 31
+    (2**31 - 1, 2**61 - 1),
+    (1000000007, 998244353),
+    (999999999989, 1000000000039),
+], ids=str)
+def test_is_prime_rejects_products(factors):
+    a, b = factors
+    assert a > 1 and b > 1
+    assert not is_prime(a * b)
+
+
+def test_is_prime_beyond_its_exact_range():
+    # psi_13 is the first composite the 13 bases accept, which is why larger
+    # moduli are only probable primes
+    assert is_prime(PSI_13[0] * PSI_13[1])
+    assert all(is_prime(2**e - 1) for e in (61, 89, 107, 127))
+
+
+def test_secret_sum_rejects_psi_12_modulus():
+    with pytest.raises(BadModulus):
+        run_secret_sum([1, 0], PSI_12[0] * PSI_12[1], random.Random(0))
 
 
 def test_gen_polynomial_constant_term():
@@ -154,3 +187,78 @@ def test_default_rng_is_not_a_seedable_mersenne_twister(monkeypatch):
 
     monkeypatch.setattr(smc.random, "Random", mersenne)
     assert run_secret_sum([3, 0, 4]) == 7
+
+
+def _largest_int64_prime(n):
+    """The largest prime m with (m - 1) * n + m < 2**63, where the share table
+    still runs in int64."""
+    m = (2**63 + n - 1) // (n + 1)
+    while not is_prime(m):
+        m -= 1
+    return m
+
+
+def _next_prime(m):
+    m += 1
+    while not is_prime(m):
+        m += 1
+    return m
+
+
+def _fits_int64(modulus, n):
+    return (modulus - 1) * n + modulus < 2**63
+
+
+@functools.lru_cache(maxsize=None)
+def _moduli(n):
+    edge = _largest_int64_prime(n)
+    return [7919, DEFAULT_MODULUS, edge, _next_prime(edge), 2**61 - 1, 2**127 - 1]
+
+
+def scalar_shares(votes, modulus, seed):
+    rng = random.Random(seed)
+    n = len(votes)
+    polys = [gen_polynomial(v, n - 1, modulus, rng) for v in votes]
+    return tuple(
+        tuple(evaluate(p, j, modulus) for j in range(1, n + 1)) for p in polys
+    )
+
+
+@given(
+    n=st.integers(2, 60),
+    which=st.integers(0, 5),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+@example(n=2, which=2, seed=0, data=None)
+@example(n=2, which=3, seed=0, data=None)
+@example(n=120, which=2, seed=1, data=None)
+@example(n=120, which=3, seed=1, data=None)
+@settings(max_examples=40, deadline=None)
+def test_share_table_equals_scalar_evaluation(n, which, seed, data):
+    modulus = _moduli(n)[which]
+    votes = [1] * n if data is None else data.draw(
+        st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    t = secret_sum_transcript(votes, modulus, random.Random(seed))
+    assert t.shares == scalar_shares(votes, modulus, seed)
+    assert all(type(share) is int for row in t.shares for share in row)
+    assert t.total == sum(votes)
+
+
+@pytest.mark.parametrize("n", [2, 3, 120])
+def test_share_table_switches_to_scalar_above_the_int64_bound(monkeypatch, n):
+    calls = []
+    scalar = smc.evaluate
+
+    def counted(*args):
+        calls.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(smc, "evaluate", counted)
+    edge = _largest_int64_prime(n)
+    beyond = _next_prime(edge)
+    assert _fits_int64(edge, n) and not _fits_int64(beyond, n)
+    secret_sum_transcript([1] * n, edge, random.Random(0))
+    assert calls == []
+    secret_sum_transcript([1] * n, beyond, random.Random(0))
+    assert len(calls) == n * n
