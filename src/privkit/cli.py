@@ -17,7 +17,7 @@ import os
 import random
 import sys
 import tempfile
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import anonymize as anon
 from . import assoc, dpcheck, rappor, smc
@@ -360,20 +360,9 @@ def _cmd_rappor_estimate(args) -> dict:
     if not _is_string_list(candidates):
         raise ConfigError("candidates file must be a JSON array of strings")
     with open(args.reports, "r", encoding="utf-8") as fh:
-        counts, n = rappor.count_envelopes(_json_lines(fh), params)
+        counts, n = rappor.count_report_lines(fh, params)
     estimates = rappor.estimate_from_counts(counts, n, candidates, params)
     return {"reports": n, "estimates": estimates}
-
-
-def _json_lines(fh: TextIO) -> Iterator:
-    """The JSON value of each non-blank line."""
-    for lineno, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        try:
-            yield json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"reports line {lineno}: {exc}") from exc
 
 
 # --- dpcheck ----------------------------------------------------------------

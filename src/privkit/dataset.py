@@ -84,8 +84,9 @@ GENERALIZED = (Interval, MaskedText, Suppressed)
 Cell = Union[str, int, Interval, MaskedText, Suppressed]
 _CELL_TYPES = (str, int, *GENERALIZED)
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_INTERVAL_RE = re.compile(r"^(-?\d+)-(-?\d+)$")
+# Matched with fullmatch: "$" would also match before a final newline.
+_INT_RE = re.compile(r"[+-]?\d+")
+_INTERVAL_RE = re.compile(r"(-?\d+)-(-?\d+)")
 
 
 def render_cell(cell: Cell) -> str:
@@ -100,9 +101,9 @@ def parse_cell(text: str, kind: Kind) -> Cell:
     if text == "*":
         return SUPPRESSED
     if kind is Kind.INTEGER:
-        if _INT_RE.match(text):
+        if _INT_RE.fullmatch(text):
             return _int(text)
-        m = _INTERVAL_RE.match(text)
+        m = _INTERVAL_RE.fullmatch(text)
         if m:
             lo, hi = _int(m.group(1)), _int(m.group(2))
             if lo > hi:

@@ -9,8 +9,11 @@ report sent.
 Server side: ``estimate_from_counts`` inverts the per-bit randomization
 using the marginal probabilities ``q*``/``p*`` of observing a set bit, and
 scores each candidate string by the most pessimistic of its Bloom indices.
-It needs only the per-bit set counts, which ``count_envelopes`` folds from a
-stream of report envelopes in O(k) memory plus one chunk.
+It needs only the per-bit set counts, which ``count_report_lines`` folds
+from the lines of a reports file in O(k) memory plus one chunk, without
+numpy: a line exactly as ``envelope_lines`` writes it is read by slicing out
+its hex, any other line is parsed as JSON, and the bits of each chunk are
+counted byte column by byte column with ``bytes.translate``.
 
 Many clients are simulated in chunks of reports by ``simulate_packed``, with
 numpy doing the PRR and IRR comparisons. It draws from the same keyed hashes
@@ -28,12 +31,13 @@ import hashlib
 import json
 import math
 import random
+import re
 import struct
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
+    ConfigError,
     DegenerateParams,
     DomainError,
     InvalidParams,
@@ -48,6 +52,14 @@ _MASK64 = (1 << 64) - 1
 _CHUNK_BITS = 1 << 16
 
 Bits = tuple[int, ...]
+
+# Bit b of every byte value, for counting set bits with bytes.translate.
+_BIT_TABLES = [bytes((x >> b) & 1 for x in range(256)) for b in range(8)]
+
+# Person-only BLAKE2b states; each call hashes into a copy instead of
+# building the hasher from its keyword arguments again.
+_CLIENT_HASH = hashlib.blake2b(digest_size=16, person=b"privkit.client")
+_PRR_KEY_HASH = hashlib.blake2b(digest_size=32, person=b"privkit.prrkey")
 
 
 @dataclass(frozen=True)
@@ -266,13 +278,15 @@ def _prr_messages(value: str, params: RapporParams) -> list[bytes]:
 def _prr_blocks(client_secret: bytes, messages: Sequence[bytes]) -> bytes:
     """Keyed BLAKE2b blocks of 8 little-endian 64-bit words each; word i
     divided by 2^64 is the uniform of bit i."""
-    key = hashlib.blake2b(
-        client_secret, digest_size=32, person=b"privkit.prrkey"
-    ).digest()
-    return b"".join([
-        hashlib.blake2b(m, key=key, digest_size=64, person=b"privkit.prruni").digest()
-        for m in messages
-    ])
+    key = _PRR_KEY_HASH.copy()
+    key.update(client_secret)
+    base = hashlib.blake2b(key=key.digest(), digest_size=64, person=b"privkit.prruni")
+    blocks = []
+    for m in messages:
+        block = base.copy()
+        block.update(m)
+        blocks.append(block.digest())
+    return b"".join(blocks)
 
 
 def _prr_uniforms(
@@ -387,10 +401,8 @@ def estimate_counts(
             raise LengthMismatch(
                 f"report has {len(r.bits)} bits, params say {params.k}"
             )
-    import numpy as np
-
-    counts = np.array([r.bits for r in reports], dtype=np.int64).sum(axis=0)
-    return estimate_from_counts(counts.tolist(), len(reports), candidates, params)
+    counts = [sum(column) for column in zip(*(r.bits for r in reports))]
+    return estimate_from_counts(counts, len(reports), candidates, params)
 
 
 def estimate_from_counts(
@@ -421,25 +433,70 @@ def estimate_from_counts(
     }
 
 
-def count_envelopes(
-    envelopes: Iterable[Mapping], params: RapporParams
+def count_report_lines(
+    lines: Iterable[str], params: RapporParams
 ) -> tuple[list[int], int]:
-    """Fold report envelopes into (per-bit set counts, number of reports),
-    one chunk at a time, rejecting any envelope ``Report.from_envelope``
-    would reject. Memory is O(k) plus one chunk, whatever the stream length.
-    """
-    import numpy as np
+    """Fold the lines of a reports file into (per-bit set counts, number of
+    reports), one chunk at a time. Memory is O(k) plus one chunk, whatever
+    the number of lines.
 
+    Blank lines are skipped. A line exactly as ``envelope_lines`` writes it
+    (lowercase hex, zero padding bits, with or without its newline) is read
+    by slicing out its hex. Any other line must be a JSON envelope that
+    ``Report.from_envelope`` accepts; the first line that is not raises,
+    ``ConfigError`` naming the line for bad JSON and ``ReportFormatError``
+    for a bad envelope.
+    """
     k, digest = params.k, params.digest()
+    head, tail = _envelope_template(params)
+    start, end = len(head), len(head) + 2 * ((k + 7) // 8)
+    canonical = re.compile(
+        re.escape(head) + _report_hex_pattern(k) + re.escape(tail) + r"\n?"
+    ).fullmatch
     rows = _chunk_rows(k)
-    counts = np.zeros(k, dtype=np.int64)
+    counts = [0] * k
     n = 0
-    envelopes = iter(envelopes)
-    while chunk := [_envelope_bytes(e, digest, k) for e in islice(envelopes, rows)]:
-        packed = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(len(chunk), -1)
-        counts += _unpack_rows(packed, k).sum(axis=0, dtype=np.int64)
-        n += len(chunk)
-    return counts.tolist(), n
+    chunk: list[str] = []
+    for lineno, line in enumerate(lines, start=1):
+        if canonical(line):
+            chunk.append(line[start:end])
+        elif not line.strip():
+            continue
+        else:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"reports line {lineno}: {exc}") from exc
+            chunk.append(_envelope_bytes(obj, digest, k).hex())
+        if len(chunk) == rows:
+            n += _add_bit_counts(counts, chunk)
+            chunk = []
+    n += _add_bit_counts(counts, chunk)
+    return counts, n
+
+
+def _report_hex_pattern(k: int) -> str:
+    """Regex of the lowercase hex ``Report.to_hex`` writes for k bits: the
+    last byte holds k % 8 bits (all 8 when k % 8 == 0), the rest are zero."""
+    full, used = divmod(k, 8)
+    if not used:
+        return f"[0-9a-f]{{{2 * full}}}"
+    high = "0" if used <= 4 else f"[0-{(1 << (used - 4)) - 1}]"
+    low = f"[0-{(1 << used) - 1}]" if used < 4 else "[0-9a-f]"
+    return f"[0-9a-f]{{{2 * full}}}{high}{low}"
+
+
+def _add_bit_counts(counts: list[int], hex_reports: list[str]) -> int:
+    """Add the set bits of reports, each the hex of ceil(k/8) bytes, to the
+    k counts; return the number of reports."""
+    k = len(counts)
+    width = (k + 7) // 8
+    packed = bytes.fromhex("".join(hex_reports))
+    for j in range(width):
+        column = packed[j::width]
+        for b in range(min(8, k - 8 * j)):
+            counts[8 * j + b] += column.translate(_BIT_TABLES[b]).count(1)
+    return len(hex_reports)
 
 
 def allocate_counts(
@@ -466,11 +523,9 @@ def allocate_counts(
 
 def client_secret(seed: int, client_index: int) -> bytes:
     """Per-client secret for simulations, derived from the run seed."""
-    return hashlib.blake2b(
-        struct.pack("<QQ", seed & _MASK64, client_index),
-        digest_size=16,
-        person=b"privkit.client",
-    ).digest()
+    secret = _CLIENT_HASH.copy()
+    secret.update(struct.pack("<QQ", seed & _MASK64, client_index))
+    return secret.digest()
 
 
 def simulate_reports(
@@ -531,11 +586,9 @@ def envelope_lines(
     ``json.dumps(report.envelope(params), sort_keys=True)`` and a newline."""
     import numpy as np
 
-    template = json.dumps(
-        {"params_digest": params.digest(), "report_hex": "@"}, sort_keys=True
-    ) + "\n"
+    head, tail = _envelope_template(params)
     head, tail = (
-        np.frombuffer(part.encode("ascii"), dtype=np.uint8) for part in template.split("@")
+        np.frombuffer(part.encode("ascii"), dtype=np.uint8) for part in (head, tail + "\n")
     )
     for packed in packed_chunks:
         n = len(packed)
@@ -545,6 +598,16 @@ def envelope_lines(
             hexed.reshape(n, -1),
             np.broadcast_to(tail, (n, len(tail))),
         ]).tobytes()
+
+
+def _envelope_template(params: RapporParams) -> tuple[str, str]:
+    """The text of an envelope line before and after its report hex, as
+    ``json.dumps(report.envelope(params), sort_keys=True)`` writes it; the
+    line ends with a newline after that."""
+    head, tail = json.dumps(
+        {"params_digest": params.digest(), "report_hex": "@"}, sort_keys=True
+    ).split("@")
+    return head, tail
 
 
 def _chunk_rows(k: int) -> int:

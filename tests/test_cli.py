@@ -714,6 +714,16 @@ def test_metrics_names_the_cell_of_an_oversized_integer(capsys, export_fixture):
     assert "row 1, column 'Age'" in err
 
 
+@pytest.mark.parametrize("cell", [b'"44\n"', b'"40-49\n"'])
+def test_metrics_rejects_integer_cell_with_final_newline(capsys, export_fixture, cell):
+    csv_path, schema_path = export_fixture("table1")
+    csv_path.write_bytes(csv_path.read_bytes().replace(b",44,", b"," + cell + b",", 1))
+    code, out, err = run(capsys, "metrics", "--input", str(csv_path),
+                         "--schema", str(schema_path), "--qi", "Age")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "row 1, column 'Age'" in err
+
+
 def test_assoc_mine_from_dataset_csv(capsys, export_fixture):
     csv_path, schema_path = export_fixture("table1")
     out = run_json(

@@ -74,6 +74,15 @@ def test_load_rejects_bad_integer():
         load_csv(b"Name,Age\nJane,4_4\n", two_col_schema())
 
 
+@pytest.mark.parametrize("cell", ["12\n", "3-4\n", "12\r\n", "-5--2\n"])
+def test_load_rejects_integer_cell_with_final_newline(cell):
+    # a quoted cell keeps its newline; it is not the integer or interval before it
+    with pytest.raises(ParseError, match="row 2, column 'Age'"):
+        load_csv(f'Name,Age\nJane,44\nJoe,"{cell}"\n'.encode(), two_col_schema())
+    with pytest.raises(ParseError):
+        parse_cell(cell, Kind.INTEGER)
+
+
 def test_load_accepts_file_object():
     ds = load_csv(io.BytesIO(b"Name,Age\nJane,44\n"), two_col_schema())
     assert ds.records == (("Jane", 44),)

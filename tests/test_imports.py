@@ -69,6 +69,11 @@ def workdir(tmp_path, capsys):
             "input": "t1.csv", "schema": "t1.schema.json", "output": f"{name}.csv",
             "steps": config_steps}))
     (tmp_path / "baskets.json").write_text(json.dumps([["a", "b"], ["a"], ["b", "c"]]))
+    (tmp_path / "dist.json").write_text(json.dumps({"flu": 0.75, "cold": 0.25}))
+    (tmp_path / "candidates.json").write_text(json.dumps(["flu", "cold", "mumps"]))
+    assert main(["rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "40",
+                 "--dist", str(tmp_path / "dist.json"), "--seed", "3",
+                 "--output", str(tmp_path / "reports.jsonl")]) == 0
     capsys.readouterr()
     return tmp_path
 
@@ -76,6 +81,8 @@ def workdir(tmp_path, capsys):
 @pytest.mark.parametrize("argv,loads_numpy", [
     (["rappor", "epsilon", "--params", PAPER_PARAMS], False),
     (["rappor", "encode", "--params", PAPER_PARAMS, "--value", "flu"], False),
+    (["rappor", "estimate", "--params", PAPER_PARAMS, "--reports", "reports.jsonl",
+      "--candidates", "candidates.json"], False),
     (["metrics", "--input", "t1.csv", "--schema", "t1.schema.json",
       "--qi", "Age,Gender,ZIP", "--sensitive", "Diagnosis"], False),
     (["anonymize", "--config", "pipeline.json"], False),
@@ -85,6 +92,8 @@ def workdir(tmp_path, capsys):
       "--modulus", str(2**127 - 1)], False),
     # the calls that compute with numpy do load it, so the probe can see it
     (["smc", "demo", "--votes", "1,1,0", "--seed", "7"], True),
+    (["rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "40", "--dist",
+      "dist.json", "--seed", "3", "--output", "again.jsonl"], True),
     (["anonymize", "--config", "mdav.json"], True),
     (["dpcheck", "--params", PAPER_PARAMS, "--mode", "report",
       "--bits1", "0,1", "--bits2", "2,3"], True),

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import random
+import struct
 from collections import Counter
 
 import numpy as np
@@ -26,7 +28,7 @@ from privkit.rappor import (
     bloom_encode,
     bloom_indices,
     client_secret,
-    count_envelopes,
+    count_report_lines,
     envelope_lines,
     epsilon_infinity,
     epsilon_one,
@@ -207,6 +209,45 @@ def test_prr_f_one_is_uniform():
         ones = ones + sum(prr(filt, client_secret(7, i), "v", params).bits)
     frac = ones / (n * 20)
     assert 0.49 <= frac <= 0.51
+
+
+def constructor_client_secret(seed, client_index):
+    """client_secret with a BLAKE2b built from keyword arguments per call."""
+    return hashlib.blake2b(
+        struct.pack("<QQ", seed & (2**64 - 1), client_index),
+        digest_size=16,
+        person=b"privkit.client",
+    ).digest()
+
+
+def constructor_prr_blocks(client_secret, messages):
+    """_prr_blocks with a keyed BLAKE2b built from keyword arguments per block."""
+    key = hashlib.blake2b(
+        client_secret, digest_size=32, person=b"privkit.prrkey"
+    ).digest()
+    return b"".join([
+        hashlib.blake2b(m, key=key, digest_size=64, person=b"privkit.prruni").digest()
+        for m in messages
+    ])
+
+
+@given(
+    seed=st.integers(-(2**70), 2**70),
+    index=st.integers(0, 2**64 - 1),
+    value=st.text(max_size=12),
+    k=st.integers(1, 600),
+    hash_seed=st.integers(0, 2**64 - 1),
+    secret=st.binary(max_size=40),
+    messages=st.lists(st.binary(max_size=200), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_hasher_copies_equal_constructor_form(seed, index, value, k, hash_seed, secret,
+                                               messages):
+    derived = client_secret(seed, index)
+    assert derived == constructor_client_secret(seed, index)
+    params = RapporParams(k=k, h=1, f=0.5, q=0.75, p=0.5, hash_seed=hash_seed)
+    for key, blocks in ((derived, rappor._prr_messages(value, params)), (secret, messages)):
+        assert rappor._prr_blocks(key, blocks) == constructor_prr_blocks(key, blocks)
 
 
 # --- instantaneous randomized response ------------------------------------------
@@ -391,16 +432,20 @@ def test_estimate_from_counts_errors():
     k=st.integers(1, 20),
     rows=st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=60),
     chunk_bits=st.sampled_from([1, 7, 64, 1 << 16]),
+    # the line envelope_lines writes, and a compact one that is parsed as JSON
+    dumps_args=st.sampled_from([{"sort_keys": True}, {"separators": (",", ":")}]),
 )
 @settings(max_examples=60, deadline=None)
-def test_streamed_estimate_equals_estimate_counts(k, rows, chunk_bits):
+def test_streamed_estimate_equals_estimate_counts(k, rows, chunk_bits, dumps_args):
     params = RapporParams(k=k, h=1, f=0.5, q=0.75, p=0.5)
     reports = [Report(tuple((r >> i) & 1 for i in range(k))) for r in rows]
     candidates = ["A", "B", "C", "chlamydia"]
     old_chunk = rappor._CHUNK_BITS
     rappor._CHUNK_BITS = chunk_bits
     try:
-        counts, n = count_envelopes((r.envelope(params) for r in reports), params)
+        counts, n = count_report_lines(
+            (json.dumps(r.envelope(params), **dumps_args) + "\n" for r in reports), params
+        )
     finally:
         rappor._CHUNK_BITS = old_chunk
     assert n == len(reports)
@@ -547,4 +592,4 @@ def test_bad_envelope_rejected_by_both_paths(bad):
         Report.from_envelope(bad, PAPER)
     good = Report((1,) * 12).envelope(PAPER)
     with pytest.raises(ReportFormatError):
-        count_envelopes([good, bad], PAPER)
+        count_report_lines([json.dumps(good), json.dumps(bad)], PAPER)
