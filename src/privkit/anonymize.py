@@ -30,6 +30,7 @@ from .dataset import (
     Interval,
     Kind,
     MaskedText,
+    Schema,
     Suppressed,
 )
 from .errors import (
@@ -189,11 +190,7 @@ def generalize(dataset: Dataset, rules: Sequence[GeneralizationRule]) -> Dataset
     out = dataset
     for rule in rules:
         strategy = rule.strategy
-        kind = dataset.schema.attribute(rule.attribute).kind
-        if strategy.kind not in (None, kind):
-            raise KindMismatch(
-                f"{type(strategy).__name__} on {kind.value} attribute {rule.attribute!r}"
-            )
+        check_rule_kind(dataset.schema, rule)
         column = out.column(rule.attribute)
         if isinstance(strategy, TextPrefix):
             lengths = [len(c) for c in column if isinstance(c, str)]
@@ -204,6 +201,22 @@ def generalize(dataset: Dataset, rules: Sequence[GeneralizationRule]) -> Dataset
                 )
         out = out.replace_column(rule.attribute, [strategy.apply(c) for c in column])
     return out
+
+
+def check_rule_kind(schema: Schema, rule: GeneralizationRule) -> None:
+    """Raise KindMismatch unless the rule's strategy applies to the kind of
+    its attribute."""
+    kind = schema.attribute(rule.attribute).kind
+    if rule.strategy.kind not in (None, kind):
+        raise KindMismatch(
+            f"{type(rule.strategy).__name__} on {kind.value} attribute {rule.attribute!r}"
+        )
+
+
+def check_integer_attribute(schema: Schema, attribute: str) -> None:
+    """Raise KindMismatch unless the attribute is an integer attribute."""
+    if schema.attribute(attribute).kind is not Kind.INTEGER:
+        raise KindMismatch(f"{attribute!r} is not an integer attribute")
 
 
 def equivalence_classes(dataset: Dataset, qi: Sequence[str]) -> Partition:
@@ -489,8 +502,7 @@ def _mixed_coordinates(
 
 def _integer_column(dataset: Dataset, attribute: str) -> tuple[int, ...]:
     """The column of an integer attribute, each cell checked to be a raw int."""
-    if dataset.schema.attribute(attribute).kind is not Kind.INTEGER:
-        raise KindMismatch(f"{attribute!r} is not an integer attribute")
+    check_integer_attribute(dataset.schema, attribute)
     column = dataset.column(attribute)
     for recno, cell in enumerate(column):
         if not isinstance(cell, int) or isinstance(cell, bool):

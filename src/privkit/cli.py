@@ -162,6 +162,18 @@ def _names_field(step: Mapping) -> list[str]:
     return names
 
 
+def _delta_key(key: str) -> int:
+    """A deltas key as its integer. Only the form str() writes is taken:
+    int() also reads "01", "+1", " 1" and "1_0", so two keys could name one
+    delta and their probabilities would not sum as written."""
+    try:
+        if str(delta := int(key)) == key:
+            return delta
+    except ValueError:
+        pass
+    raise ValueError(f"deltas key {key!r} is not an integer written like \"-1\"")
+
+
 def _parse_rule(obj) -> anon.GeneralizationRule:
     if not isinstance(obj, dict):
         raise TypeError(f"each rule must be an object, got {obj!r}")
@@ -195,7 +207,7 @@ def _compile_step(step, schema: Schema, stepno: int) -> Callable[[Dataset], Data
                 raise TypeError("rules must be an array")
             rules = [_parse_rule(r) for r in step["rules"]]
             for r in rules:
-                schema.index(r.attribute)
+                anon.check_rule_kind(schema, r)
             return lambda d: anon.generalize(d, rules)
         if op == "add_noise":
             deltas = step["deltas"]
@@ -203,9 +215,9 @@ def _compile_step(step, schema: Schema, stepno: int) -> Callable[[Dataset], Data
                 isinstance(v, bool) or not isinstance(v, (int, float)) for v in deltas.values()
             ):
                 raise TypeError("deltas must be an object of numbers")
-            spec = anon.NoiseSpec({int(k): float(v) for k, v in deltas.items()})
+            spec = anon.NoiseSpec({_delta_key(k): float(v) for k, v in deltas.items()})
             name, seed = step["attribute"], _int_field(step, "seed")
-            schema.index(name)
+            anon.check_integer_attribute(schema, name)
             return lambda d: anon.add_noise(d, name, spec, random.Random(seed))
         if op == "swap_values":
             name, seed = step["attribute"], _int_field(step, "seed")
@@ -216,13 +228,13 @@ def _compile_step(step, schema: Schema, stepno: int) -> Callable[[Dataset], Data
             return lambda d: anon.swap_values(d, name, n_swaps, random.Random(seed))
         if op == "rank_swap":
             name, p, seed = step["attribute"], _int_field(step, "p"), _int_field(step, "seed")
-            schema.index(name)
+            anon.check_integer_attribute(schema, name)
             if p < 1:
                 raise ConfigError(f"step {stepno}: p must be >= 1")
             return lambda d: anon.rank_swap(d, name, p, random.Random(seed))
         if op == "microaggregate_univariate":
             name, k = step["attribute"], _int_field(step, "k")
-            schema.index(name)
+            anon.check_integer_attribute(schema, name)
             if k < 2:
                 raise ConfigError(f"step {stepno}: k must be >= 2")
             return lambda d: anon.microaggregate_univariate(d, name, k)
@@ -264,7 +276,8 @@ def _cmd_anonymize(args) -> dict:
     actions = [
         _compile_step(step, schema, i) for i, step in enumerate(steps)
     ]  # fail fast: every step validated before any runs
-    dataset = _load_dataset(input_path, schema_path)
+    with open(input_path, "rb") as fh:
+        dataset = load_csv(fh, schema)
     for i, action in enumerate(actions):
         log.info("step %d: %s", i, steps[i].get("op"))
         dataset = action(dataset)
@@ -359,7 +372,8 @@ def _cmd_rappor_estimate(args) -> dict:
     candidates = _load_json_arg("@" + args.candidates)
     if not _is_string_list(candidates):
         raise ConfigError("candidates file must be a JSON array of strings")
-    with open(args.reports, "r", encoding="utf-8") as fh:
+    # an undecodable byte reaches count_report_lines, which names its line
+    with open(args.reports, "r", encoding="utf-8", errors="surrogateescape") as fh:
         counts, n = rappor.count_report_lines(fh, params)
     estimates = rappor.estimate_from_counts(counts, n, candidates, params)
     return {"reports": n, "estimates": estimates}

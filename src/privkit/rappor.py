@@ -16,10 +16,12 @@ its hex, any other line is parsed as JSON, and the bits of each chunk are
 counted byte column by byte column with ``bytes.translate``.
 
 Many clients are simulated in chunks of reports by ``simulate_packed``, with
-numpy doing the PRR and IRR comparisons. It draws from the same keyed hashes
-and the same seeded stream as the scalar ``prr``/``irr``/``make_report``,
-which stay as the reference the batch path is tested against, so both give
-identical bits.
+numpy doing the PRR and IRR comparisons; no other code here uses numpy. It
+draws from the same keyed hashes and the same seeded stream as the scalar
+``prr``/``irr``/``make_report``, which stay as the reference the batch path
+is tested against, so both give identical bits. Each chunk is ``bytes`` in
+the layout of ``Report.to_hex``, report after report, for ``envelope_lines``
+to write and ``simulate_reports`` to decode as ``Report.from_hex`` does.
 
 All hashing is keyed BLAKE2b, so encodings and permanent responses are
 bit-identical across processes and platforms for fixed parameters.
@@ -27,6 +29,8 @@ bit-identical across processes and platforms for fixed parameters.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -47,14 +51,17 @@ from .errors import (
 
 _MASK64 = (1 << 64) - 1
 
-# Report bits per numpy chunk of the batch path: k=16 gives 4096 reports per
-# chunk, k=256 gives 256, so a chunk's arrays stay near 0.5 MiB each.
+# Report bits per chunk of the batch path: k=16 gives 4096 reports per chunk,
+# k=256 gives 256, so the client's numpy arrays stay near 0.5 MiB each.
 _CHUNK_BITS = 1 << 16
 
 Bits = tuple[int, ...]
 
 # Bit b of every byte value, for counting set bits with bytes.translate.
 _BIT_TABLES = [bytes((x >> b) & 1 for x in range(256)) for b in range(8)]
+
+# The characters "0" and "1" as the byte values 0 and 1, for decoding reports.
+_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # Person-only BLAKE2b states; each call hashes into a copy instead of
 # building the hasher from its keyword arguments again.
@@ -100,22 +107,22 @@ class RapporParams:
             raise InvalidParams(f"need q >= p, got q={self.q}, p={self.p}")
         if not 0 <= self.hash_seed <= _MASK64:
             raise InvalidParams(f"hash_seed must be in [0, 2^64), got {self.hash_seed}")
-        canonical = json.dumps(
-            {
-                "k": self.k,
-                "h": self.h,
-                "f": self.f,
-                "q": self.q,
-                "p": self.p,
-                "hash_seed": self.hash_seed,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        canonical = json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
         # Fields are frozen, so the fingerprint is computed once per object.
         object.__setattr__(
             self, "_digest", hashlib.sha256(canonical.encode("ascii")).hexdigest()[:16]
         )
+
+    # The keyed BLAKE2b state of each Bloom hash function, built on first use;
+    # ``bloom_indices`` hashes a value into copies of them.
+    @functools.cached_property
+    def _bloom_hashes(self) -> tuple:
+        return tuple(hashlib.blake2b(key=struct.pack("<QI", self.hash_seed, j), digest_size=8,
+                                     person=b"privkit.bloom") for j in range(1, self.h + 1))
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild from the fields: hash states do not pickle
+        return type(self), dataclasses.astuple(self)
 
     def digest(self) -> str:
         """Short stable fingerprint used to bind serialized reports."""
@@ -203,7 +210,9 @@ class Report:
 
 
 def _unpack_bits(raw: bytes, k: int) -> Bits:
-    return tuple((raw[i // 8] >> (i % 8)) & 1 for i in range(k))
+    # bit i of raw read as a little-endian integer is bit i % 8 of byte i // 8
+    return tuple(format(int.from_bytes(raw, "little"), f"0{8 * len(raw)}b")[::-1][:k]
+                 .encode("ascii").translate(_ASCII_BITS))
 
 
 def _report_bytes(text: str, k: int) -> bytes:
@@ -237,14 +246,11 @@ def _envelope_bytes(obj: Mapping, digest: str, k: int) -> bytes:
 
 def bloom_indices(value: str, params: RapporParams) -> tuple[int, ...]:
     """The h filter positions of a value, one per keyed hash function."""
-    out = []
-    for j in range(1, params.h + 1):
-        key = struct.pack("<QI", params.hash_seed & _MASK64, j)
-        digest = hashlib.blake2b(
-            value.encode("utf-8"), key=key, digest_size=8, person=b"privkit.bloom"
-        ).digest()
-        out.append(int.from_bytes(digest, "little") % params.k)
-    return tuple(out)
+    data = value.encode("utf-8")
+    hashers = [base.copy() for base in params._bloom_hashes]
+    for hasher in hashers:
+        hasher.update(data)
+    return tuple(int.from_bytes(hasher.digest(), "little") % params.k for hasher in hashers)
 
 
 def bloom_encode(
@@ -444,25 +450,34 @@ def count_report_lines(
     (lowercase hex, zero padding bits, with or without its newline) is read
     by slicing out its hex. Any other line must be a JSON envelope that
     ``Report.from_envelope`` accepts; the first line that is not raises,
-    ``ConfigError`` naming the line for bad JSON and ``ReportFormatError``
-    for a bad envelope.
+    ``ConfigError`` naming the line for bad JSON or for a character in
+    U+DC80-U+DCFF (an undecodable byte under ``surrogateescape``), and
+    ``ReportFormatError`` for a bad envelope.
     """
     k, digest = params.k, params.digest()
     head, tail = _envelope_template(params)
     start, end = len(head), len(head) + 2 * ((k + 7) // 8)
     canonical = re.compile(
-        re.escape(head) + _report_hex_pattern(k) + re.escape(tail) + r"\n?"
+        re.escape(head) + f"[0-9a-f]{{{end - start}}}" + re.escape(tail) + r"\n?"
     ).fullmatch
+    padding = k % 8  # bits of the last byte below k; 0 when it has no padding
     rows = _chunk_rows(k)
     counts = [0] * k
     n = 0
     chunk: list[str] = []
     for lineno, line in enumerate(lines, start=1):
-        if canonical(line):
+        # a line with padding bits set takes the JSON path, which rejects it
+        if canonical(line) and not (padding and int(line[end - 2 : end], 16) >> padding):
             chunk.append(line[start:end])
         elif not line.strip():
             continue
         else:
+            # U+DC80-U+DCFF: a byte that errors="surrogateescape" could not decode
+            if undecodable := re.search("[\udc80-\udcff]", line):
+                raise ConfigError(
+                    f"reports line {lineno}: byte 0x{ord(undecodable[0]) - 0xDC00:02x}"
+                    " is not valid UTF-8"
+                )
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -473,17 +488,6 @@ def count_report_lines(
             chunk = []
     n += _add_bit_counts(counts, chunk)
     return counts, n
-
-
-def _report_hex_pattern(k: int) -> str:
-    """Regex of the lowercase hex ``Report.to_hex`` writes for k bits: the
-    last byte holds k % 8 bits (all 8 when k % 8 == 0), the rest are zero."""
-    full, used = divmod(k, 8)
-    if not used:
-        return f"[0-9a-f]{{{2 * full}}}"
-    high = "0" if used <= 4 else f"[0-{(1 << (used - 4)) - 1}]"
-    low = f"[0-{(1 << used) - 1}]" if used < 4 else "[0-9a-f]"
-    return f"[0-9a-f]{{{2 * full}}}{high}{low}"
 
 
 def _add_bit_counts(counts: list[int], hex_reports: list[str]) -> int:
@@ -538,18 +542,22 @@ def simulate_reports(
     from a single seeded stream. The reports are those of ``make_report``
     applied client by client with ``random.Random(seed)``.
     """
+    k = params.k
+    stride = 8 * ((k + 7) // 8)  # bits per report, padding included
     return [
-        Report(tuple(bits))
-        for packed in simulate_packed(counts, params, seed)
-        for bits in _unpack_rows(packed, params.k).tolist()
+        Report(bits[i : i + k])
+        for chunk in simulate_packed(counts, params, seed)
+        for bits in [_unpack_bits(chunk, 8 * len(chunk))]
+        for i in range(0, len(bits), stride)
     ]
 
 
 def simulate_packed(
     counts: Mapping[str, int], params: RapporParams, seed: int
-) -> Iterator[np.ndarray]:
-    """The reports of ``simulate_reports`` as uint8 arrays of ceil(k/8)
-    bytes per row, laid out like ``Report.to_hex``, a chunk of rows at a time.
+) -> Iterator[bytes]:
+    """The reports of ``simulate_reports``, a chunk at a time: each chunk is
+    ceil(k/8) bytes per report, report after report, laid out like
+    ``Report.to_hex``.
 
     PRR uniforms come from the same keyed blocks as ``prr``. IRR uniforms
     come from a numpy generator handed the state of ``random.Random(seed)``,
@@ -576,28 +584,23 @@ def simulate_packed(
         perm = (uniforms < half_f) | ((uniforms >= params.f) & blooms[owner])
         draws = stream.random_sample((len(owner), k))
         report = draws < np.where(perm, params.q, params.p)
-        yield np.packbits(report, axis=1, bitorder="little")
+        yield np.packbits(report, axis=1, bitorder="little").tobytes()
 
 
-def envelope_lines(
-    packed_chunks: Iterable[np.ndarray], params: RapporParams
-) -> Iterator[bytes]:
-    """JSON lines of each chunk of packed reports: per report, the bytes of
+def envelope_lines(chunks: Iterable[bytes], params: RapporParams) -> Iterator[bytes]:
+    """JSON lines of each chunk of packed reports (as ``simulate_packed``
+    yields them): per report, the bytes of
     ``json.dumps(report.envelope(params), sort_keys=True)`` and a newline."""
-    import numpy as np
-
     head, tail = _envelope_template(params)
-    head, tail = (
-        np.frombuffer(part.encode("ascii"), dtype=np.uint8) for part in (head, tail + "\n")
-    )
-    for packed in packed_chunks:
-        n = len(packed)
-        hexed = np.frombuffer(packed.tobytes().hex().encode("ascii"), dtype=np.uint8)
-        yield np.hstack([
-            np.broadcast_to(head, (n, len(head))),
-            hexed.reshape(n, -1),
-            np.broadcast_to(tail, (n, len(tail))),
-        ]).tobytes()
+    width = (params.k + 7) // 8
+    for chunk in chunks:
+        if chunk:
+            # Hex holds no newline, so one marks where each report's hex ends.
+            # No local keeps the lines past the yield: they are freed before
+            # the client computes its next chunk, whose arrays set the peak.
+            yield (
+                head + chunk.hex("\n", width).replace("\n", tail + "\n" + head) + tail + "\n"
+            ).encode("ascii")
 
 
 def _envelope_template(params: RapporParams) -> tuple[str, str]:
@@ -612,11 +615,6 @@ def _envelope_template(params: RapporParams) -> tuple[str, str]:
 
 def _chunk_rows(k: int) -> int:
     return max(1, _CHUNK_BITS // k)
-
-
-def _unpack_rows(packed: np.ndarray, k: int) -> np.ndarray:
-    import numpy as np
-    return np.unpackbits(packed, axis=1, count=k, bitorder="little")
 
 
 def _numpy_stream(rng: random.Random) -> np.random.RandomState:

@@ -130,6 +130,10 @@ def secret_sum_transcript(
         raise ValueError(f"need at least 2 parties, got {n}")
     if not is_prime(modulus):
         raise BadModulus(f"{modulus} is not prime")
+    if modulus <= n:
+        # party p's point p is 0 mod p, where each polynomial evaluates to
+        # its vote; with more parties than p, two points also coincide
+        raise BadModulus(f"modulus {modulus} must exceed the number of parties {n}")
     if any(v < 0 or v >= modulus for v in votes):
         raise ValueError("votes must lie in [0, modulus)")
     if sum(votes) >= modulus:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import logging
 import os
 import random
 import sys
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from privkit import anonymize
 from privkit.cli import main
-from privkit.dataset import fixture_table1, write_csv
+from privkit.dataset import Schema, fixture_table1, write_csv
 from privkit.rappor import RapporParams
 
 PAPER_PARAMS = '{"k":12,"h":2,"f":0.5,"p":0.5,"q":0.75}'
@@ -139,7 +140,25 @@ def test_anonymize_pipeline(capsys, tmp_path, export_fixture):
     assert first_line == "*,40-49,Female,12*,Cancer"
 
 
-def test_anonymize_fail_fast_before_any_step(capsys, tmp_path, export_fixture):
+@pytest.mark.parametrize("bad_step,message", [
+    ({"op": "add_noise", "attribute": "Age", "deltas": {"-1": 0.5, "1": 0.5}}, "seed"),
+    ({"op": "add_noise", "attribute": "Gender", "deltas": {"-1": 0.5, "1": 0.5}, "seed": 3},
+     "'Gender' is not an integer attribute"),
+    ({"op": "rank_swap", "attribute": "Diagnosis", "p": 2, "seed": 4},
+     "'Diagnosis' is not an integer attribute"),
+    ({"op": "microaggregate_univariate", "attribute": "ZIP", "k": 2},
+     "'ZIP' is not an integer attribute"),
+    ({"op": "generalize", "rules": [
+        {"attribute": "Age", "strategy": "numeric_bins", "width": 10},
+        {"attribute": "ZIP", "strategy": "numeric_bins", "width": 10}]},
+     "NumericBins on text attribute 'ZIP'"),
+    ({"op": "generalize", "rules": [{"attribute": "Age", "strategy": "text_prefix", "keep": 1}]},
+     "TextPrefix on integer attribute 'Age'"),
+], ids=["no-seed", "add_noise-text", "rank_swap-text", "univariate-text",
+        "numeric_bins-text", "text_prefix-integer"])
+def test_anonymize_fail_fast_before_any_step(capsys, caplog, tmp_path, export_fixture,
+                                             bad_step, message):
+    caplog.set_level(logging.INFO, logger="privkit")
     csv_path, schema_path = export_fixture("table1")
     out_path = tmp_path / "never.csv"
     config = {
@@ -148,14 +167,26 @@ def test_anonymize_fail_fast_before_any_step(capsys, tmp_path, export_fixture):
         "output": str(out_path),
         "steps": [
             {"op": "suppress", "attributes": ["Name"]},
-            {"op": "add_noise", "attribute": "Age", "deltas": {"-1": 0.5, "1": 0.5}},
-        ],  # second step misses its seed: rejected before the first runs
+            {"op": "swap_values", "attribute": "Diagnosis", "n_swaps": 2, "seed": 5},
+            bad_step,
+        ],  # the last step is rejected before the first runs
     }
     cfg = tmp_path / "pipeline.json"
     cfg.write_text(json.dumps(config))
     code, _, err = run(capsys, "anonymize", "--config", str(cfg))
-    assert code == 2 and "seed" in err
+    assert code == 2 and message in err
     assert not out_path.exists()
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("step ")] == []
+
+
+def test_anonymize_reads_the_schema_once(capsys, monkeypatch, tmp_path, export_fixture):
+    calls = []
+    from_json = Schema.from_json.__func__
+    monkeypatch.setattr(Schema, "from_json",
+                        classmethod(lambda cls, text: calls.append(text) or from_json(cls, text)))
+    code, _, err, written = run_pipeline(capsys, tmp_path, export_fixture,
+                                         [{"op": "suppress", "attributes": ["Name"]}])
+    assert (code, written, len(calls)) == (0, True, 1), err
 
 
 def test_anonymize_no_partial_output_on_runtime_failure(capsys, tmp_path, export_fixture):
@@ -272,10 +303,15 @@ def test_anonymize_config_integer_fields_strict(capsys, tmp_path, export_fixture
     [with_field("add_noise", "deltas", {"-1": "0.5", "1": "0.5"})],
     [with_field("add_noise", "deltas", {"0": True})],
     [with_field("add_noise", "deltas", {"0": 10**400})],
+    [with_field("add_noise", "deltas", {"-1": 0.5, "1": 0.5, "01": 0.5})],
+    [with_field("add_noise", "deltas", {"-1": 0.5, "+1": 0.5})],
+    [with_field("add_noise", "deltas", {"-1": 0.5, " 1": 0.5})],
+    [with_field("add_noise", "deltas", {"-10": 0.5, "1_0": 0.5})],
     [with_field("suppress", "attributes", {"Name": 0})],
     [with_field("microaggregate_multivariate", "attributes", "Age")],
 ], ids=["steps-object", "step-int", "step-str", "step-array", "rule-int", "rules-object",
         "deltas-array", "deltas-str", "deltas-bool", "deltas-beyond-float",
+        "deltas-key-01", "deltas-key-plus", "deltas-key-space", "deltas-key-underscore",
         "attributes-object", "attributes-str"])
 def test_anonymize_config_shapes_strict(capsys, tmp_path, export_fixture, steps):
     # steps and rules are arrays of objects, deltas an object of numbers and
@@ -283,6 +319,16 @@ def test_anonymize_config_shapes_strict(capsys, tmp_path, export_fixture, steps)
     code, out, err, written = run_pipeline(capsys, tmp_path, export_fixture, steps)
     assert (code, out, written) == (2, "", False)
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0", "-0", "x", "1" * 5000],
+                         ids=["01", "plus", "space", "underscore", "minus-zero", "x", "5000-digits"])
+def test_anonymize_deltas_key_named(capsys, tmp_path, export_fixture, key):
+    # int() reads the first four as 1, 1, 1 and 10
+    steps = [with_field("add_noise", "deltas", {"-1": 0.5, key: 0.5})]
+    code, out, err, written = run_pipeline(capsys, tmp_path, export_fixture, steps)
+    assert (code, out, written) == (2, "", False)
+    assert err.startswith("error: step 0 (add_noise): deltas key ") and repr(key)[:20] in err
 
 
 @pytest.mark.parametrize("field", ["input", "schema", "output"])
@@ -435,6 +481,27 @@ def test_rappor_estimate_rejects_bad_lines(capsys, tmp_path, rappor_inputs):
         assert "Traceback" not in err and err.startswith("error: "), bad
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=repr)
+def test_rappor_estimate_names_line_of_undecodable_byte(capsys, tmp_path, rappor_inputs,
+                                                         ending):
+    dist, candidates = rappor_inputs
+    params = '{"k":16,"h":2,"f":0.5,"p":0.5,"q":0.75}'
+    reports = tmp_path / "reports.jsonl"
+    run_json(capsys, "rappor", "simulate", "--params", params, "--clients", "2000",
+             "--dist", str(dist), "--seed", "3", "--output", str(reports))
+    data = reports.read_bytes().replace(b"\n", ending.encode("ascii"))
+    estimate = ("rappor", "estimate", "--params", params, "--reports", str(reports),
+                "--candidates", str(candidates))
+    reports.write_bytes(data)
+    assert run_json(capsys, *estimate)["reports"] == 2000  # every line end is read
+    offset, width = 100_000, len(data.splitlines(keepends=True)[0])
+    assert offset % width  # inside a line, not at its start
+    reports.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+    code, out, err = run(capsys, *estimate)
+    assert (code, out) == (2, "")
+    assert err == f"error: reports line {offset // width + 1}: byte 0xff is not valid UTF-8\n"
+
+
 def test_rappor_estimate_rejects_non_string_candidate(capsys, tmp_path):
     digest = run_json(capsys, "rappor", "epsilon", "--params", PAPER_PARAMS)["params_digest"]
     reports = tmp_path / "reports.jsonl"
@@ -513,6 +580,13 @@ def test_smc_demo(capsys):
     assert len(out["shares"]) == 3
     again = run_json(capsys, "smc", "demo", "--votes", "1,1,0", "--seed", "7")
     assert out == again
+
+
+def test_smc_demo_rejects_modulus_not_above_party_count(capsys):
+    # modulus 3 with 3 parties: every share sent to party 3 would be a vote
+    code, out, err = run(capsys, "smc", "demo", "--votes", "1,0,1", "--modulus", "3",
+                         "--seed", "4")
+    assert (code, out) == (2, "") and "number of parties" in err
 
 
 def test_assoc_mine(capsys, tmp_path):

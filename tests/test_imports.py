@@ -101,3 +101,16 @@ def workdir(tmp_path, capsys):
 def test_cli_calls_load_numpy_only_when_used(workdir, argv, loads_numpy):
     setup = _RUN_MAIN.format(argv=argv)
     assert probe(setup, workdir) == {"result": 0, "numpy": loads_numpy}
+
+
+def test_report_lines_written_and_read_without_numpy(tmp_path):
+    setup = """\
+from privkit.rappor import RapporParams, count_report_lines, envelope_lines
+params = RapporParams(k=12, h=2, f=0.5, q=0.75, p=0.5)
+chunks = [bytes([0x02, 0x03, 0x04, 0x05]), b"", bytes([0x06, 0x07])]
+text = b"".join(envelope_lines(chunks, params)).decode("ascii")
+result = count_report_lines(text.splitlines(keepends=True), params)
+"""
+    reports = [b"\x02\x03", b"\x04\x05", b"\x06\x07"]
+    counts = [sum((r[i // 8] >> (i % 8)) & 1 for r in reports) for i in range(12)]
+    assert probe(setup, tmp_path) == {"result": [counts, 3], "numpy": False}

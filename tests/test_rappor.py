@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 import struct
 from collections import Counter
@@ -126,6 +128,14 @@ def test_digest_computed_once_per_params(monkeypatch):
     assert calls == []
 
 
+def test_params_copy_and_pickle_after_bloom_use():
+    params = RapporParams(k=12, h=2, f=0.5, q=0.75, p=0.5, hash_seed=2**64 - 1)
+    indices = bloom_indices("v", params)  # builds the cached hash states
+    for copied in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params), copy.copy(params)):
+        assert copied == params and copied.digest() == params.digest()
+        assert bloom_indices("v", copied) == indices
+
+
 # --- bloom filter -------------------------------------------------------------
 
 def test_bloom_golden_indices():
@@ -248,6 +258,31 @@ def test_hasher_copies_equal_constructor_form(seed, index, value, k, hash_seed, 
     params = RapporParams(k=k, h=1, f=0.5, q=0.75, p=0.5, hash_seed=hash_seed)
     for key, blocks in ((derived, rappor._prr_messages(value, params)), (secret, messages)):
         assert rappor._prr_blocks(key, blocks) == constructor_prr_blocks(key, blocks)
+
+
+def constructor_bloom_indices(value, params):
+    """bloom_indices with a keyed BLAKE2b built from keyword arguments per hash."""
+    return tuple(
+        int.from_bytes(hashlib.blake2b(value.encode("utf-8"),
+                                       key=struct.pack("<QI", params.hash_seed, j),
+                                       digest_size=8, person=b"privkit.bloom").digest(),
+                       "little") % params.k
+        for j in range(1, params.h + 1)
+    )
+
+
+@given(
+    values=st.lists(st.text(max_size=12), min_size=1, max_size=4),
+    h=st.integers(1, 8),
+    extra_k=st.integers(0, 600),
+    hash_seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_bloom_indices_equal_constructor_form(values, h, extra_k, hash_seed):
+    params = RapporParams(k=h + extra_k, h=h, f=0.5, q=0.75, p=0.5, hash_seed=hash_seed)
+    # twice over, so that hashing one value cannot change the next one's indices
+    for value in values + values:
+        assert bloom_indices(value, params) == constructor_bloom_indices(value, params)
 
 
 # --- instantaneous randomized response ------------------------------------------

@@ -44,7 +44,7 @@ def count_envelopes(envelopes, params):
     envelopes = iter(envelopes)
     while chunk := [rappor._envelope_bytes(e, digest, k) for e in islice(envelopes, rows)]:
         packed = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(len(chunk), -1)
-        counts += rappor._unpack_rows(packed, k).sum(axis=0, dtype=np.int64)
+        counts += np.unpackbits(packed, axis=1, count=k, bitorder="little").sum(axis=0, dtype=np.int64)
         n += len(chunk)
     return counts.tolist(), n
 
@@ -150,7 +150,8 @@ def test_written_lines_read_without_json(k, monkeypatch):
     rng = np.random.default_rng(k)
     bits = rng.integers(0, 2, size=(300, k), dtype=np.uint8)
     packed = np.packbits(bits, axis=1, bitorder="little")
-    text = b"".join(envelope_lines([packed[:100], packed[100:]], params)).decode("ascii")
+    chunks = [packed[:100].tobytes(), packed[100:].tobytes()]
+    text = b"".join(envelope_lines(chunks, params)).decode("ascii")
     calls = []
     monkeypatch.setattr(rappor.json, "loads", lambda s, **kw: calls.append(s))
     counts, n = count_report_lines(io.StringIO(text), params)

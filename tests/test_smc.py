@@ -154,6 +154,28 @@ def test_modulus_validation():
         run_secret_sum([-1, 2], 7, random.Random(0))
 
 
+class NoDraws(random.Random):
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("a share was drawn")
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_modulus_must_exceed_the_party_count(n):
+    # with p <= n, party p's point is 0 mod p: every share sent there is a vote
+    for p in (q for q in range(2, n + 1) if is_prime(q)):
+        with pytest.raises(BadModulus, match="number of parties"):
+            secret_sum_transcript([0] * n, p, NoDraws())
+
+
+def test_point_zero_mod_p_evaluates_to_the_constant_term():
+    rng = random.Random(8)
+    for p in (2, 3, 5, 7, 2**31 - 1):
+        for _ in range(50):
+            coeffs = [rng.randrange(p) for _ in range(rng.randrange(1, 8))]
+            for x in (p, 2 * p, 5 * p):
+                assert evaluate(coeffs, x, p) == coeffs[0]
+
+
 def test_share_distribution_independent_of_secret():
     # exhaustive at P=7, n=3: over all coefficient choices, any single
     # outgoing share is uniform on the field and identical for secrets 0 and 1
