@@ -4,7 +4,8 @@ Structured JSON goes to stdout, human-readable logs to stderr. Exit codes:
 0 success, 1 usage error, 2 data/validation error. Every randomized
 subcommand takes an explicit ``--seed``, so identical invocations produce
 byte-identical output. Output files are written to a temp file and renamed,
-never left half-written.
+never left half-written; an output that is not a regular file, such as a
+FIFO, is written in place.
 """
 
 from __future__ import annotations
@@ -62,7 +63,15 @@ def _emit(result: dict) -> None:
 
 
 def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write ``chunks`` to a temp file and rename it over ``path``. A symlink
+    is followed, so the link stays and its target is replaced; an existing
+    output that is not a regular file (a FIFO, a device) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".privkit-")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -224,32 +233,32 @@ def _compile_step(step, schema: Schema, stepno: int) -> Callable[[Dataset], Data
             n_swaps = _int_field(step, "n_swaps")
             schema.index(name)
             if n_swaps < 0:
-                raise ConfigError(f"step {stepno}: n_swaps must be >= 0")
+                raise ConfigError("n_swaps must be >= 0")
             return lambda d: anon.swap_values(d, name, n_swaps, random.Random(seed))
         if op == "rank_swap":
             name, p, seed = step["attribute"], _int_field(step, "p"), _int_field(step, "seed")
             anon.check_integer_attribute(schema, name)
             if p < 1:
-                raise ConfigError(f"step {stepno}: p must be >= 1")
+                raise ConfigError("p must be >= 1")
             return lambda d: anon.rank_swap(d, name, p, random.Random(seed))
         if op == "microaggregate_univariate":
             name, k = step["attribute"], _int_field(step, "k")
             anon.check_integer_attribute(schema, name)
             if k < 2:
-                raise ConfigError(f"step {stepno}: k must be >= 2")
+                raise ConfigError("k must be >= 2")
             return lambda d: anon.microaggregate_univariate(d, name, k)
         if op == "microaggregate_multivariate":
             names, k = _names_field(step), _int_field(step, "k")
             for n in names:
                 schema.index(n)
             if k < 2:
-                raise ConfigError(f"step {stepno}: k must be >= 2")
+                raise ConfigError("k must be >= 2")
             return lambda d: anon.microaggregate_multivariate(d, names, k)
+        raise ConfigError(f"unknown op {op!r}")
     except KeyError as exc:
         raise ConfigError(f"step {stepno} ({op}): missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (PrivkitError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"step {stepno} ({op}): {exc}") from exc
-    raise ConfigError(f"step {stepno}: unknown op {op!r}")
 
 
 def _cmd_anonymize(args) -> dict:

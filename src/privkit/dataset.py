@@ -244,13 +244,22 @@ def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
     Rejects the whole file on the first malformed row; no partial dataset is
     ever returned. Data rows count from 1, after the header; a row the
     ``csv`` module cannot split (say, a bare carriage return in an unquoted
-    field) is a ParseError naming that row.
+    field) is a ParseError naming that row, and a byte that is not valid
+    UTF-8 is one naming its line.
     """
     if isinstance(source, bytes):
         data = source
     else:
         data = source.read()
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]  # lines end at \n, \r\n or a lone \r
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ParseError(
+            f"line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8"
+        ) from exc
+    reader = csv.reader(io.StringIO(text))
     header, rownum = None, 0  # rownum: the last data row read
     try:
         header = next(reader, None)

@@ -26,24 +26,29 @@ class MechanismDistribution:
     """Exact distribution over all 2^k outcome bit patterns.
 
     Outcome ``o`` is the integer whose bit i equals output bit i. Stored as
-    log-probabilities; exactly-zero mass is -inf.
+    a tuple of log-probabilities; exactly-zero mass is -inf. NaN and +inf
+    are rejected, and so is a total other than 1.
     """
 
-    def __init__(self, k: int, log_probs: np.ndarray):
-        if k < 0 or log_probs.shape != (1 << k,):
-            raise SpaceMismatch(
-                f"log_probs has shape {log_probs.shape}, expected ({1 << k},)"
-            )
-        total = _logsumexp(log_probs)
-        if abs(math.expm1(total)) > 1e-9:
-            raise ValueError(f"probabilities sum to {math.exp(total)}, not 1")
+    def __init__(self, k: int, log_probs: Sequence[float]):
+        log_probs = tuple(map(float, log_probs))
+        if k < 0 or len(log_probs) != 1 << k:
+            raise SpaceMismatch(f"log_probs has {len(log_probs)} entries, expected 2^{k}")
+        if not all(x < math.inf for x in log_probs):  # NaN < inf is False too
+            raise ValueError("log-probabilities must be finite or -inf")
+        m = max(log_probs)
+        if m == -math.inf:
+            total = -math.inf
+        else:
+            total = m + math.log(math.fsum(math.exp(x - m) for x in log_probs))
+        # total > 1 first: expm1 overflows above about 709
+        if total > 1.0 or abs(math.expm1(total)) > 1e-9:
+            raise ValueError(f"probabilities sum to exp({total}), not 1")
         self.k = k
         self.log_probs = log_probs
-        self.log_probs.setflags(write=False)
 
     def prob(self, outcome: int) -> float:
-        import numpy as np
-        return float(np.exp(self.log_probs[outcome]))
+        return math.exp(self.log_probs[outcome])
 
     def as_dict(self) -> dict[int, float]:
         return {o: self.prob(o) for o in range(1 << self.k)}
@@ -56,14 +61,11 @@ class MechanismDistribution:
             raise FilterTooLarge(
                 f"{k} bits exceed the exact enumeration cap of {ENUMERATION_CAP}"
             )
-        import numpy as np
-
-        log_probs = np.zeros(1)
-        with np.errstate(divide="ignore"):
-            for p in p_one:
-                lo = np.log(1.0 - p) if p < 1.0 else -np.inf
-                hi = np.log(p) if p > 0.0 else -np.inf
-                log_probs = np.concatenate([log_probs + lo, log_probs + hi])
+        log_probs = [0.0]
+        for p in p_one:
+            lo = math.log(1.0 - p) if p < 1.0 else -math.inf
+            hi = math.log(p) if p > 0.0 else -math.inf
+            log_probs = [x + lo for x in log_probs] + [x + hi for x in log_probs]
         return cls(k, log_probs)
 
 
@@ -102,17 +104,11 @@ def exact_epsilon(
     """
     if d1.k != d2.k:
         raise SpaceMismatch(f"outcome spaces differ: k={d1.k} vs k={d2.k}")
-    import numpy as np
-
-    l1, l2 = d1.log_probs, d2.log_probs
-    zero1 = np.isneginf(l1)
-    zero2 = np.isneginf(l2)
-    if np.any(zero1 != zero2):
-        return math.inf
-    live = ~zero1
-    if not np.any(live):
-        return 0.0
-    return float(np.max(np.abs(l1[live] - l2[live])))
+    # Skipping equal pairs skips zero mass on both sides (-inf - -inf is NaN);
+    # zero mass on one side gives abs(-inf - x) = inf.
+    return max(
+        (abs(a - b) for a, b in zip(d1.log_probs, d2.log_probs) if a != b), default=0.0
+    )
 
 
 def _check_size(bloom: BloomFilter, params: RapporParams) -> None:
@@ -125,11 +121,3 @@ def _check_size(bloom: BloomFilter, params: RapporParams) -> None:
             f"k={params.k} exceeds the exact enumeration cap of {ENUMERATION_CAP}"
         )
 
-
-def _logsumexp(log_probs: np.ndarray) -> float:
-    import numpy as np
-
-    m = np.max(log_probs)
-    if np.isneginf(m):
-        return -math.inf
-    return float(m + np.log(np.sum(np.exp(log_probs - m))))

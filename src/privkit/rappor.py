@@ -571,7 +571,9 @@ def simulate_packed(
     messages = [_prr_messages(v, params) for v in values]
     owners = np.repeat(np.arange(len(values)), [counts[v] for v in values])
     half_f = params.f / 2.0
-    stream = _numpy_stream(random.Random(seed))
+    _, internal, _ = random.Random(seed).getstate()
+    stream = np.random.RandomState()
+    stream.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
     rows = _chunk_rows(k)
     for start in range(0, len(owners), rows):
         owner = owners[start : start + rows]
@@ -616,12 +618,3 @@ def _envelope_template(params: RapporParams) -> tuple[str, str]:
 def _chunk_rows(k: int) -> int:
     return max(1, _CHUNK_BITS // k)
 
-
-def _numpy_stream(rng: random.Random) -> np.random.RandomState:
-    """A numpy Mersenne Twister continuing ``rng``'s stream where it stands."""
-    import numpy as np
-
-    _, internal, _ = rng.getstate()
-    stream = np.random.RandomState()
-    stream.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
-    return stream

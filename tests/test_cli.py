@@ -4,7 +4,9 @@ import json
 import logging
 import os
 import random
+import stat
 import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -141,7 +143,8 @@ def test_anonymize_pipeline(capsys, tmp_path, export_fixture):
 
 
 @pytest.mark.parametrize("bad_step,message", [
-    ({"op": "add_noise", "attribute": "Age", "deltas": {"-1": 0.5, "1": 0.5}}, "seed"),
+    ({"op": "add_noise", "attribute": "Age", "deltas": {"-1": 0.5, "1": 0.5}},
+     "randomized op 'add_noise' requires a seed"),
     ({"op": "add_noise", "attribute": "Gender", "deltas": {"-1": 0.5, "1": 0.5}, "seed": 3},
      "'Gender' is not an integer attribute"),
     ({"op": "rank_swap", "attribute": "Diagnosis", "p": 2, "seed": 4},
@@ -154,8 +157,12 @@ def test_anonymize_pipeline(capsys, tmp_path, export_fixture):
      "NumericBins on text attribute 'ZIP'"),
     ({"op": "generalize", "rules": [{"attribute": "Age", "strategy": "text_prefix", "keep": 1}]},
      "TextPrefix on integer attribute 'Age'"),
+    ({"op": "add_noise", "attribute": "Age", "deltas": {"1": 1.0}, "seed": 3},
+     "expected delta is 1.0, must be 0"),
+    ({"op": "swap_values", "attribute": "Weight", "n_swaps": 1, "seed": 5},
+     "no attribute named 'Weight'"),
 ], ids=["no-seed", "add_noise-text", "rank_swap-text", "univariate-text",
-        "numeric_bins-text", "text_prefix-integer"])
+        "numeric_bins-text", "text_prefix-integer", "invalid-spec", "unknown-attribute"])
 def test_anonymize_fail_fast_before_any_step(capsys, caplog, tmp_path, export_fixture,
                                              bad_step, message):
     caplog.set_level(logging.INFO, logger="privkit")
@@ -174,7 +181,7 @@ def test_anonymize_fail_fast_before_any_step(capsys, caplog, tmp_path, export_fi
     cfg = tmp_path / "pipeline.json"
     cfg.write_text(json.dumps(config))
     code, _, err = run(capsys, "anonymize", "--config", str(cfg))
-    assert code == 2 and message in err
+    assert code == 2 and err == f"error: step 2 ({bad_step['op']}): {message}\n"
     assert not out_path.exists()
     assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("step ")] == []
 
@@ -788,6 +795,17 @@ def test_metrics_names_the_cell_of_an_oversized_integer(capsys, export_fixture):
     assert "row 1, column 'Age'" in err
 
 
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=repr)
+def test_metrics_names_line_of_undecodable_byte(capsys, export_fixture, ending):
+    csv_path, schema_path = export_fixture("table1")
+    data = csv_path.read_bytes().replace(b"\n", ending)
+    csv_path.write_bytes(data.replace(b"Smith", b"Sm\xffth"))  # John Smith: line 3
+    code, out, err = run(capsys, "metrics", "--input", str(csv_path),
+                         "--schema", str(schema_path), "--qi", "Age")
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: byte 0xff is not valid UTF-8\n"
+
+
 @pytest.mark.parametrize("cell", [b'"44\n"', b'"40-49\n"'])
 def test_metrics_rejects_integer_cell_with_final_newline(capsys, export_fixture, cell):
     csv_path, schema_path = export_fixture("table1")
@@ -812,6 +830,43 @@ def test_assoc_mine_from_dataset_csv(capsys, export_fixture):
     } in out["rules"]
     code, _, _ = run(capsys, "assoc", "mine", "--input-csv", str(csv_path))
     assert code == 1  # --schema is mandatory with --input-csv
+
+
+def test_output_through_symlink_replaces_its_target(capsys, tmp_path):
+    target = tmp_path / "data" / "table1.csv"
+    target.parent.mkdir()
+    target.write_bytes(b"stale")
+    link = tmp_path / "link.csv"
+    link.symlink_to(os.path.join("data", "table1.csv"))
+    run_json(capsys, "fixtures", "export", "--name", "table1", "--output", str(link))
+    assert os.readlink(link) == os.path.join("data", "table1.csv")
+    assert target.read_bytes() == write_csv(fixture_table1())
+    assert sorted(os.listdir(target.parent)) == ["table1.csv"]
+
+
+def test_output_to_fifo_is_written_in_place(capsys, tmp_path, rappor_inputs):
+    dist, _ = rappor_inputs
+    simulate = ("rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "3000",
+                "--dist", str(dist), "--seed", "5", "--output")
+    run_json(capsys, *simulate, str(tmp_path / "reports.jsonl"))
+    expected = (tmp_path / "reports.jsonl").read_bytes()
+    assert len(expected) > 1 << 16  # more than a pipe holds: the reader must drain it
+    fifo = tmp_path / "reports.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def drain():  # open blocks until the writer opens; read ends when it closes
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    # a daemon, so a writer that never opens the FIFO fails the test, not the run
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    run_json(capsys, *simulate, str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert received == [expected]
 
 
 def test_log_level_env(capsys, monkeypatch):

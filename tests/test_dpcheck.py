@@ -1,7 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from privkit.dpcheck import (
     ENUMERATION_CAP,
@@ -140,3 +142,103 @@ def test_distribution_validates_total():
 def test_distribution_probabilities_sum_to_one():
     dist = report_distribution(BloomFilter.from_indices(6, [0, 3]), params_with(6))
     assert sum(dist.as_dict().values()) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("log_probs", [
+    [math.nan, math.nan], [math.nan, 0.0], [math.inf, -math.inf], [1000.0, 1000.0],
+], ids=repr)
+def test_distribution_rejects_bad_log_probabilities(log_probs):
+    with pytest.raises(ValueError):
+        MechanismDistribution(1, np.array(log_probs))
+
+
+probabilities = st.floats(min_value=0.0, max_value=1.0)
+
+
+def bit_term(p, bit):
+    if bit:
+        return math.log(p) if p > 0.0 else -math.inf
+    return math.log(1.0 - p) if p < 1.0 else -math.inf
+
+
+@given(st.lists(probabilities, max_size=6))
+def test_log_probs_fold_bit_terms_in_bit_order(p_one):
+    dist = MechanismDistribution.product_of_bits(p_one)
+    assert isinstance(dist.log_probs, tuple)
+    for outcome, log_prob in enumerate(dist.log_probs):
+        folded = 0.0
+        for i, p in enumerate(p_one):
+            folded += bit_term(p, outcome >> i & 1)
+        assert log_prob.hex() == folded.hex()
+
+
+# P(bit = 1) on a grid of sixteenths: two different values differ in log by at
+# least ln(15/14), so rounding in the sums stays far below 1e-12 of epsilon
+grid = st.sampled_from([i / 16 for i in range(17)])
+
+
+def decimal_epsilon(pairs):
+    """max(sum_i max_b d_i(b), -sum_i min_b d_i(b)) to 60 digits, where
+    d_i(b) = ln P1(bit i = b) - ln P2(bit i = b); infinite where exactly one
+    side gives a bit value zero mass."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        top = bottom = Decimal(0)
+        for p1, p2 in pairs:
+            d = []
+            for q1, q2 in ((Decimal(p1), Decimal(p2)), (1 - Decimal(p1), 1 - Decimal(p2))):
+                if (q1 == 0) != (q2 == 0):
+                    return Decimal("Infinity")
+                if q1:
+                    d.append(q1.ln() - q2.ln())
+            top += max(d)
+            bottom += min(d)
+        return max(top, -bottom)
+
+
+@given(st.lists(st.tuples(grid, grid), max_size=8))
+def test_exact_epsilon_matches_decimal_sum_of_bit_extremes(pairs):
+    eps = exact_epsilon(MechanismDistribution.product_of_bits([p for p, _ in pairs]),
+                        MechanismDistribution.product_of_bits([p for _, p in pairs]))
+    expected = decimal_epsilon(pairs)
+    if expected.is_infinite() or expected == 0:
+        assert eps == expected
+    else:
+        assert abs(Decimal(eps) - expected) <= Decimal("1e-12") * expected
+
+
+def numpy_product_of_bits(p_one):
+    """The numpy enumeration this module used to run, verbatim."""
+    log_probs = np.zeros(1)
+    with np.errstate(divide="ignore"):
+        for p in p_one:
+            lo = np.log(1.0 - p) if p < 1.0 else -np.inf
+            hi = np.log(p) if p > 0.0 else -np.inf
+            log_probs = np.concatenate([log_probs + lo, log_probs + hi])
+    return log_probs
+
+
+def numpy_exact_epsilon(l1, l2):
+    """The numpy epsilon this module used to compute, verbatim."""
+    zero1 = np.isneginf(l1)
+    zero2 = np.isneginf(l2)
+    if np.any(zero1 != zero2):
+        return math.inf
+    live = ~zero1
+    if not np.any(live):
+        return 0.0
+    return float(np.max(np.abs(l1[live] - l2[live])))
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda k: st.tuples(st.lists(probabilities, min_size=k, max_size=k),
+                        st.lists(probabilities, min_size=k, max_size=k))))
+def test_bit_identical_to_numpy_where_logs_agree(p_ones):
+    # numpy's vectorized log may differ from math.log in the last bit
+    assume(all(np.log(x) == math.log(x)
+               for p in p_ones[0] + p_ones[1] for x in (p, 1.0 - p) if x > 0.0))
+    d1, d2 = map(MechanismDistribution.product_of_bits, p_ones)
+    l1, l2 = map(numpy_product_of_bits, p_ones)
+    assert [x.hex() for x in d1.log_probs] == [float(x).hex() for x in l1]
+    assert [x.hex() for x in d2.log_probs] == [float(x).hex() for x in l2]
+    assert exact_epsilon(d1, d2).hex() == numpy_exact_epsilon(l1, l2).hex()

@@ -90,13 +90,15 @@ def workdir(tmp_path, capsys):
       "--min-certainty", "0.5", "--max-itemset", "2"], False),
     (["smc", "demo", "--votes", "1,1,0", "--seed", "7",
       "--modulus", str(2**127 - 1)], False),
+    (["dpcheck", "--mode=prr", "--params", PAPER_PARAMS,
+      "--bits1", "0,1", "--bits2", "2,3"], False),
+    (["dpcheck", "--mode=report", "--params", PAPER_PARAMS,
+      "--bits1", "0,1", "--bits2", "2,3"], False),
     # the calls that compute with numpy do load it, so the probe can see it
     (["smc", "demo", "--votes", "1,1,0", "--seed", "7"], True),
     (["rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "40", "--dist",
       "dist.json", "--seed", "3", "--output", "again.jsonl"], True),
     (["anonymize", "--config", "mdav.json"], True),
-    (["dpcheck", "--params", PAPER_PARAMS, "--mode", "report",
-      "--bits1", "0,1", "--bits2", "2,3"], True),
 ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else str(v))
 def test_cli_calls_load_numpy_only_when_used(workdir, argv, loads_numpy):
     setup = _RUN_MAIN.format(argv=argv)
