@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from .dataset import (
@@ -353,9 +352,7 @@ def aggregate_groups(
             continue
         column = list(_integer_column(out, name))
         for g in group_list:
-            mean = _round_half_away(
-                Fraction(sum(column[i] for i in g), len(g))
-            )
+            mean = _round_half_away(sum(column[i] for i in g), len(g))
             for i in g:
                 column[i] = mean
         out = out.replace_column(name, column)
@@ -512,8 +509,8 @@ def _integer_column(dataset: Dataset, attribute: str) -> tuple[int, ...]:
     return column  # type: ignore[return-value]
 
 
-def _round_half_away(x: Fraction) -> int:
-    """Round to the nearest integer, halves away from zero."""
-    if x < 0:
-        return -_round_half_away(-x)
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+def _round_half_away(total: int, count: int) -> int:
+    """total / count (count > 0) rounded to the nearest integer, halves
+    away from zero, in exact integer arithmetic."""
+    mean = (2 * abs(total) + count) // (2 * count)
+    return -mean if total < 0 else mean

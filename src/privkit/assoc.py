@@ -1,5 +1,9 @@
 """Support / certainty rule mining over transaction sets.
 
+Frequent itemsets are searched depth-first over per-item transaction
+bitmaps (Eclat's vertical layout): an itemset's support count is the
+popcount of the AND of its items' bitmaps.
+
 Support counts are integers and every threshold comparison is done by
 integer cross-multiplication, so rules sitting exactly on a threshold are
 classified without floating-point wobble. The float ``support`` and
@@ -121,10 +125,13 @@ def solid_rules(
     """All rules A -> B meeting both thresholds, from itemsets of at most
     max_itemset items.
 
-    Frequent itemsets are enumerated levelwise (candidates are joins of
-    frequent sets, pruned by support anti-monotonicity), then every disjoint
-    split of each frequent itemset is scored. Rules are ordered by certainty
-    descending, then support descending, then lexicographically.
+    Frequent itemsets are found depth-first (Eclat): each frequent itemset
+    is grown by the items of its frequent siblings that follow it in sorted
+    order. So a k-itemset is counted when its two (k-1)-subsets sharing the
+    first k-2 items are frequent, Apriori's join condition; its other
+    subsets are not checked first. Every disjoint split of each frequent
+    itemset is then scored. Rules are ordered by certainty descending, then
+    support descending, then lexicographically.
     """
     if not 0.0 < min_support <= 1.0 or not 0.0 < min_certainty <= 1.0:
         raise BadThreshold(
@@ -145,30 +152,26 @@ def solid_rules(
         return count * sup_thr.denominator >= sup_thr.numerator * n
 
     counts: dict[ItemSet, int] = {}
-    level = [
-        frozenset({item})
+
+    def grow(itemset: ItemSet, extensions: list[str]) -> None:
+        # extensions: the sorted items whose addition kept itemset frequent
+        for i, item in enumerate(extensions):
+            node = itemset | {item}
+            if len(node) < max_itemset:
+                grow(node, [
+                    other
+                    for other in extensions[i + 1 :]
+                    if _count_and_keep(transactions, node | {other}, counts, frequent)
+                ])
+
+    grow(frozenset(), [
+        item
         for item in sorted(transactions.items)
-    ]
-    level = [c for c in level if _count_and_keep(transactions, c, counts, frequent)]
-    all_frequent = list(level)
-    size = 1
-    while level and size < max_itemset:
-        size += 1
-        candidates = _join_candidates(level, size)
-        prev = set(level)
-        level = []
-        for cand in candidates:
-            if any(cand - {item} not in prev for item in cand):
-                continue  # a subset is infrequent, so cand cannot be frequent
-            if _count_and_keep(transactions, cand, counts, frequent):
-                level.append(cand)
-        all_frequent.extend(level)
+        if _count_and_keep(transactions, frozenset({item}), counts, frequent)
+    ])
 
     rules = []
-    for itemset in all_frequent:
-        if len(itemset) < 2:
-            continue
-        whole = counts[itemset]
+    for itemset, whole in counts.items():
         for r in range(1, len(itemset)):
             for antecedent in combinations(sorted(itemset), r):
                 a = frozenset(antecedent)
@@ -201,22 +204,6 @@ def _count_and_keep(transactions, itemset, counts, frequent) -> bool:
         counts[itemset] = c
         return True
     return False
-
-
-def _join_candidates(level: list[ItemSet], size: int) -> list[ItemSet]:
-    """Join frequent (size-1)-itemsets sharing a (size-2)-prefix."""
-    ordered = sorted(tuple(sorted(s)) for s in level)
-    out = []
-    seen = set()
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if a[:-1] != b[:-1]:
-                break
-            cand = frozenset(a) | frozenset(b)
-            if len(cand) == size and cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-    return out
 
 
 def transactions_from_dataset(

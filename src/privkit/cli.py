@@ -394,15 +394,14 @@ def _cmd_dpcheck(args) -> dict:
     params = _params_from_arg(args.params)
     b1 = rappor.BloomFilter.from_indices(params.k, _comma_ints(args.bits1))
     b2 = rappor.BloomFilter.from_indices(params.k, _comma_ints(args.bits2))
-    if args.mode == "prr":
-        d1, d2 = dpcheck.prr_distribution(b1, params), dpcheck.prr_distribution(b2, params)
-    else:
-        d1, d2 = dpcheck.report_distribution(b1, params), dpcheck.report_distribution(b2, params)
+    # Built per call, not at module level, so patched module attributes are used.
+    distribution, closed_form = {
+        "prr": (dpcheck.prr_distribution, rappor.epsilon_infinity),
+        "report": (dpcheck.report_distribution, rappor.epsilon_one),
+    }[args.mode]
+    d1, d2 = distribution(b1, params), distribution(b2, params)
     try:
-        if args.mode == "prr":
-            closed = rappor.epsilon_infinity(params)
-        else:
-            closed = rappor.epsilon_one(params)
+        closed = closed_form(params)
     except DomainError:
         closed = None
     exact = dpcheck.exact_epsilon(d1, d2)

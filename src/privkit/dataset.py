@@ -241,11 +241,13 @@ class Dataset:
 def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
     """Parse UTF-8 CSV whose header matches the schema names in order.
 
-    Rejects the whole file on the first malformed row; no partial dataset is
-    ever returned. Data rows count from 1, after the header; a row the
-    ``csv`` module cannot split (say, a bare carriage return in an unquoted
-    field) is a ParseError naming that row, and a byte that is not valid
-    UTF-8 is one naming its line.
+    Lines may end in LF, CRLF or a lone CR. A line end inside a quoted
+    field is kept in the cell; a bare CR in an unquoted field ends the
+    row. Rejects the whole file on the first malformed row; no
+    partial dataset is ever returned. Data rows count from 1, after the
+    header; a row the ``csv`` module cannot split (say, a field over its
+    size limit) is a ParseError naming that row, and a byte that is not
+    valid UTF-8 is one naming its line.
     """
     if isinstance(source, bytes):
         data = source
@@ -259,7 +261,7 @@ def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
         raise ParseError(
             f"line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8"
         ) from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     header, rownum = None, 0  # rownum: the last data row read
     try:
         header = next(reader, None)

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all privkit modules.
 
-Every error raised by the library derives from PrivkitError, so callers
-(including the CLI) can distinguish data/validation failures from bugs.
+Most validation errors raised by the library derive from PrivkitError.
+Some range checks in ``anonymize``, ``dataset``, ``dpcheck`` and ``smc``
+raise a plain ValueError instead, so callers (including the CLI) that
+separate data/validation failures from bugs catch both.
 """
 
 

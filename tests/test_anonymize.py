@@ -1,7 +1,9 @@
 import functools
+import math
 import operator
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -432,6 +434,29 @@ def test_aggregate_groups_published_grouping():
         fixture_table1(), ["Age"], [[0, 6, 4], [7, 9], [1, 8, 5], [2, 3]]
     )
     assert out.column("Age") == (44, 23, 37, 37, 44, 23, 44, 24, 23, 24)
+
+
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=8).flatmap(
+        lambda sizes: st.tuples(
+            st.just(sizes),
+            st.lists(st.integers(-3, 3) | st.integers(-10**30, 10**30),
+                     min_size=sum(sizes), max_size=sum(sizes)),
+        )
+    )
+)
+@example(([2, 2, 2, 4], [-1, -2, 1, 2, -1, 0, -3, 1, 1, 1]))  # -1.5, 1.5, -0.5, 0
+@settings(max_examples=300, deadline=None)
+def test_aggregate_groups_rounds_halves_away_from_zero(case):
+    sizes, ages = case
+    starts = [sum(sizes[:g]) for g in range(len(sizes))]
+    groups = [range(start, start + size) for start, size in zip(starts, sizes)]
+    out = aggregate_groups(ages_dataset(ages), ["Age"], groups)
+    for g in groups:
+        mean = Fraction(sum(ages[i] for i in g), len(g))
+        away = math.floor(abs(mean) + Fraction(1, 2))
+        rounded = -away if mean < 0 else away
+        assert all(out.column("Age")[i] == rounded for i in g)
 
 
 def test_aggregate_groups_requires_partition():

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privkit import assoc
 from privkit.assoc import (
     Rule,
     TransactionSet,
@@ -23,8 +24,9 @@ from privkit.errors import (
 )
 
 
-def brute_force_rules(transactions, min_support, min_certainty):
-    """Oracle: enumerate the full powerset and every disjoint split directly."""
+def brute_force_rules(transactions, min_support, min_certainty, max_size=None):
+    """Oracle: enumerate the powerset, up to max_size items when given, and
+    every disjoint split directly."""
     items = sorted(transactions.items)
     n = len(transactions)
     sup_thr = Fraction(min_support)
@@ -34,7 +36,7 @@ def brute_force_rules(transactions, min_support, min_certainty):
         return sum(1 for t in transactions.transactions if itemset <= t)
 
     found = set()
-    for size in range(2, len(items) + 1):
+    for size in range(2, min(len(items), max_size or len(items)) + 1):
         for combo in combinations(items, size):
             whole = frozenset(combo)
             c_whole = count(whole)
@@ -49,11 +51,11 @@ def brute_force_rules(transactions, min_support, min_certainty):
     return found
 
 
-def random_instance(rng):
+def random_instance(rng, inclusion=0.4):
     universe = [f"i{j}" for j in range(rng.randrange(3, 11))]
     n = rng.randrange(1, 31)
     txs = [
-        {item for item in universe if rng.random() < 0.4} for _ in range(n)
+        {item for item in universe if rng.random() < inclusion} for _ in range(n)
     ]
     return TransactionSet.from_iterables(txs, universe)
 
@@ -162,15 +164,45 @@ def test_rule_ordering():
     assert keys == sorted(keys)
 
 
-def test_matches_brute_force_on_random_instances():
+# Caps below the deepest frequent itemset, and sparse instances where some
+# candidates have an infrequent subset that the search does not check first.
+@pytest.mark.parametrize("max_itemset", [2, 3, None], ids=["max2", "max3", "full"])
+@pytest.mark.parametrize("inclusion,min_support", [(0.4, 0.35), (0.15, 0.1)],
+                         ids=["dense", "sparse"])
+def test_matches_brute_force_on_random_instances(inclusion, min_support, max_itemset):
     rng = random.Random(99)
     for _ in range(30):
-        ts = random_instance(rng)
+        ts = random_instance(rng, inclusion)
+        cap = max_itemset or len(ts.items)
         got = {
             (r.antecedent, r.consequent)
-            for r in solid_rules(ts, 0.35, 0.60, max_itemset=len(ts.items))
+            for r in solid_rules(ts, min_support, 0.60, max_itemset=cap)
         }
-        assert got == brute_force_rules(ts, 0.35, 0.60)
+        # the decimal threshold as written: Fraction(0.1) is above 1/10
+        assert got == brute_force_rules(ts, Fraction(str(min_support)), 0.60, cap)
+
+
+def test_dense_instance_counts_every_candidate_once(monkeypatch):
+    # The benchmark's traced mode wraps these two module attributes, the way
+    # this test does, to report support_count calls and the frequent ratio.
+    calls = {"support_count": 0, "_count_and_keep": 0}
+
+    def counting(name):
+        inner = getattr(assoc, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(assoc, name, counting(name))
+    items = [f"i{j:02d}" for j in range(12)]
+    ts = TransactionSet.from_iterables([items] * 5)
+    rules = solid_rules(ts, 0.5, 0.5, max_itemset=3)
+    assert calls == {"support_count": 12 + 66 + 220, "_count_and_keep": 12 + 66 + 220}
+    assert len(rules) == 66 * 2 + 220 * 6
 
 
 def test_exact_threshold_boundary():

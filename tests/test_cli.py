@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from privkit import anonymize
 from privkit.cli import main
-from privkit.dataset import Schema, fixture_table1, write_csv
+from privkit.dataset import Schema, fixture_table1, load_csv, write_csv
 from privkit.rappor import RapporParams
 
 PAPER_PARAMS = '{"k":12,"h":2,"f":0.5,"p":0.5,"q":0.75}'
@@ -769,18 +769,37 @@ def test_cli_csv_inputs_fuzz(capsys, tmp_path, data):
         assert code in (0, 1, 2) and "Traceback" not in err
 
 
-@pytest.mark.parametrize("cut,insert,where", [
-    (b"Jane", b"Ja\rne", "row 1"),
-    (b"Migraine", b"M" * 131073, "row 2"),
-    (b"Name", b"Na\rme", "header row"),
+# A bare \r in an unquoted field ends the row, which then fails as a short
+# row or as a header that does not match.
+@pytest.mark.parametrize("cut,insert,message", [
+    pytest.param(b"Jane", b"Ja\rne", "row 1 has 1 cells, schema has 5\n",
+                 id="Jane-Ja\rne-row 1"),
+    pytest.param(b"Migraine", b"M" * 131073, "row 2: field larger than field limit",
+                 id="Migraine-" + "M" * 131073 + "-row 2"),
+    pytest.param(b"Name", b"Na\rme", "header ('Na',) does not match schema",
+                 id="Name-Na\rme-header row"),
 ])
 def test_metrics_rejects_rows_the_csv_module_cannot_split(capsys, export_fixture,
-                                                          cut, insert, where):
+                                                          cut, insert, message):
     csv_path, schema_path = export_fixture("table1")
     csv_path.write_bytes(csv_path.read_bytes().replace(cut, insert, 1))
     code, out, err = run(capsys, "metrics", "--input", str(csv_path),
                          "--schema", str(schema_path), "--qi", "Age")
-    assert code == 2 and out == "" and f"error: {where}: " in err
+    assert code == 2 and out == "" and err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=repr)
+def test_metrics_reads_every_line_end(capsys, export_fixture, ending):
+    csv_path, schema_path = export_fixture("table1")
+    plain = csv_path.read_bytes()
+    other = csv_path.with_name("ends.csv")
+    other.write_bytes(plain.replace(b"\n", ending))
+    schema = Schema.from_json(schema_path.read_text())
+    assert load_csv(other.read_bytes(), schema) == load_csv(plain, schema) == fixture_table1()
+    argv = ["--schema", str(schema_path), "--qi", "Age,Gender,ZIP", "--sensitive", "Diagnosis"]
+    expected = run(capsys, "metrics", "--input", str(csv_path), *argv)
+    assert expected[0] == 0
+    assert run(capsys, "metrics", "--input", str(other), *argv) == expected
 
 
 def test_metrics_names_the_cell_of_an_oversized_integer(capsys, export_fixture):
