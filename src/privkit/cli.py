@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import random
@@ -25,11 +24,7 @@ from . import assoc, dpcheck, rappor, smc
 from .dataset import Dataset, Schema, fixture_table1, load_csv, render_cell, write_csv
 from .errors import ConfigError, DomainError, InvalidParams, PrivkitError, UsageError
 
-log = logging.getLogger("privkit")
-
 OUTPUT_VERSION = 1
-
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,26 +35,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    level = _LOG_LEVELS.get(os.environ.get("PRIVKIT_LOG", "error"), logging.ERROR)
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        handler: Callable = args.handler
-        result = handler(args)
+        result = {"version": OUTPUT_VERSION, **args.handler(args)}
+        # a NaN or infinity raises ValueError rather than print a token that is not JSON
+        print(json.dumps(result, sort_keys=True, allow_nan=False))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (PrivkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(result)
     return 0
-
-
-def _emit(result: dict) -> None:
-    result = {"version": OUTPUT_VERSION, **result}
-    print(json.dumps(result, sort_keys=True))
 
 
 def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
@@ -89,7 +77,7 @@ def _load_json_arg(text: str):
             text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ConfigError(f"not valid JSON: {exc}") from exc
 
 
@@ -287,8 +275,10 @@ def _cmd_anonymize(args) -> dict:
     ]  # fail fast: every step validated before any runs
     with open(input_path, "rb") as fh:
         dataset = load_csv(fh, schema)
+    verbose = os.environ.get("PRIVKIT_LOG") in ("info", "debug")
     for i, action in enumerate(actions):
-        log.info("step %d: %s", i, steps[i].get("op"))
+        if verbose:
+            print(f"INFO step {i}: {steps[i].get('op')}", file=sys.stderr)
         dataset = action(dataset)
     _write_atomic(output_path, [write_csv(dataset)])
     return {

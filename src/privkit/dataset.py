@@ -170,7 +170,7 @@ class Schema:
     def from_json(cls, text: str) -> "Schema":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise ParseError(f"schema is not valid JSON: {exc}") from exc
         if not isinstance(raw, list) or not raw:
             raise ParseError("schema JSON must be a non-empty list of attribute objects")

@@ -133,7 +133,7 @@ class RapporParams:
         if isinstance(obj, str):
             try:
                 obj = json.loads(obj)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
                 raise InvalidParams(f"params are not valid JSON: {exc}") from exc
         if not isinstance(obj, Mapping):
             raise InvalidParams("params JSON must be an object")
@@ -361,11 +361,17 @@ def make_report(
 
 
 def epsilon_infinity(params: RapporParams) -> float:
-    """Longitudinal privacy bound of the permanent response: 2h ln((1-f/2)/(f/2))."""
+    """Longitudinal privacy bound of the permanent response: 2h ln((1-f/2)/(f/2)).
+
+    Raises ``DomainError`` unless 0 < f < 1, and also when f is so small
+    that f/2 underflows to 0 or the ratio overflows to infinity.
+    """
     if not 0.0 < params.f < 1.0:
         raise DomainError(f"bound needs 0 < f < 1, got f={params.f}")
     half_f = params.f / 2.0
-    return 2.0 * params.h * math.log((1.0 - half_f) / half_f)
+    if half_f == 0.0 or math.isinf(ratio := (1.0 - half_f) / half_f):
+        raise DomainError(f"bound is not finite in floating point at f={params.f}")
+    return 2.0 * params.h * math.log(ratio)
 
 
 def lemma1(params: RapporParams) -> tuple[float, float]:
@@ -381,16 +387,23 @@ def lemma1(params: RapporParams) -> tuple[float, float]:
 
 
 def epsilon_one(params: RapporParams) -> float:
-    """Single-report privacy bound: h ln(q*(1-p*) / (p*(1-q*)))."""
+    """Single-report privacy bound: h ln(q*(1-p*) / (p*(1-q*))).
+
+    Raises ``DomainError`` unless both marginals are strictly inside (0, 1),
+    and also when p*(1-q*) underflows to 0 or the ratio overflows to infinity.
+    """
     q_star, p_star = lemma1(params)
     if not 0.0 < p_star < 1.0 or not 0.0 < q_star < 1.0:
         raise DomainError(
             f"bound needs marginals strictly inside (0, 1), got "
             f"q*={q_star}, p*={p_star}"
         )
-    return params.h * math.log(
-        q_star * (1.0 - p_star) / (p_star * (1.0 - q_star))
-    )
+    denom = p_star * (1.0 - q_star)
+    if denom == 0.0 or math.isinf(ratio := q_star * (1.0 - p_star) / denom):
+        raise DomainError(
+            f"bound is not finite in floating point at q*={q_star}, p*={p_star}"
+        )
+    return params.h * math.log(ratio)
 
 
 def estimate_counts(
@@ -480,7 +493,7 @@ def count_report_lines(
                 )
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
                 raise ConfigError(f"reports line {lineno}: {exc}") from exc
             chunk.append(_envelope_bytes(obj, digest, k).hex())
         if len(chunk) == rows:
@@ -507,7 +520,14 @@ def allocate_counts(
     distribution: Mapping[str, float], clients: int
 ) -> dict[str, int]:
     """Split a client population across values by largest remainder, so the
-    realized counts match the target shares as closely as integers allow."""
+    realized counts match the target shares as closely as integers allow.
+
+    ``clients`` must be an int (not a bool) in [0, 2^63): the batch client
+    repeats owners in int64 and ``client_secret`` packs each client index as
+    an unsigned 64-bit integer. Anything else raises ``InvalidParams``.
+    """
+    if isinstance(clients, bool) or not isinstance(clients, int) or not 0 <= clients < 2**63:
+        raise InvalidParams(f"clients must be an integer in [0, 2^63), got {clients!r}")
     for share in distribution.values():
         if isinstance(share, bool) or not isinstance(share, (int, float)) or not 0 <= share <= 1:
             raise InvalidParams(f"distribution share {share!r} is not a number in [0, 1]")

@@ -97,6 +97,15 @@ def test_numeric_bins_arithmetic():
     assert NumericBins(width=10, origin=5).apply(44) == Interval(35, 44)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: NumericBins(width=0), "bin width must be >= 1, got 0"),
+    (lambda: TextPrefix(keep=-1), "prefix length must be >= 0, got -1"),
+], ids=["bins-width-0", "prefix-keep-negative"])
+def test_strategy_parameters_validated(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_suppress_idempotent_and_empty():
     t1 = fixture_table1()
     once = suppress(t1, ["Name"])
@@ -235,8 +244,11 @@ def test_k_anonymity_values():
 
 
 def test_k_anonymity_empty():
+    empty = Dataset.from_records(fixture_table1().schema, ())
     with pytest.raises(EmptyDataset):
-        k_anonymity(Dataset.from_records(fixture_table1().schema, ()), QI)
+        k_anonymity(empty, QI)
+    with pytest.raises(EmptyDataset, match="l-diversity of an empty dataset is undefined"):
+        l_diversity(empty, QI, "Diagnosis")
 
 
 def test_l_diversity_values():
@@ -270,6 +282,10 @@ def test_noise_spec_validation():
         NoiseSpec({-1: float("nan"), 1: float("nan")})  # sum and mean checks pass NaN
     with pytest.raises(InvalidSpec):
         NoiseSpec({})
+    with pytest.raises(InvalidSpec, match=r"^delta 1.0 is not an integer$"):
+        NoiseSpec({-1: 0.5, 1.0: 0.5})
+    with pytest.raises(InvalidSpec, match="^max_delta must be >= 1$"):
+        NoiseSpec.symmetric(0)
     sym = NoiseSpec.symmetric(2)
     assert sym.probabilities == {-2: 0.25, -1: 0.25, 1: 0.25, 2: 0.25}
 
@@ -425,6 +441,8 @@ def test_univariate_groups_homogeneous_and_sum_preserving(ages, k):
 def test_univariate_too_small():
     with pytest.raises(DatasetTooSmall):
         microaggregate_univariate(ages_dataset([1]), "Age", 2)
+    with pytest.raises(ValueError, match="^group size must be >= 2, got 1$"):
+        microaggregate_univariate(ages_dataset([1, 2, 3]), "Age", 1)
 
 
 def test_aggregate_groups_published_grouping():
@@ -643,6 +661,8 @@ def test_mdav_groups_hold_at_least_k(k):
 def test_multivariate_too_small():
     with pytest.raises(DatasetTooSmall):
         microaggregate_multivariate(ages_dataset([1]), "Age", 2)
+    with pytest.raises(ValueError, match="^group size must be >= 2, got 1$"):
+        microaggregate_multivariate(ages_dataset([1, 2, 3]), ["Age"], 1)
 
 
 # --- property tests -------------------------------------------------------------

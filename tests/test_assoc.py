@@ -69,6 +69,7 @@ def test_support_values():
     assert support(TransactionSet.from_iterables([{"a", "b"}, {"a"}, {"b"}]), {"a"}) == pytest.approx(2 / 3)
     assert support(BASKET, {"c"}) == pytest.approx(1 / 3)
     assert support(BASKET, {"a", "b", "c"}) == pytest.approx(1 / 3)
+    assert support(TransactionSet.from_iterables([], ["a"]), {"a"}) == 0.0  # no transactions
 
 
 def test_support_unknown_item():

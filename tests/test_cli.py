@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import logging
 import os
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from privkit import anonymize
-from privkit.cli import main
+from privkit.cli import _write_atomic, main
 from privkit.dataset import Schema, fixture_table1, load_csv, write_csv
 from privkit.rappor import RapporParams
 
@@ -25,10 +27,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=reject_constant)
 
 
 @pytest.fixture
@@ -161,11 +167,20 @@ def test_anonymize_pipeline(capsys, tmp_path, export_fixture):
      "expected delta is 1.0, must be 0"),
     ({"op": "swap_values", "attribute": "Weight", "n_swaps": 1, "seed": 5},
      "no attribute named 'Weight'"),
+    ({"op": "generalize", "rules": [{"attribute": "Age", "strategy": "round"}]},
+     "unknown generalization strategy 'round'"),
+    ({"op": "swap_values", "attribute": "Diagnosis", "n_swaps": -1, "seed": 5},
+     "n_swaps must be >= 0"),
+    ({"op": "rank_swap", "attribute": "Age", "p": 0, "seed": 4}, "p must be >= 1"),
+    ({"op": "microaggregate_univariate", "attribute": "Age", "k": 1}, "k must be >= 2"),
+    ({"op": "microaggregate_multivariate", "attributes": ["Age"], "k": 1}, "k must be >= 2"),
 ], ids=["no-seed", "add_noise-text", "rank_swap-text", "univariate-text",
-        "numeric_bins-text", "text_prefix-integer", "invalid-spec", "unknown-attribute"])
-def test_anonymize_fail_fast_before_any_step(capsys, caplog, tmp_path, export_fixture,
+        "numeric_bins-text", "text_prefix-integer", "invalid-spec", "unknown-attribute",
+        "unknown-strategy", "negative-swaps", "rank_swap-p-0", "univariate-k-1",
+        "multivariate-k-1"])
+def test_anonymize_fail_fast_before_any_step(capsys, monkeypatch, tmp_path, export_fixture,
                                              bad_step, message):
-    caplog.set_level(logging.INFO, logger="privkit")
+    monkeypatch.setenv("PRIVKIT_LOG", "info")  # a step that ran would print its line
     csv_path, schema_path = export_fixture("table1")
     out_path = tmp_path / "never.csv"
     config = {
@@ -183,7 +198,6 @@ def test_anonymize_fail_fast_before_any_step(capsys, caplog, tmp_path, export_fi
     code, _, err = run(capsys, "anonymize", "--config", str(cfg))
     assert code == 2 and err == f"error: step 2 ({bad_step['op']}): {message}\n"
     assert not out_path.exists()
-    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("step ")] == []
 
 
 def test_anonymize_reads_the_schema_once(capsys, monkeypatch, tmp_path, export_fixture):
@@ -249,6 +263,8 @@ VALID_STEPS = {
         {"attribute": "Age", "strategy": "numeric_bins", "width": 10, "origin": 0}]},
     "text_prefix": {"op": "generalize", "rules": [
         {"attribute": "ZIP", "strategy": "text_prefix", "keep": 2}]},
+    "suppress_strategy": {"op": "generalize", "rules": [
+        {"attribute": "Diagnosis", "strategy": "suppress"}]},
     "add_noise": {"op": "add_noise", "attribute": "Age",
                   "deltas": {"-1": 0.5, "1": 0.5}, "seed": 11},
     "swap_values": {"op": "swap_values", "attribute": "Diagnosis", "n_swaps": 2, "seed": 12},
@@ -397,6 +413,38 @@ def test_rappor_epsilon_worked_example(capsys):
     assert out["q_star"] == 0.6875 and out["p_star"] == 0.5625
 
 
+# Params at which a bound's ratio is 0/0, x/0 or overflows in floating point,
+# and the bounds that print null for each.
+EDGE_PARAMS = [
+    ('{"k":16,"h":2,"f":5e-324,"q":0.75,"p":0.5}', {"epsilon_infinity"}),  # f/2 is 0
+    ('{"k":16,"h":2,"f":1e-320,"q":0.75,"p":0.5}', {"epsilon_infinity"}),  # ratio overflows
+    ('{"k":16,"h":2,"f":0,"q":0.9999999999999999,"p":5e-324}',
+     {"epsilon_infinity", "epsilon_one"}),  # p*(1-q*) is 0
+    ('{"k":4,"h":1,"f":0,"q":0.75,"p":0}', {"epsilon_infinity", "epsilon_one"}),  # p* is 0
+]
+
+
+@pytest.mark.parametrize("params,nulls", EDGE_PARAMS,
+                         ids=["f-half-0", "f-ratio-inf", "one-denominator-0", "p-star-0"])
+def test_bounds_outside_float_range_print_null(capsys, params, nulls):
+    out = run_json(capsys, "rappor", "epsilon", "--params", params)
+    assert {name for name in ("epsilon_infinity", "epsilon_one") if out[name] is None} == nulls
+    for mode, bound in (("prr", "epsilon_infinity"), ("report", "epsilon_one")):
+        out = run_json(capsys, "dpcheck", "--mode", mode, "--params", params,
+                       "--bits1", "0,1", "--bits2", "2,3")
+        assert (out["closed_form"] is None) == (bound in nulls), mode
+
+
+def test_non_finite_result_exits_2(capsys):
+    # ln(81) * 1e308 overflows to infinity after the ratio check; stdout
+    # never carries the non-JSON token Infinity
+    huge = str(10**308)
+    params = f'{{"k":{huge},"h":{huge},"f":0,"q":0.9,"p":0.1}}'
+    code, out, err = run(capsys, "rappor", "epsilon", "--params", params)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
 def test_rappor_epsilon_boundary_is_null(capsys):
     out = run_json(capsys, "rappor", "epsilon", "--params", '{"k":4,"h":1,"f":0.0,"p":0.25,"q":0.75}')
     assert out["epsilon_infinity"] is None
@@ -528,10 +576,78 @@ def test_rappor_simulate_rejects_negative_clients(capsys, tmp_path, rappor_input
                              "--clients", clients, "--dist", str(dist), "--seed", "1",
                              "--output", str(output))
         assert (code, out) == (1, "") and "--clients" in err
+    code, out, err = run(capsys, "rappor", "simulate", "--params", PAPER_PARAMS,
+                         "--clients", str(2**64), "--dist", str(dist), "--seed", "1",
+                         "--output", str(output))  # past what the client index can hold
+    assert (code, out, err) == (2, "", f"error: clients must be an integer in [0, 2^63), "
+                                       f"got {2**64}\n")
     assert not output.exists()
     run_json(capsys, "rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "0",
              "--dist", str(dist), "--seed", "1", "--output", str(output))
     assert output.read_bytes() == b""
+
+
+def test_json_argument_that_does_not_parse_exits_2(capsys):
+    code, out, err = run(capsys, "rappor", "epsilon", "--params", '{"k":12')
+    assert (code, out) == (2, "") and err.startswith("error: not valid JSON: Expecting")
+
+
+DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize("target", ["params", "params-file", "dist", "candidates", "config",
+                                    "transactions", "schema", "reports-line"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, rappor_inputs, export_fixture, target):
+    dist, candidates = rappor_inputs
+    csv_path, schema_path = export_fixture("table1")
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    reports = tmp_path / "reports.jsonl"
+    digest = RapporParams.from_json(PAPER_PARAMS).digest()
+    reports.write_text(json.dumps({"params_digest": digest, "report_hex": "ef0c"}) + f"\n{DEEP}\n")
+    estimate = ("rappor", "estimate", "--params", PAPER_PARAMS, "--reports", str(reports))
+    argv = {
+        "params": ("rappor", "epsilon", "--params", DEEP),
+        "params-file": ("rappor", "epsilon", "--params", "@" + str(deep)),
+        "dist": ("rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "10",
+                 "--dist", str(deep), "--seed", "1", "--output", str(tmp_path / "out.jsonl")),
+        "candidates": (*estimate, "--candidates", str(deep)),
+        "config": ("anonymize", "--config", str(deep)),
+        "transactions": ("assoc", "mine", "--input", str(deep)),
+        "schema": ("metrics", "--input", str(csv_path), "--schema", str(deep), "--qi", "Age"),
+        "reports-line": (*estimate, "--candidates", str(candidates)),
+    }[target]
+    prefix = {"schema": "schema is not valid JSON", "reports-line": "reports line 2"}
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, ""), err
+    assert err.startswith(f"error: {prefix.get(target, 'not valid JSON')}: "
+                          "maximum recursion depth exceeded"), err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_list_arguments_that_do_not_parse_exit_1(capsys, export_fixture):
+    csv_path, schema_path = export_fixture("table1")
+    code, out, err = run(capsys, "metrics", "--input", str(csv_path), "--schema",
+                         str(schema_path), "--qi", ",")
+    assert (code, out, err) == (1, "", "usage error: expected a comma-separated name list, "
+                                       "got ','\n")
+    code, out, err = run(capsys, "smc", "demo", "--votes", "1,x", "--seed", "1")
+    assert (code, out, err) == (1, "", "usage error: expected comma-separated integers, "
+                                       "got '1,x'\n")
+
+
+def test_write_atomic_leaves_target_when_chunks_raise(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old")
+
+    def chunks():
+        yield b"partial"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="^chunk failed$"):
+        _write_atomic(str(target), chunks())
+    assert target.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["out.csv"]  # no .privkit-* temp file left
 
 
 def test_rappor_params_bool_rejected(capsys):
@@ -888,13 +1004,46 @@ def test_output_to_fifo_is_written_in_place(capsys, tmp_path, rappor_inputs):
     assert received == [expected]
 
 
-def test_log_level_env(capsys, monkeypatch):
-    import logging
-
-    monkeypatch.setenv("PRIVKIT_LOG", "info")
+def test_log_level_env(capsys, monkeypatch, tmp_path, export_fixture):
+    # An empty root logger, as in a fresh process, where logging.basicConfig
+    # would add a handler. The list is emptied and refilled in place, because
+    # pytest removes its own capture handlers from that same list.
     root = logging.getLogger()
-    for h in list(root.handlers):
-        root.removeHandler(h)
-    code, out, err = run(capsys, "rappor", "epsilon", "--params", PAPER_PARAMS)
-    assert code == 0
-    assert json.loads(out)["version"] == 1  # logs never pollute stdout
+    saved = root.handlers[:]
+    root.handlers.clear()
+    try:
+        monkeypatch.setenv("PRIVKIT_LOG", "info")
+        code, out, err = run(capsys, "rappor", "epsilon", "--params", PAPER_PARAMS)
+        assert code == 0
+        assert json.loads(out)["version"] == 1  # logs never pollute stdout
+        steps = [VALID_STEPS["suppress"], VALID_STEPS["swap_values"]]
+        lines = "INFO step 0: suppress\nINFO step 1: swap_values\n"
+        for level, expected in [(None, ""), ("info", lines), ("debug", lines), ("error", ""),
+                                ("warning", ""), ("INFO", "")]:
+            if level is None:
+                monkeypatch.delenv("PRIVKIT_LOG")
+            else:
+                monkeypatch.setenv("PRIVKIT_LOG", level)
+            code, out, err, written = run_pipeline(capsys, tmp_path, export_fixture, steps)
+            assert (code, written, err) == (0, True, expected), level
+            assert json.loads(out)["steps"] == ["suppress", "swap_values"]
+        assert root.handlers == []  # main() adds no handler to the caller's root logger
+    finally:
+        root.handlers[:] = saved
+
+
+def test_step_lines_go_to_the_stderr_of_their_own_call(monkeypatch, tmp_path, export_fixture):
+    monkeypatch.setenv("PRIVKIT_LOG", "info")
+    csv_path, schema_path = export_fixture("table1")
+    errs = []
+    for n, steps in enumerate([[VALID_STEPS["add_noise"]],
+                               [VALID_STEPS["suppress"], VALID_STEPS["rank_swap"]]]):
+        cfg = tmp_path / f"pipeline{n}.json"
+        cfg.write_text(json.dumps({"input": str(csv_path), "schema": str(schema_path),
+                                   "output": str(tmp_path / f"out{n}.csv"), "steps": steps}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["anonymize", "--config", str(cfg)]) == 0
+        errs.append(err.getvalue())
+    assert errs == ["INFO step 0: add_noise\n",
+                    "INFO step 0: suppress\nINFO step 1: rank_swap\n"]

@@ -156,6 +156,12 @@ def test_schema_from_json_rejects(raw):
         Schema.from_json(json.dumps(raw))
 
 
+@pytest.mark.parametrize("text", ['[{"name": "a"', "[" * 100_000], ids=["truncated", "deep"])
+def test_schema_from_json_rejects_text_that_is_not_json(text):
+    with pytest.raises(ParseError, match="^schema is not valid JSON: "):
+        Schema.from_json(text)
+
+
 def test_schema_needs_an_attribute():
     # without a column there is nothing to carry the row count
     with pytest.raises(ValueError, match="no attributes"):

@@ -123,6 +123,11 @@ def test_space_mismatch():
     d2 = prr_distribution(BloomFilter.from_indices(3, [0]), params_with(3))
     with pytest.raises(SpaceMismatch):
         exact_epsilon(d1, d2)
+    with pytest.raises(SpaceMismatch, match=r"^log_probs has 3 entries, expected 2\^1$"):
+        MechanismDistribution(1, [0.0, -math.inf, -math.inf])
+    for distribution in (prr_distribution, report_distribution):
+        with pytest.raises(SpaceMismatch, match="^filter has 3 bits, params say 2$"):
+            distribution(BloomFilter.from_indices(3, [0]), params_with(2))
 
 
 def test_enumeration_cap():

@@ -1,4 +1,5 @@
-"""numpy is imported only by the calls that compute with it.
+"""numpy is imported only by the calls that compute with it, and logging by
+none of them.
 
 Each case runs in a fresh interpreter, because the test process itself has
 numpy loaded long before any of these run.
@@ -103,6 +104,15 @@ def workdir(tmp_path, capsys):
 def test_cli_calls_load_numpy_only_when_used(workdir, argv, loads_numpy):
     setup = _RUN_MAIN.format(argv=argv)
     assert probe(setup, workdir) == {"result": 0, "numpy": loads_numpy}
+
+
+@pytest.mark.parametrize("setup", [
+    "import privkit.cli",
+    _RUN_MAIN.format(argv=["rappor", "epsilon", "--params", PAPER_PARAMS]),
+], ids=["import privkit.cli", "rappor epsilon"])
+def test_cli_leaves_logging_unloaded(tmp_path, setup):
+    setup += '\nresult = "logging" in sys.modules'
+    assert probe(setup, tmp_path) == {"result": False, "numpy": False}
 
 
 def test_report_lines_written_and_read_without_numpy(tmp_path):

@@ -7,9 +7,10 @@ import random
 import struct
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from privkit import rappor
 from privkit.dpcheck import prr_distribution, report_distribution, exact_epsilon
@@ -105,6 +106,16 @@ def test_params_json_field_types(field, value):
             RapporParams.from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"k":12', "params are not valid JSON: "),
+    ("[" * 100_000, "params are not valid JSON: "),
+    ("[12, 2]", "params JSON must be an object"),
+], ids=["truncated", "deep", "array"])
+def test_params_json_text_rejected(text, message):
+    with pytest.raises(InvalidParams, match="^" + message):
+        RapporParams.from_json(text)
+
+
 def test_params_json_float_overflow_rejected():
     with pytest.raises(InvalidParams):
         RapporParams.from_json('{"k":12,"h":2,"f":1%s,"q":0.75,"p":0.5}' % ("0" * 400))
@@ -184,6 +195,13 @@ def test_bloom_encode_deterministic():
 def test_bloom_check_length_mismatch():
     with pytest.raises(LengthMismatch):
         bloom_check(BloomFilter.from_indices(8, []), "v", PAPER)
+    with pytest.raises(LengthMismatch, match="^filter has 8 bits, params say 12$"):
+        prr(BloomFilter.from_indices(8, []), b"s", "v", PAPER)
+    with pytest.raises(LengthMismatch, match="^permanent response has 8 bits, params say 12$"):
+        irr(PermanentResponse("v", (0,) * 8), PAPER, random.Random(0))
+    for index in (-1, 8):
+        with pytest.raises(LengthMismatch, match=f"^bit index {index} outside filter of size 8$"):
+            BloomFilter.from_indices(8, [index])
 
 
 # --- permanent randomized response ---------------------------------------------
@@ -422,6 +440,37 @@ def test_epsilon_one_domain():
         epsilon_one(NOISELESS)  # p* = 0
 
 
+@pytest.mark.parametrize("bound,fields", [
+    (epsilon_infinity, dict(f=5e-324, q=0.75, p=0.5)),  # f/2 underflows to 0
+    (epsilon_infinity, dict(f=1e-320, q=0.75, p=0.5)),  # (1-f/2)/(f/2) overflows
+    (epsilon_one, dict(f=0.0, q=0.9999999999999999, p=5e-324)),  # p*(1-q*) underflows
+    (epsilon_one, dict(f=0.0, q=0.5, p=1e-310)),  # q*(1-p*)/(p*(1-q*)) overflows
+], ids=["inf-underflow", "inf-overflow", "one-underflow", "one-overflow"])
+def test_bounds_reject_ratios_that_are_not_finite(bound, fields):
+    with pytest.raises(DomainError, match="^bound is not finite in floating point at "):
+        bound(RapporParams(k=16, h=2, **fields))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.floats(0.001, 0.95), p=st.floats(0.001, 0.9), gap=st.floats(0.05, 0.95),
+       h=st.integers(1, 8))
+def test_bounds_match_a_50_digit_oracle(f, p, gap, h):
+    q = p + gap
+    assume(q <= 0.999)
+    params = RapporParams(k=8, h=h, f=f, q=q, p=p)
+    with mpmath.workdps(50):
+        F, P, Q = mpmath.mpf(f), mpmath.mpf(p), mpmath.mpf(q)  # the floats, exactly
+        want_inf = 2 * h * mpmath.log((1 - F / 2) / (F / 2))
+        q_star, p_star = F / 2 * (P + Q) + (1 - F) * Q, F / 2 * (P + Q) + (1 - F) * P
+        want_one = h * mpmath.log(q_star * (1 - p_star) / (p_star * (1 - q_star)))
+    assert epsilon_infinity(params) == pytest.approx(float(want_inf), rel=1e-12)
+    assert epsilon_one(params) == pytest.approx(float(want_one), rel=1e-12)
+    # and bit for bit the closed forms written out directly: CLI stdout pins these bits
+    qs, ps = lemma1(params)
+    assert epsilon_infinity(params) == 2.0 * h * math.log((1.0 - f / 2.0) / (f / 2.0))
+    assert epsilon_one(params) == h * math.log(qs * (1.0 - ps) / (ps * (1.0 - qs)))
+
+
 def test_epsilons_decrease_with_f():
     grid = [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9]
     inf_values = []
@@ -514,6 +563,12 @@ def test_allocate_counts_rejects_non_shares(dist):
     # a share is a JSON number in [0, 1]; bool is an int subclass in Python
     with pytest.raises(InvalidParams):
         allocate_counts(dist, 10**10)
+
+
+@pytest.mark.parametrize("clients", [-1, -5, 7.5, True, 2**63, 2**64], ids=repr)
+def test_allocate_counts_rejects_bad_client_counts(clients):
+    with pytest.raises(InvalidParams, match=r"^clients must be an integer in \[0, 2\^63\), got "):
+        allocate_counts({"A": 0.5, "B": 0.5}, clients)
 
 
 def scalar_simulate(counts, params, seed):

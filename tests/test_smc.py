@@ -68,6 +68,8 @@ def test_gen_polynomial_constant_term():
         assert evaluate(coeffs, 0, P) == 42
     # three parties use a quadratic: degree 2, three coefficients
     assert len(gen_polynomial(1, 2, P, rng)) == 3
+    with pytest.raises(ValueError, match="^degree must be >= 0, got -1$"):
+        gen_polynomial(1, -1, P, rng)
 
 
 def test_evaluate():
@@ -84,6 +86,8 @@ def test_lagrange_recovers_constant_term():
 
 def test_lagrange_single_point():
     assert lagrange_at([(4, 29)], 4, P) == 29
+    with pytest.raises(ValueError, match="^need at least one interpolation point$"):
+        lagrange_at([], 4, P)
 
 
 def test_lagrange_duplicate_x():
