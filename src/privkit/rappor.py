@@ -38,6 +38,7 @@ import random
 import re
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -81,6 +82,9 @@ class RapporParams:
     p: probability a report bit is 1 given the permanent bit is 0.
     hash_seed: keys the Bloom hash family, making indices reproducible.
 
+    k is at most 2^35 and h below 2^32: the PRR hashes number each 8-bit
+    block, and the Bloom hashes each function, as an unsigned 32-bit integer.
+
     Set bits stay informative only while q > p; q = p is accepted (it is the
     no-signal edge) but the count estimator rejects it as degenerate, and the
     privacy calculators reject parameters at which their formulas are
@@ -95,10 +99,10 @@ class RapporParams:
     hash_seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParams(f"filter size must be >= 1, got {self.k}")
-        if not 1 <= self.h <= self.k:
-            raise InvalidParams(f"need 1 <= h <= k, got h={self.h}, k={self.k}")
+        if not 1 <= self.k <= 2**35:
+            raise InvalidParams(f"filter size must be in [1, 2^35], got {self.k}")
+        if not 1 <= self.h <= min(self.k, 2**32 - 1):
+            raise InvalidParams(f"need 1 <= h <= k and h < 2^32, got h={self.h}, k={self.k}")
         if not 0.0 <= self.f <= 1.0:
             raise InvalidParams(f"f must be in [0, 1], got {self.f}")
         if not 0.0 <= self.p <= 1.0 or not 0.0 <= self.q <= 1.0:
@@ -522,6 +526,10 @@ def allocate_counts(
     """Split a client population across values by largest remainder, so the
     realized counts match the target shares as closely as integers allow.
 
+    The shares are scaled to sum to 1 and multiplied out in exact rational
+    arithmetic, so the counts sum to ``clients`` at every size and each is
+    within 1 of its exact share.
+
     ``clients`` must be an int (not a bool) in [0, 2^63): the batch client
     repeats owners in int64 and ``client_secret`` packs each client index as
     an unsigned 64-bit integer. Anything else raises ``InvalidParams``.
@@ -534,8 +542,10 @@ def allocate_counts(
     total = sum(distribution.values())
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise InvalidParams(f"distribution sums to {total}, expected 1")
-    exact = {v: share * clients for v, share in sorted(distribution.items())}
-    counts = {v: int(x) for v, x in exact.items()}
+    exact_total = sum(map(Fraction, distribution.values()))
+    exact = {v: Fraction(share) * clients / exact_total
+             for v, share in sorted(distribution.items())}
+    counts = {v: math.floor(x) for v, x in exact.items()}
     leftover = clients - sum(counts.values())
     by_remainder = sorted(
         exact, key=lambda v: (-(exact[v] - counts[v]), v)

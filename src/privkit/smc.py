@@ -10,12 +10,12 @@ are exact and every share is uniformly distributed whatever the secret. The
 protocol is simulated in-process with a synchronous share table; parties are
 assumed honest.
 
-The share table has two paths with equal results. While
-``(modulus - 1) * n + modulus < 2**63`` no Horner step can overflow a signed
-64-bit integer, so numpy evaluates all n polynomials at all n points at once,
-one degree at a time. Above that bound (say, the Mersenne prime 2**127 - 1)
-each share comes from the scalar ``evaluate``, in Python integers; that loop
-is also the reference the array path is tested against.
+The share table is exact for every modulus, in Python integers. For each
+degree d, the powers x**d mod the modulus at the points x = 1..n are packed
+into one integer, a fixed number of bytes per point (Kronecker
+substitution). A party's row of shares is then one sum of coefficient times
+packed powers, cut back into its lanes and reduced. The scalar ``evaluate``
+is the reference the table is tested against.
 """
 
 from __future__ import annotations
@@ -128,14 +128,17 @@ def secret_sum_transcript(
     n = len(votes)
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
+    if isinstance(modulus, bool) or not isinstance(modulus, int):
+        raise BadModulus(f"modulus must be an integer, got {modulus!r}")
     if not is_prime(modulus):
         raise BadModulus(f"{modulus} is not prime")
     if modulus <= n:
         # party p's point p is 0 mod p, where each polynomial evaluates to
         # its vote; with more parties than p, two points also coincide
         raise BadModulus(f"modulus {modulus} must exceed the number of parties {n}")
-    if any(v < 0 or v >= modulus for v in votes):
-        raise ValueError("votes must lie in [0, modulus)")
+    if any(isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < modulus
+           for v in votes):
+        raise ValueError("votes must be integers in [0, modulus)")
     if sum(votes) >= modulus:
         raise BadModulus(
             f"modulus {modulus} does not exceed the reachable sum {sum(votes)}"
@@ -154,21 +157,22 @@ def _share_table(
     polys: Sequence[Sequence[int]], modulus: int
 ) -> tuple[tuple[int, ...], ...]:
     """Row i holds polynomial i evaluated at the points 1..n, n = len(polys);
-    every polynomial has n coefficients."""
-    n = len(polys)
-    if (modulus - 1) * n + modulus >= 2**63:
-        return tuple(
-            tuple(evaluate(poly, j, modulus) for j in range(1, n + 1))
-            for poly in polys
-        )
-    import numpy as np
+    every polynomial has n coefficients in [0, modulus).
 
-    coeffs = np.array(polys, dtype=np.int64)
-    xs = np.arange(1, n + 1, dtype=np.int64)
-    acc = np.zeros((n, n), dtype=np.int64)
-    for d in range(n - 1, -1, -1):
-        acc = (acc * xs + coeffs[:, d, None]) % modulus
-    return tuple(map(tuple, acc.tolist()))
+    lanes[d] packs x**d % modulus for x = 1..n into one integer, w bytes per
+    point, little-endian. Each w-byte lane of a row's sum is below
+    n * (modulus - 1)**2 < 2**(8 * w), so no carry crosses into the next.
+    """
+    n = len(polys)
+    w = (2 * (modulus - 1).bit_length() + n.bit_length() + 7) // 8
+    lanes, powers = [], [1] * n
+    for _ in range(n):
+        lanes.append(int.from_bytes(b"".join(p.to_bytes(w, "little") for p in powers), "little"))
+        powers = [p * x % modulus for x, p in enumerate(powers, 1)]
+    rows = (sum(c * lane for c, lane in zip(poly, lanes)).to_bytes(n * w, "little")
+            for poly in polys)
+    return tuple(tuple(int.from_bytes(row[j:j + w], "little") % modulus
+                       for j in range(0, n * w, w)) for row in rows)
 
 
 def run_secret_sum(

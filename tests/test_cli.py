@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import random
 import stat
@@ -13,7 +14,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from privkit import anonymize
+from privkit import anonymize, rappor
 from privkit.cli import _write_atomic, main
 from privkit.dataset import Schema, fixture_table1, load_csv, write_csv
 from privkit.rappor import RapporParams
@@ -435,14 +436,35 @@ def test_bounds_outside_float_range_print_null(capsys, params, nulls):
         assert (out["closed_form"] is None) == (bound in nulls), mode
 
 
-def test_non_finite_result_exits_2(capsys):
-    # ln(81) * 1e308 overflows to infinity after the ratio check; stdout
-    # never carries the non-JSON token Infinity
-    huge = str(10**308)
-    params = f'{{"k":{huge},"h":{huge},"f":0,"q":0.9,"p":0.1}}'
-    code, out, err = run(capsys, "rappor", "epsilon", "--params", params)
+def test_non_finite_result_exits_2(capsys, monkeypatch):
+    # no valid params reach an infinite bound any more, so one is forced;
+    # stdout never carries the non-JSON token Infinity
+    monkeypatch.setattr(rappor, "epsilon_infinity", lambda params: math.inf)
+    code, out, err = run(capsys, "rappor", "epsilon", "--params", PAPER_PARAMS)
     assert (code, out) == (2, "")
     assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
+def test_rappor_epsilon_at_the_size_limits(capsys):
+    # h ln(ratio) stays finite up to h = 2^32 - 1, whatever f
+    for f in ("1e-300", "0.5"):
+        params = f'{{"k":{2**35},"h":{2**32 - 1},"f":{f},"q":0.9,"p":0.1}}'
+        out = run_json(capsys, "rappor", "epsilon", "--params", params)
+        assert math.isfinite(out["epsilon_infinity"]) and math.isfinite(out["epsilon_one"])
+
+
+# encode, report and simulate allocate k list slots, so they run only at a k
+# that is rejected before any allocation
+@pytest.mark.parametrize("argv", [
+    ["rappor", "epsilon", "--params", f'{{"k":{10**400},"h":{10**400},"f":0.5,"q":0.75,"p":0.5}}'],
+    ["rappor", "epsilon", "--params", f'{{"k":{2**35},"h":{2**32},"f":0.5,"q":0.75,"p":0.5}}'],
+    ["rappor", "encode", "--params", f'{{"k":{10**400},"h":2,"f":0.5,"q":0.75,"p":0.5}}',
+     "--value", "flu"],
+], ids=["epsilon k=h=10^400", "epsilon h=2^32", "encode k=10^400"])
+def test_params_beyond_the_hash_input_limits_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_rappor_epsilon_boundary_is_null(capsys):

@@ -1,5 +1,5 @@
-"""numpy is imported only by the calls that compute with it, and logging by
-none of them.
+"""numpy is imported only by the calls that compute with it (``rappor
+simulate`` and multivariate microaggregation), and logging by none of them.
 
 Each case runs in a fresh interpreter, because the test process itself has
 numpy loaded long before any of these run.
@@ -89,6 +89,10 @@ def workdir(tmp_path, capsys):
     (["anonymize", "--config", "pipeline.json"], False),
     (["assoc", "mine", "--input", "baskets.json", "--min-support", "0.3",
       "--min-certainty", "0.5", "--max-itemset", "2"], False),
+    pytest.param(["smc", "demo", "--votes", "1,1,0", "--seed", "7"], False,
+                 id="smc demo 3 parties-False"),
+    pytest.param(["smc", "demo", "--votes", ",".join("01"[i % 2] for i in range(120)),
+                  "--seed", "7"], False, id="smc demo 120 parties-False"),
     (["smc", "demo", "--votes", "1,1,0", "--seed", "7",
       "--modulus", str(2**127 - 1)], False),
     (["dpcheck", "--mode=prr", "--params", PAPER_PARAMS,
@@ -96,7 +100,6 @@ def workdir(tmp_path, capsys):
     (["dpcheck", "--mode=report", "--params", PAPER_PARAMS,
       "--bits1", "0,1", "--bits2", "2,3"], False),
     # the calls that compute with numpy do load it, so the probe can see it
-    (["smc", "demo", "--votes", "1,1,0", "--seed", "7"], True),
     (["rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "40", "--dist",
       "dist.json", "--seed", "3", "--output", "again.jsonl"], True),
     (["anonymize", "--config", "mdav.json"], True),

@@ -6,6 +6,7 @@ import pickle
 import random
 import struct
 from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -59,6 +60,27 @@ def test_params_validation():
     with pytest.raises(InvalidParams):
         RapporParams(k=4, h=1, f=0.5, q=0.25, p=0.5)  # q < p
     RapporParams(k=4, h=1, f=0.5, q=0.5, p=0.5)  # q = p is the no-signal edge
+
+
+@pytest.mark.parametrize("k,h", [
+    (2**35 + 1, 1), (2**35, 2**32), (10**308, 10**308), (10**400, 10**400),
+], ids=["k=2^35+1", "h=2^32", "k=h=10^308", "k=h=10^400"])
+def test_params_beyond_the_hash_input_limits(k, h):
+    # a PRR block index and a Bloom hash number are packed as unsigned 32-bit
+    with pytest.raises(InvalidParams):
+        RapporParams(k=k, h=h, f=0.5, q=0.75, p=0.5)
+
+
+def test_params_at_the_hash_input_limits():
+    params = RapporParams(k=2**35, h=2**32 - 1, f=0.5, q=0.75, p=0.5)
+    # the last PRR block index and the last Bloom hash number still pack;
+    # one more filter bit or hash function would not
+    struct.pack("<I", (params.k + 7) // 8 - 1)
+    struct.pack("<QI", params.hash_seed, params.h)
+    with pytest.raises(struct.error):
+        struct.pack("<I", (params.k + 1 + 7) // 8 - 1)
+    with pytest.raises(struct.error):
+        struct.pack("<QI", params.hash_seed, params.h + 1)
 
 
 def test_params_json_round_trip():
@@ -569,6 +591,64 @@ def test_allocate_counts_rejects_non_shares(dist):
 def test_allocate_counts_rejects_bad_client_counts(clients):
     with pytest.raises(InvalidParams, match=r"^clients must be an integer in \[0, 2\^63\), got "):
         allocate_counts({"A": 0.5, "B": 0.5}, clients)
+
+
+def float_allocate_counts(distribution, clients):
+    """allocate_counts as it was in float arithmetic, verbatim after the
+    argument checks."""
+    exact = {v: share * clients for v, share in sorted(distribution.items())}
+    counts = {v: int(x) for v, x in exact.items()}
+    leftover = clients - sum(counts.values())
+    by_remainder = sorted(
+        exact, key=lambda v: (-(exact[v] - counts[v]), v)
+    )
+    for v in by_remainder[:leftover]:
+        counts[v] += 1
+    return counts
+
+
+@given(
+    weights=st.lists(st.integers(0, 1000), min_size=1, max_size=12).filter(any),
+    clients=st.integers(0, 10**6),
+)
+@settings(max_examples=300, deadline=None)
+def test_allocate_counts_equals_float_arithmetic(weights, clients):
+    # shares as a user writes them, w / W in floats; the intended shares are
+    # the fractions w / W themselves
+    total = sum(weights)
+    dist = {f"v{i}": w / total for i, w in enumerate(weights)}
+    counts = allocate_counts(dist, clients)
+    assert sum(counts.values()) == clients
+    for i, w in enumerate(weights):
+        assert abs(counts[f"v{i}"] - w * clients / total) < 1 + 1e-6
+    # Where two intended remainders tie across the cut, float rounding in
+    # the old function, or the shares' binary values in the new one, decide
+    # which value gets the unit; everywhere else the two agree.
+    remainders = sorted((w * clients % total for w in weights), reverse=True)
+    leftover = clients - sum(w * clients // total for w in weights)
+    if not 0 < leftover < len(weights) or remainders[leftover - 1] != remainders[leftover]:
+        assert counts == float_allocate_counts(dist, clients)
+
+
+@pytest.mark.parametrize("dist", [
+    {"A": 1.0}, {"A": 0.1, "B": 0.2, "C": 0.7}, {"A": 1 / 3, "B": 1 / 3, "C": 1 / 3},
+    {f"v{i}": w / 3176 for i, w in enumerate([975, 950, 557, 119, 205, 272, 98])},
+], ids=["one", "tenths", "thirds", "seven"])
+def test_allocate_counts_at_the_largest_population(dist):
+    clients = 2**63 - 1
+    counts = allocate_counts(dist, clients)
+    assert sum(counts.values()) == clients and min(counts.values()) >= 0
+    # each share as written, scaled so the shares sum to exactly 1
+    total = sum(map(Fraction, dist.values()))
+    for value, share in dist.items():
+        assert abs(counts[value] - Fraction(share) / total * clients) <= 1
+
+
+def test_allocate_counts_halves_and_quarters_at_the_largest_population():
+    # (2^63 - 1) / 4 leaves remainder 3/4 and / 2 leaves 1/2: the two quarters
+    # take the two leftover units
+    assert allocate_counts({"A": 0.5, "B": 0.25, "C": 0.25}, 2**63 - 1) == {
+        "A": 2**62 - 1, "B": 2**61, "C": 2**61}
 
 
 def scalar_simulate(counts, params, seed):

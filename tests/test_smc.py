@@ -163,6 +163,19 @@ class NoDraws(random.Random):
         raise AssertionError("a share was drawn")
 
 
+@pytest.mark.parametrize("vote", [1.5, True, "1"], ids=repr)
+def test_votes_must_be_integers(vote):
+    # 1.5 used to be truncated to 1 by the int64 share table, and summed to 2
+    with pytest.raises(ValueError, match=r"^votes must be integers in \[0, modulus\)$"):
+        secret_sum_transcript([vote, 1, 0], DEFAULT_MODULUS, NoDraws())
+
+
+@pytest.mark.parametrize("modulus", [7.0, True], ids=repr)
+def test_modulus_must_be_an_integer(modulus):
+    with pytest.raises(BadModulus, match="^modulus must be an integer, got "):
+        secret_sum_transcript([1, 0], modulus, NoDraws())
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_modulus_must_exceed_the_party_count(n):
     # with p <= n, party p's point is 0 mod p: every share sent there is a vote
@@ -216,8 +229,8 @@ def test_default_rng_is_not_a_seedable_mersenne_twister(monkeypatch):
 
 
 def _largest_int64_prime(n):
-    """The largest prime m with (m - 1) * n + m < 2**63, where the share table
-    still runs in int64."""
+    """The largest prime m with (m - 1) * n + m < 2**63, the last modulus at
+    which a Horner step on n points stays within a signed 64-bit integer."""
     m = (2**63 + n - 1) // (n + 1)
     while not is_prime(m):
         m -= 1
@@ -229,10 +242,6 @@ def _next_prime(m):
     while not is_prime(m):
         m += 1
     return m
-
-
-def _fits_int64(modulus, n):
-    return (modulus - 1) * n + modulus < 2**63
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,20 +280,21 @@ def test_share_table_equals_scalar_evaluation(n, which, seed, data):
     assert t.total == sum(votes)
 
 
-@pytest.mark.parametrize("n", [2, 3, 120])
-def test_share_table_switches_to_scalar_above_the_int64_bound(monkeypatch, n):
-    calls = []
-    scalar = smc.evaluate
+def _largest_prime_below(m):
+    m -= 1
+    while not is_prime(m):
+        m -= 1
+    return m
 
-    def counted(*args):
-        calls.append(args)
-        return scalar(*args)
 
-    monkeypatch.setattr(smc, "evaluate", counted)
-    edge = _largest_int64_prime(n)
-    beyond = _next_prime(edge)
-    assert _fits_int64(edge, n) and not _fits_int64(beyond, n)
-    secret_sum_transcript([1] * n, edge, random.Random(0))
-    assert calls == []
-    secret_sum_transcript([1] * n, beyond, random.Random(0))
-    assert len(calls) == n * n
+@pytest.mark.parametrize("modulus", [
+    _largest_prime_below(2**29), _largest_prime_below(2**31), _largest_prime_below(2**61),
+    _largest_prime_below(2**64), 2**127 - 1,
+], ids=lambda m: f"{m.bit_length()}-bit")
+@pytest.mark.parametrize("n", [2, 127, 255])
+def test_share_table_lanes_hold_the_largest_sums(n, modulus):
+    # with every coefficient m - 1 the lane sums come closest to their bound
+    # n * (m - 1)**2, so a lane too narrow for that bound carries into the next
+    polys = [[modulus - 1] * n] * n
+    expected = tuple(evaluate(polys[0], x, modulus) for x in range(1, n + 1))
+    assert smc._share_table(polys, modulus) == (expected,) * n
