@@ -17,8 +17,12 @@ reject generalized cells.
 from __future__ import annotations
 
 import math
+import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from .dataset import (
@@ -129,7 +133,9 @@ class Partition:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Zero-mean discrete noise: mapping from integer delta to probability."""
+    """Zero-mean discrete noise: mapping from integer delta to probability.
+
+    Equality, ``repr`` and pickling depend on ``probabilities`` alone."""
 
     probabilities: Mapping[int, float]
 
@@ -149,6 +155,13 @@ class NoiseSpec:
         if abs(mean) > _PROB_TOL:
             raise InvalidSpec(f"expected delta is {mean}, must be 0")
         object.__setattr__(self, "probabilities", probs)
+        # the sampling table: fields are frozen, so it is built once per object
+        deltas = tuple(sorted(probs))
+        object.__setattr__(self, "_deltas", deltas)
+        object.__setattr__(self, "_cumulative", tuple(accumulate(probs[d] for d in deltas)))
+
+    def __reduce__(self):  # pickle rebuilds the table rather than store it
+        return type(self), (self.probabilities,)
 
     @classmethod
     def symmetric(cls, max_delta: int) -> "NoiseSpec":
@@ -162,17 +175,14 @@ class NoiseSpec:
         return frozenset(d for d, p in self.probabilities.items() if p > 0)
 
     def sample(self, rng: random.Random) -> int:
-        u = rng.random()
-        acc = 0.0
-        deltas = sorted(self.probabilities)
-        for delta in deltas:
-            acc += self.probabilities[delta]
-            if u < acc:
-                return delta
-        return deltas[-1]
+        """The first delta, in ascending order, whose cumulative probability
+        exceeds ``rng.random()``; the largest delta if none does."""
+        i = bisect_right(self._cumulative, rng.random())
+        return self._deltas[min(i, len(self._deltas) - 1)]
 
     def stddev(self) -> float:
-        return sum(d * d * p for d, p in self.probabilities.items()) ** 0.5
+        """Square root of the expected squared delta, summed left to right."""
+        return _sum_left(d * d * p for d, p in self.probabilities.items()) ** 0.5
 
 
 def suppress(dataset: Dataset, attributes: Sequence[str]) -> Dataset:
@@ -480,7 +490,7 @@ def _mixed_coordinates(
             column = _integer_column(dataset, name)
             try:
                 mu = sum(column) / len(column)
-                var = sum((x - mu) ** 2 for x in column) / len(column)
+                var = _sum_left((x - mu) ** 2 for x in column) / len(column)
             except OverflowError:
                 var = math.inf
             if not math.isfinite(var):  # a finite variance bounds every z-score
@@ -507,6 +517,12 @@ def _integer_column(dataset: Dataset, attribute: str) -> tuple[int, ...]:
                 f"record {recno} of {attribute!r} holds {cell!r}, not an integer"
             )
     return column  # type: ignore[return-value]
+
+
+def _sum_left(values: Iterable[float]) -> float:
+    """Left-to-right float sum, one rounding per addition, as the builtin
+    ``sum`` through Python 3.11 (from 3.12 it compensates, Neumaier)."""
+    return reduce(operator.add, values, 0.0)
 
 
 def _round_half_away(total: int, count: int) -> int:

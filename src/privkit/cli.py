@@ -338,16 +338,17 @@ def _cmd_rappor_report(args) -> dict:
 def _cmd_rappor_epsilon(args) -> dict:
     params = _params_from_arg(args.params)
     q_star, p_star = rappor.lemma1(params)
-    out = {"q_star": q_star, "p_star": p_star, "params_digest": params.digest()}
+    return {"q_star": q_star, "p_star": p_star, "params_digest": params.digest(),
+            "epsilon_infinity": _bound_or_none(rappor.epsilon_infinity, params),
+            "epsilon_one": _bound_or_none(rappor.epsilon_one, params)}
+
+
+def _bound_or_none(bound: Callable, params: rappor.RapporParams) -> Optional[float]:
+    """``bound(params)``, or None (JSON null) where its formula is undefined."""
     try:
-        out["epsilon_infinity"] = rappor.epsilon_infinity(params)
-    except PrivkitError:
-        out["epsilon_infinity"] = None
-    try:
-        out["epsilon_one"] = rappor.epsilon_one(params)
-    except PrivkitError:
-        out["epsilon_one"] = None
-    return out
+        return bound(params)
+    except DomainError:
+        return None
 
 
 def _cmd_rappor_simulate(args) -> dict:
@@ -390,17 +391,13 @@ def _cmd_dpcheck(args) -> dict:
         "report": (dpcheck.report_distribution, rappor.epsilon_one),
     }[args.mode]
     d1, d2 = distribution(b1, params), distribution(b2, params)
-    try:
-        closed = closed_form(params)
-    except DomainError:
-        closed = None
     exact = dpcheck.exact_epsilon(d1, d2)
     return {
         "mode": args.mode,
         "bits1": sorted(b1.set_indices),
         "bits2": sorted(b2.set_indices),
         "exact_epsilon": "infinity" if math.isinf(exact) else exact,
-        "closed_form": closed,
+        "closed_form": _bound_or_none(closed_form, params),
     }
 
 
@@ -465,10 +462,10 @@ def _cmd_assoc_mine(args) -> dict:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="privkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     fixtures = sub.add_parser("fixtures", help="bundled example data")
-    fix_sub = fixtures.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    fix_sub = fixtures.add_subparsers(dest="subcommand", required=True)
     export = fix_sub.add_parser("export", help="write a fixture as CSV")
     export.add_argument("--name", choices=["table1", "table2"], required=True)
     export.add_argument("--output", required=True)
@@ -487,7 +484,7 @@ def _build_parser() -> _Parser:
     metrics.set_defaults(handler=_cmd_metrics)
 
     rap = sub.add_parser("rappor", help="randomized-response reporting pipeline")
-    rap_sub = rap.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    rap_sub = rap.add_subparsers(dest="subcommand", required=True)
     enc = rap_sub.add_parser("encode")
     enc.add_argument("--params", required=True, help='JSON {k,h,f,p,q,hash_seed} or @file')
     enc.add_argument("--value", required=True)
@@ -522,7 +519,7 @@ def _build_parser() -> _Parser:
     dp.set_defaults(handler=_cmd_dpcheck)
 
     smc_cmd = sub.add_parser("smc", help="secret-sum protocol")
-    smc_sub = smc_cmd.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    smc_sub = smc_cmd.add_subparsers(dest="subcommand", required=True)
     demo = smc_sub.add_parser("demo")
     demo.add_argument("--votes", required=True, help="comma-separated votes")
     demo.add_argument("--modulus", type=int, default=smc.DEFAULT_MODULUS)
@@ -530,7 +527,7 @@ def _build_parser() -> _Parser:
     demo.set_defaults(handler=_cmd_smc_demo)
 
     mine = sub.add_parser("assoc", help="association rule mining")
-    mine_sub = mine.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    mine_sub = mine.add_subparsers(dest="subcommand", required=True)
     m = mine_sub.add_parser("mine")
     source = m.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="JSON transactions file")

@@ -1,6 +1,9 @@
+import builtins
 import functools
+import itertools
 import math
 import operator
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -288,6 +291,124 @@ def test_noise_spec_validation():
         NoiseSpec.symmetric(0)
     sym = NoiseSpec.symmetric(2)
     assert sym.probabilities == {-2: 0.25, -1: 0.25, 1: 0.25, 2: 0.25}
+
+
+def _sample_loop(self, rng):
+    """``NoiseSpec.sample`` as first written, a walk over the sorted deltas:
+    the reference for the bisection over the stored cumulative sums."""
+    u = rng.random()
+    acc = 0.0
+    deltas = sorted(self.probabilities)
+    for delta in deltas:
+        acc += self.probabilities[delta]
+        if u < acc:
+            return delta
+    return deltas[-1]
+
+
+class _Draws:
+    """An rng stand-in whose ``random()`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+@st.composite
+def noise_specs(draw):
+    """Zero-mean specs: a pair (a, b) of weight w puts w*b/(a+b) on -a and
+    w*a/(a+b) on b. Zero weights and padded deltas have probability 0."""
+    probs = {0: draw(st.floats(0, 1))}
+    pairs = st.tuples(st.integers(1, 6), st.integers(1, 6), st.floats(0, 1))
+    for a, b, w in draw(st.lists(pairs, max_size=5)):
+        probs[-a] = probs.get(-a, 0.0) + w * b / (a + b)
+        probs[b] = probs.get(b, 0.0) + w * a / (a + b)
+    for delta in draw(st.lists(st.integers(-9, 9), max_size=3)):
+        probs.setdefault(delta, 0.0)
+    total = sum(probs.values())
+    assume(total > 0)
+    try:
+        return NoiseSpec({d: p / total for d, p in probs.items()})
+    except InvalidSpec:  # rounding moved the total or the mean past the tolerance
+        assume(False)
+
+
+@given(noise_specs(), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_noise_sample_equals_the_linear_walk(spec, seed):
+    fast, slow = random.Random(seed), random.Random(seed)
+    assert [spec.sample(fast) for _ in range(50)] == [_sample_loop(spec, slow) for _ in range(50)]
+
+
+@pytest.mark.parametrize("probs", [
+    {-1: 0.35, 0: 0.3, 1: 0.35},  # the float total is 0.9999999999999999
+    {-2: 0.25, -1: 0.25, 1: 0.25, 2: 0.25},
+    {-3: 0.0, -1: 0.5, 0: 0.0, 1: 0.5, 4: 0.0},
+    {0: 1.0},
+], ids=repr)
+def test_noise_sample_at_the_cumulative_boundaries(probs):
+    spec = NoiseSpec(probs)
+    draws = [0.0, 0.9999999999999999]
+    for c in itertools.accumulate(probs[d] for d in sorted(probs)):
+        draws += [c, math.nextafter(c, 0.0)]
+    fast, slow = _Draws(draws), _Draws(draws)
+    assert [spec.sample(fast) for _ in draws] == [_sample_loop(spec, slow) for _ in draws]
+
+
+def test_noise_sample_past_the_float_total_gives_the_largest_delta():
+    spec = NoiseSpec({-1: 0.35, 0: 0.3, 1: 0.35})
+    assert 0.35 + 0.3 + 0.35 == 0.9999999999999999  # so this draw passes every sum
+    assert spec.sample(_Draws([0.9999999999999999])) == 1
+
+
+def test_noise_spec_is_defined_by_its_probabilities():
+    probs = {-1: 0.35, 0: 0.3, 1: 0.35}
+    spec = NoiseSpec(probs)
+    data = pickle.dumps(spec)
+    assert b"_cumulative" not in data and b"_deltas" not in data
+    assert pickle.loads(data) == spec == NoiseSpec(dict(probs))
+    assert repr(spec) == "NoiseSpec(probabilities={-1: 0.35, 0: 0.3, 1: 0.35})"
+    assert pickle.loads(data).sample(_Draws([0.5])) == 0
+
+
+def _compensated_sum(values, start=0):
+    """The builtin ``sum`` as Python 3.12 and later run it over floats,
+    with Neumaier compensation. Integers alone still add exactly."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return builtins.sum(values, start)
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
+    # MDAV's embedding and NoiseSpec.stddev add floats left to right, one
+    # rounding per addition, whichever summation the builtin sum uses
+    rng = random.Random(1)
+    ages = [int(rng.lognormvariate(3, 1)) for _ in range(200)]
+    mu = sum(ages) / len(ages)
+    squares = [(x - mu) ** 2 for x in ages]
+    spec = NoiseSpec.symmetric(3)
+    terms = [d * d * p for d, p in spec.probabilities.items()]
+    left_to_right = functools.partial(functools.reduce, operator.add)
+    # the two summations round both inputs differently
+    assert left_to_right(squares, 0.0) != _compensated_sum(squares)
+    assert left_to_right(terms, 0.0) != _compensated_sum(terms)
+    sd = (left_to_right(squares, 0.0) / len(ages)) ** 0.5
+    expected = ([((x - mu) / sd,) for x in ages], left_to_right(terms, 0.0) ** 0.5)
+    ds = ages_dataset(ages)
+    assert (anonymize._mixed_coordinates(ds, ["Age"]), spec.stddev()) == expected
+    monkeypatch.setattr(anonymize, "sum", _compensated_sum, raising=False)
+    assert (anonymize._mixed_coordinates(ds, ["Age"]), spec.stddev()) == expected
 
 
 def test_add_noise_deltas_in_support():

@@ -69,6 +69,20 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+# Every parser in the tree, the subparsers included, reports a usage error
+# instead of exiting the process.
+@pytest.mark.parametrize("argv", [
+    [], ["nope"], ["metrics", "--nope"], ["anonymize", "--nope"], ["dpcheck", "--nope"],
+    ["fixtures"], ["fixtures", "nope"], ["fixtures", "export", "--nope"],
+    ["rappor"], ["rappor", "nope"], ["rappor", "encode", "--nope"],
+    ["smc"], ["smc", "nope"], ["smc", "demo", "--nope"],
+    ["assoc"], ["assoc", "nope"], ["assoc", "mine", "--nope"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_usage_errors_exit_1_at_every_parser_level(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("usage error: ")
+
+
 def test_validation_errors_exit_2(capsys, tmp_path):
     code, _, err = run(
         capsys, "metrics", "--input", str(tmp_path / "missing.csv"),

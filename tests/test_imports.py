@@ -1,8 +1,10 @@
 """numpy is imported only by the calls that compute with it (``rappor
 simulate`` and multivariate microaggregation), and logging by none of them.
+``import privkit`` loads no module, and a name taken from the package loads
+only its own module.
 
 Each case runs in a fresh interpreter, because the test process itself has
-numpy loaded long before any of these run.
+numpy and every privkit module loaded long before any of these run.
 """
 
 import json
@@ -129,3 +131,93 @@ result = count_report_lines(text.splitlines(keepends=True), params)
     reports = [b"\x02\x03", b"\x04\x05", b"\x06\x07"]
     counts = [sum((r[i // 8] >> (i % 8)) & 1 for r in reports) for i in range(12)]
     assert probe(setup, tmp_path) == {"result": [counts, 3], "numpy": False}
+
+
+# The package's API, module by module: ``privkit.__all__`` is exactly these
+# names, and each one is its module's own object.
+EXPORTS = {
+    "anonymize": [
+        "EquivalenceClass", "GeneralizationRule", "NoiseSpec", "NumericBins", "Partition",
+        "SuppressAll", "TextPrefix", "add_noise", "aggregate_groups", "equivalence_classes",
+        "generalize", "k_anonymity", "l_diversity", "microaggregate_multivariate",
+        "microaggregate_univariate", "rank_swap", "suppress", "swap_values",
+    ],
+    "assoc": ["Rule", "TransactionSet", "certainty", "solid_rules", "support"],
+    "dataset": [
+        "Attribute", "AttributeRole", "Dataset", "Interval", "Kind", "MaskedText",
+        "SUPPRESSED", "Schema", "fixture_table1", "load_csv", "write_csv",
+    ],
+    "dpcheck": ["MechanismDistribution", "exact_epsilon", "prr_distribution",
+                "report_distribution"],
+    "errors": ["PrivkitError"],
+    "rappor": [
+        "BloomFilter", "PermanentResponse", "RapporParams", "Report", "bloom_check",
+        "bloom_encode", "epsilon_infinity", "epsilon_one", "estimate_counts", "irr", "lemma1",
+        "make_report", "prr", "simulate_reports",
+    ],
+    "smc": ["lagrange_at", "run_secret_sum", "secret_sum_transcript"],
+}
+ALL = sorted(name for names in EXPORTS.values() for name in names)
+_LOADED = '\nresult = sorted(m for m in sys.modules if m.split(".")[0] == "privkit")'
+
+
+def test_all_is_the_frozen_api():
+    assert len(ALL) == 56
+    assert privkit.__all__ == ALL
+
+
+@pytest.mark.parametrize("setup,loaded", [
+    ("import privkit", ["privkit"]),
+    ("import privkit.rappor", ["privkit", "privkit.errors", "privkit.rappor"]),
+    ("from privkit import RapporParams", ["privkit", "privkit.errors", "privkit.rappor"]),
+    ("from privkit import PrivkitError", ["privkit", "privkit.errors"]),
+], ids=["import privkit", "import privkit.rappor", "RapporParams", "PrivkitError"])
+def test_package_loads_only_the_modules_asked_for(tmp_path, setup, loaded):
+    assert probe(setup + _LOADED, tmp_path) == {"result": loaded, "numpy": False}
+
+
+def test_star_import_binds_the_api_and_no_submodule(tmp_path):
+    setup = """\
+namespace = {}
+exec("from privkit import *", namespace)
+result = sorted(name for name in namespace if name != "__builtins__")
+"""
+    assert probe(setup, tmp_path) == {"result": ALL, "numpy": False}
+
+
+def test_package_attributes_resolve_lazily(tmp_path):
+    setup = f"""\
+import importlib, privkit
+first = privkit.rappor  # before anything has imported the submodule
+try:
+    privkit.nope
+except AttributeError as exc:
+    missing = str(exc)
+result = {{
+    "submodule": first is sys.modules["privkit.rappor"],
+    "not the module's own": [name for module, names in {EXPORTS!r}.items() for name in names
+                             if getattr(privkit, name) is not
+                             getattr(importlib.import_module("privkit." + module), name)],
+    "not in dir": sorted({{*privkit.__all__, *{sorted(EXPORTS)!r}}} - set(dir(privkit))),
+    "missing": missing,
+    "hasattr": hasattr(privkit, "nope"),
+}}
+"""
+    assert probe(setup, tmp_path)["result"] == {
+        "submodule": True,
+        "not the module's own": [],
+        "not in dir": [],
+        "missing": "module 'privkit' has no attribute 'nope'",
+        "hasattr": False,
+    }
+
+
+def test_cli_import_loads_every_module_the_tracer_patches(tmp_path):
+    loaded = probe("import privkit.cli" + _LOADED, tmp_path)["result"]
+    missing = sorted({f"privkit.{module}" for module in EXPORTS} - set(loaded))
+    assert not missing, (
+        f"import privkit.cli no longer loads {missing}. The benchmark's traced mode "
+        "(bench/tracing.py, Tracer.patched()) reads every privkit module from sys.modules "
+        "right after that import, so it would fail. Move CLI imports into handlers only "
+        "after ROADMAP item 1 makes the tracer import each module itself."
+    )
