@@ -51,6 +51,12 @@ from .errors import (
 _PROB_TOL = 1e-12
 
 
+def _check_int(name: str, value) -> None:
+    # bins of width 2.5 have float bounds that no CSV reads back
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NumericBins:
     """Replace integer x by the width-sized bin [lo, lo+width-1] containing it."""
@@ -60,6 +66,8 @@ class NumericBins:
     kind: ClassVar[Kind] = Kind.INTEGER
 
     def __post_init__(self):
+        _check_int("width", self.width)
+        _check_int("origin", self.origin)
         if self.width < 1:
             raise ValueError(f"bin width must be >= 1, got {self.width}")
 
@@ -81,6 +89,7 @@ class TextPrefix:
     kind: ClassVar[Kind] = Kind.TEXT
 
     def __post_init__(self):
+        _check_int("keep", self.keep)
         if self.keep < 0:
             raise ValueError(f"prefix length must be >= 0, got {self.keep}")
 
@@ -135,6 +144,7 @@ class Partition:
 class NoiseSpec:
     """Zero-mean discrete noise: mapping from integer delta to probability.
 
+    Probabilities are ints or floats (bool is neither), stored as floats.
     Equality, ``repr`` and pickling depend on ``probabilities`` alone."""
 
     probabilities: Mapping[int, float]
@@ -146,6 +156,9 @@ class NoiseSpec:
         for delta, prob in probs.items():
             if not isinstance(delta, int) or isinstance(delta, bool):
                 raise InvalidSpec(f"delta {delta!r} is not an integer")
+            if isinstance(prob, bool) or not isinstance(prob, (int, float)):
+                raise InvalidSpec(f"probability of delta {delta} must be a number, got {prob!r}")
+            probs[delta] = prob = float(prob)  # OverflowError past the float range
             if not prob >= 0:  # false for NaN as well
                 raise InvalidSpec(f"probability of delta {delta} must be >= 0, got {prob}")
         total = sum(probs.values())

@@ -48,13 +48,10 @@ class TransactionSet:
         transactions: Iterable[Iterable[str]],
         items: Optional[Iterable[str]] = None,
     ) -> "TransactionSet":
-        txs = tuple(frozenset(t) for t in transactions)
-        universe = (
-            frozenset(items)
-            if items is not None
-            else frozenset().union(*txs) if txs else frozenset()
-        )
-        return cls(txs, universe)
+        """Each transaction, and ``items`` if given, is a collection of item
+        strings; ``items`` defaults to the union of the transactions."""
+        txs = tuple(map(_itemset, transactions))
+        return cls(txs, _itemset(items) if items is not None else frozenset().union(*txs))
 
     def __len__(self):
         return len(self.transactions)
@@ -204,6 +201,19 @@ def _count_and_keep(transactions, itemset, counts, frequent) -> bool:
         counts[itemset] = c
         return True
     return False
+
+
+def _itemset(items: Iterable[str]) -> ItemSet:
+    """The items as a set. Each must be a string, and a string is not read as
+    the set of its characters; a ValueError, which the CLI reports as a data
+    error, names what is wrong."""
+    if isinstance(items, str):
+        raise ValueError(f"expected a collection of item strings, got the string {items!r}")
+    items = tuple(items)
+    for item in items:
+        if not isinstance(item, str):
+            raise ValueError(f"item {item!r} is not a string")
+    return frozenset(items)
 
 
 def transactions_from_dataset(

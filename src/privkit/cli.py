@@ -144,9 +144,9 @@ def _cmd_fixtures_export(args) -> dict:
 _RANDOMIZED_OPS = {"add_noise", "swap_values", "rank_swap"}
 
 
-def _int_field(obj: Mapping, name: str, default: Optional[int] = None) -> int:
+def _int_field(obj: Mapping, name: str) -> int:
     """A field that must be a JSON integer: int() would truncate 2.9 and parse "7"."""
-    value = obj[name] if default is None else obj.get(name, default)
+    value = obj[name]
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return value
@@ -176,9 +176,9 @@ def _parse_rule(obj) -> anon.GeneralizationRule:
         raise TypeError(f"each rule must be an object, got {obj!r}")
     strategy_name = obj.get("strategy")
     if strategy_name == "numeric_bins":
-        strategy = anon.NumericBins(_int_field(obj, "width"), _int_field(obj, "origin", 0))
+        strategy = anon.NumericBins(obj["width"], obj.get("origin", 0))
     elif strategy_name == "text_prefix":
-        strategy = anon.TextPrefix(_int_field(obj, "keep"))
+        strategy = anon.TextPrefix(obj["keep"])
     elif strategy_name == "suppress":
         strategy = anon.SuppressAll()
     else:
@@ -208,11 +208,9 @@ def _compile_step(step, schema: Schema, stepno: int) -> Callable[[Dataset], Data
             return lambda d: anon.generalize(d, rules)
         if op == "add_noise":
             deltas = step["deltas"]
-            if not isinstance(deltas, dict) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in deltas.values()
-            ):
-                raise TypeError("deltas must be an object of numbers")
-            spec = anon.NoiseSpec({_delta_key(k): float(v) for k, v in deltas.items()})
+            if not isinstance(deltas, dict):
+                raise TypeError(f"deltas must be an object, got {deltas!r}")
+            spec = anon.NoiseSpec({_delta_key(k): v for k, v in deltas.items()})
             name, seed = step["attribute"], _int_field(step, "seed")
             anon.check_integer_attribute(schema, name)
             return lambda d: anon.add_noise(d, name, spec, random.Random(seed))
@@ -383,6 +381,7 @@ def _cmd_rappor_estimate(args) -> dict:
 
 def _cmd_dpcheck(args) -> dict:
     params = _params_from_arg(args.params)
+    dpcheck.check_enumerable(params.k)  # before any k-sized allocation
     b1 = rappor.BloomFilter.from_indices(params.k, _comma_ints(args.bits1))
     b2 = rappor.BloomFilter.from_indices(params.k, _comma_ints(args.bits2))
     # Built per call, not at module level, so patched module attributes are used.
@@ -433,10 +432,10 @@ def _cmd_assoc_mine(args) -> dict:
         if not isinstance(raw, dict):
             raise ConfigError("transactions file must be a list or an object")
         txs, items = raw.get("transactions", []), raw.get("items")
-        if not isinstance(txs, list) or not all(_is_string_list(t) for t in txs):
-            raise ConfigError("transactions must be a JSON array of arrays of strings")
-        if items is not None and not _is_string_list(items):
-            raise ConfigError("items must be a JSON array of strings")
+        if not isinstance(txs, list) or not all(isinstance(t, list) for t in txs):
+            raise ConfigError("transactions must be a JSON array of arrays")
+        if items is not None and not isinstance(items, list):
+            raise ConfigError("items must be a JSON array")
         transactions = assoc.TransactionSet.from_iterables(txs, items)
     rules = assoc.solid_rules(
         transactions,

@@ -126,9 +126,18 @@ def _int(digits: str) -> int:
 
 @dataclass(frozen=True)
 class Attribute:
+    """One column of a schema. Role and kind may be given by their values
+    ("quasi_identifier", "integer"); they are stored as the enum members."""
+
     name: str
     role: AttributeRole
     kind: Kind
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise TypeError(f"attribute name {self.name!r} is not a string")
+        object.__setattr__(self, "role", AttributeRole(self.role))
+        object.__setattr__(self, "kind", Kind(self.kind))
 
 
 @dataclass(frozen=True)
@@ -177,15 +186,7 @@ class Schema:
         attrs = []
         for i, entry in enumerate(raw):
             try:
-                if not isinstance(entry["name"], str):
-                    raise TypeError(f"attribute name {entry['name']!r} is not a string")
-                attrs.append(
-                    Attribute(
-                        name=entry["name"],
-                        role=AttributeRole(entry["role"]),
-                        kind=Kind(entry["kind"]),
-                    )
-                )
+                attrs.append(Attribute(entry["name"], entry["role"], entry["kind"]))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ParseError(f"bad schema entry at index {i}: {exc}") from exc
         return cls(tuple(attrs))

@@ -22,6 +22,12 @@ from .rappor import BloomFilter, RapporParams, lemma1
 ENUMERATION_CAP = 20
 
 
+def check_enumerable(k: int) -> None:
+    """Raise FilterTooLarge if 2^k outcomes are past the enumeration cap."""
+    if k > ENUMERATION_CAP:
+        raise FilterTooLarge(f"k={k} exceeds the exact enumeration cap of {ENUMERATION_CAP}")
+
+
 class MechanismDistribution:
     """Exact distribution over all 2^k outcome bit patterns.
 
@@ -57,10 +63,7 @@ class MechanismDistribution:
     def product_of_bits(cls, p_one: Sequence[float]) -> "MechanismDistribution":
         """Joint distribution of independent bits with P(bit i = 1) = p_one[i]."""
         k = len(p_one)
-        if k > ENUMERATION_CAP:
-            raise FilterTooLarge(
-                f"{k} bits exceed the exact enumeration cap of {ENUMERATION_CAP}"
-            )
+        check_enumerable(k)
         log_probs = [0.0]
         for p in p_one:
             lo = math.log(1.0 - p) if p < 1.0 else -math.inf
@@ -115,9 +118,5 @@ def _check_size(bloom: BloomFilter, params: RapporParams) -> None:
     if len(bloom.bits) != params.k:
         raise SpaceMismatch(
             f"filter has {len(bloom.bits)} bits, params say {params.k}"
-        )
-    if params.k > ENUMERATION_CAP:
-        raise FilterTooLarge(
-            f"k={params.k} exceeds the exact enumeration cap of {ENUMERATION_CAP}"
         )
 

@@ -1,9 +1,11 @@
 """Exception hierarchy shared by all privkit modules.
 
 Most validation errors raised by the library derive from PrivkitError.
-Some range checks in ``anonymize``, ``dataset``, ``dpcheck`` and ``smc``
-raise a plain ValueError instead, so callers (including the CLI) that
-separate data/validation failures from bugs catch both.
+Some range checks in ``anonymize``, ``assoc``, ``dataset``, ``dpcheck`` and
+``smc`` raise a plain ValueError instead, so callers (including the CLI) that
+separate data/validation failures from bugs catch both. The field type
+checks of ``Attribute`` and the generalization strategies raise TypeError;
+the CLI reports them through the schema or pipeline step that named them.
 """
 
 

@@ -82,6 +82,10 @@ class RapporParams:
     p: probability a report bit is 1 given the permanent bit is 0.
     hash_seed: keys the Bloom hash family, making indices reproducible.
 
+    k, h and hash_seed must be ints, and f, q and p ints or floats (bool is
+    neither); f, q and p are stored as floats, so that params equal in value
+    have one digest. ``from_json`` only maps a JSON object onto these fields.
+
     k is at most 2^35 and h below 2^32: the PRR hashes number each 8-bit
     block, and the Bloom hashes each function, as an unsigned 32-bit integer.
 
@@ -99,6 +103,19 @@ class RapporParams:
     hash_seed: int = 0
 
     def __post_init__(self):
+        # Fields take their type as written: int() would truncate 12.7 and
+        # float() would parse "0.5". bool is an int subclass in Python.
+        for name in ("k", "h", "f", "q", "p", "hash_seed"):
+            value = getattr(self, name)
+            integer = name in ("k", "h", "hash_seed")
+            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+                kind = "an integer" if integer else "a number"
+                raise InvalidParams(f"{name} must be {kind}, got {value!r}")
+        try:  # stored as floats, so params equal in value have one digest
+            for name in ("f", "q", "p"):
+                object.__setattr__(self, name, float(getattr(self, name)))
+        except OverflowError as exc:
+            raise InvalidParams(f"bad params field: {exc}") from exc
         if not 1 <= self.k <= 2**35:
             raise InvalidParams(f"filter size must be in [1, 2^35], got {self.k}")
         if not 1 <= self.h <= min(self.k, 2**32 - 1):
@@ -145,20 +162,7 @@ class RapporParams:
             fields = {name: obj[name] for name in ("k", "h", "f", "q", "p")}
         except KeyError as exc:
             raise InvalidParams(f"params JSON missing field {exc}") from exc
-        fields["hash_seed"] = obj.get("hash_seed", 0)
-        # Fields take their JSON type as written: int() would truncate 12.7
-        # and float() would parse "0.5". bool is an int subclass in Python.
-        for name, value in fields.items():
-            integer = name in ("k", "h", "hash_seed")
-            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-                kind = "an integer" if integer else "a number"
-                raise InvalidParams(f"{name} must be {kind}, got {value!r}")
-        try:
-            for name in ("f", "q", "p"):
-                fields[name] = float(fields[name])
-        except OverflowError as exc:
-            raise InvalidParams(f"bad params field: {exc}") from exc
-        return cls(**fields)
+        return cls(**fields, hash_seed=obj.get("hash_seed", 0))
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,27 @@ def test_strategy_parameters_validated(make, message):
         make()
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: NumericBins(2.5), "width must be an integer, got 2.5"),
+    (lambda: NumericBins(10.0), "width must be an integer, got 10.0"),
+    (lambda: NumericBins(True), "width must be an integer, got True"),
+    (lambda: NumericBins("3"), "width must be an integer, got '3'"),
+    (lambda: NumericBins(10, origin=0.5), "origin must be an integer, got 0.5"),
+    (lambda: NumericBins(10, origin=None), "origin must be an integer, got None"),
+    (lambda: NumericBins(0, origin="0"), "origin must be an integer, got '0'"),
+    (lambda: TextPrefix(1.5), "keep must be an integer, got 1.5"),
+    (lambda: TextPrefix(False), "keep must be an integer, got False"),
+    (lambda: TextPrefix(None), "keep must be an integer, got None"),
+], ids=["width-2.5", "width-10.0", "width-true", "width-str", "origin-0.5", "origin-null",
+        "types-before-range", "keep-1.5", "keep-false", "keep-null"])
+def test_strategy_field_types_validated(make, message):
+    # the messages the pipeline config reader printed before it left these
+    # checks to the strategies
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_suppress_idempotent_and_empty():
     t1 = fixture_table1()
     once = suppress(t1, ["Name"])
@@ -291,6 +312,27 @@ def test_noise_spec_validation():
         NoiseSpec.symmetric(0)
     sym = NoiseSpec.symmetric(2)
     assert sym.probabilities == {-2: 0.25, -1: 0.25, 1: 0.25, 2: 0.25}
+
+
+@pytest.mark.parametrize("probs,error,message", [
+    ({-1: 0.5, 1: "0.5"}, InvalidSpec, "probability of delta 1 must be a number, got '0.5'"),
+    ({0: True}, InvalidSpec, "probability of delta 0 must be a number, got True"),
+    ({0: None}, InvalidSpec, "probability of delta 0 must be a number, got None"),
+    ({0: [1.0]}, InvalidSpec, "probability of delta 0 must be a number, got [1.0]"),
+    ({0: Fraction(1)}, InvalidSpec, "probability of delta 0 must be a number, got Fraction(1, 1)"),
+    ({0: 10**400}, OverflowError, "int too large to convert to float"),
+], ids=["str", "bool", "null", "list", "fraction", "beyond-float"])
+def test_noise_spec_probability_types(probs, error, message):
+    with pytest.raises(error) as info:
+        NoiseSpec(probs)
+    assert str(info.value) == message
+
+
+def test_noise_spec_stores_float_probabilities():
+    spec = NoiseSpec({-1: 0.5, 0: 0, 1: 0.5})
+    assert spec == NoiseSpec({-1: 0.5, 0: 0.0, 1: 0.5})
+    assert [type(p) for p in spec.probabilities.values()] == [float] * 3
+    assert repr(NoiseSpec({0: 1})) == "NoiseSpec(probabilities={0: 1.0})"
 
 
 def _sample_loop(self, rng):

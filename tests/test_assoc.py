@@ -82,6 +82,30 @@ def test_universe_enforced_at_construction():
         TransactionSet.from_iterables([{"a", "b"}], items={"a"})
 
 
+@pytest.mark.parametrize("transactions,items,message", [
+    (["ab", "ab", "b"], None, "expected a collection of item strings, got the string 'ab'"),
+    ([["a"]], "ab", "expected a collection of item strings, got the string 'ab'"),
+    ([["a", 1], ["a"]], None, "item 1 is not a string"),
+    ([[None]], None, "item None is not a string"),
+    ([[["x"]]], None, "item ['x'] is not a string"),
+    ([["a"]], ["a", 2], "item 2 is not a string"),
+    ([["a"]], [b"a"], "item b'a' is not a string"),
+], ids=["string-transactions", "string-items", "int-item", "null-item", "list-item",
+        "int-in-items", "bytes-in-items"])
+def test_from_iterables_rejects_what_is_not_a_string_item(transactions, items, message):
+    # ValueError, not TypeError: the CLI reports it as a data error
+    with pytest.raises(ValueError) as info:
+        TransactionSet.from_iterables(transactions, items)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_from_iterables_takes_any_collection_of_strings():
+    ts = TransactionSet.from_iterables(iter([("a", "b"), {"b"}, ["a", "a"]]), ("a", "b", "c"))
+    assert ts.transactions == (frozenset("ab"), frozenset("b"), frozenset("a"))
+    assert ts.items == frozenset("abc")
+    assert TransactionSet.from_iterables([]).items == frozenset()
+
+
 def test_certainty_values():
     assert certainty(BASKET, {"a"}, {"b"}) == pytest.approx(2 / 3)
     always = TransactionSet.from_iterables([{"a", "b"}, {"a", "b"}])

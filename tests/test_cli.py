@@ -359,6 +359,26 @@ def test_anonymize_config_shapes_strict(capsys, tmp_path, export_fixture, steps)
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("steps,message", [
+    ([with_field("numeric_bins", "width", 2.5)],
+     "step 0 (generalize): width must be an integer, got 2.5"),
+    ([with_field("numeric_bins", "origin", None)],
+     "step 0 (generalize): origin must be an integer, got None"),
+    ([with_field("text_prefix", "keep", "2")],
+     "step 0 (generalize): keep must be an integer, got '2'"),
+    ([with_field("add_noise", "deltas", {"-1": 0.5, "1": "0.5"})],
+     "step 0 (add_noise): probability of delta 1 must be a number, got '0.5'"),
+    ([with_field("add_noise", "deltas", {"0": 10**400})],
+     "step 0 (add_noise): int too large to convert to float"),
+    ([with_field("add_noise", "deltas", [1])], "step 0 (add_noise): deltas must be an object, got [1]"),
+], ids=["width", "origin", "keep", "deltas-str", "deltas-beyond-float", "deltas-array"])
+def test_anonymize_field_errors_are_the_constructors(capsys, tmp_path, export_fixture,
+                                                     steps, message):
+    # the strategies and NoiseSpec check their own fields; the reader adds the step
+    code, out, err, written = run_pipeline(capsys, tmp_path, export_fixture, steps)
+    assert (code, out, err, written) == (2, "", f"error: {message}\n", False)
+
+
 @pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0", "-0", "x", "1" * 5000],
                          ids=["01", "plus", "space", "underscore", "minus-zero", "x", "5000-digits"])
 def test_anonymize_deltas_key_named(capsys, tmp_path, export_fixture, key):
@@ -733,6 +753,22 @@ def test_dpcheck_infinite_epsilon(capsys):
     assert out["closed_form"] is None  # formula undefined at f=0
 
 
+@pytest.mark.parametrize("k", [21, 2**35], ids=["k=21", "k=2^35"])
+def test_dpcheck_rejects_k_over_the_cap_before_allocating(capsys, monkeypatch, k):
+    from_indices = rappor.BloomFilter.from_indices.__func__
+
+    def guarded(cls, size, indices):
+        assert size <= 20, f"a filter of {size} bits was allocated"
+        return from_indices(cls, size, indices)
+
+    monkeypatch.setattr(rappor.BloomFilter, "from_indices", classmethod(guarded))
+    params = json.dumps({"k": k, "h": 2, "f": 0.5, "q": 0.75, "p": 0.5})
+    code, out, err = run(capsys, "dpcheck", "--params", params, "--mode", "prr",
+                         "--bits1", "0", "--bits2", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: k={k} exceeds the exact enumeration cap of 20\n"
+
+
 def test_smc_demo(capsys):
     out = run_json(capsys, "smc", "demo", "--votes", "1,1,0", "--seed", "7")
     assert out["sum"] == 2
@@ -801,6 +837,18 @@ def test_assoc_mine_rejects_non_string_transactions(capsys, tmp_path, raw):
     txs.write_text(json.dumps(raw))
     code, out, err = run(capsys, "assoc", "mine", "--input", str(txs))
     assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("raw,message", [
+    ([["a", 1], ["a"]], "item 1 is not a string"),
+    ({"transactions": [["a"]], "items": ["a", None]}, "item None is not a string"),
+    (["abc", ["b"]], "transactions must be a JSON array of arrays"),
+    ({"items": "ab"}, "items must be a JSON array"),
+], ids=["int-item", "null-in-items", "string-transaction", "string-items"])
+def test_assoc_mine_transaction_errors(capsys, tmp_path, raw, message):
+    txs = tmp_path / "transactions.json"
+    txs.write_text(json.dumps(raw))
+    assert run(capsys, "assoc", "mine", "--input", str(txs)) == (2, "", f"error: {message}\n")
 
 
 _OPS = sorted({step["op"] for step in VALID_STEPS.values()})

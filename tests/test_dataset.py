@@ -156,6 +156,33 @@ def test_schema_from_json_rejects(raw):
         Schema.from_json(json.dumps(raw))
 
 
+@pytest.mark.parametrize("name,role,kind,error,message", [
+    (3, "sensitive", "text", TypeError, "attribute name 3 is not a string"),
+    (None, "sensitive", "text", TypeError, "attribute name None is not a string"),
+    (["a"], "sensitive", "text", TypeError, "attribute name ['a'] is not a string"),
+    ("A", "secret", "text", ValueError, "'secret' is not a valid AttributeRole"),
+    ("A", "text", "text", ValueError, "'text' is not a valid AttributeRole"),
+    ("A", "sensitive", "float", ValueError, "'float' is not a valid Kind"),
+    ("A", "sensitive", None, ValueError, "None is not a valid Kind"),
+], ids=["int-name", "null-name", "list-name", "unknown-role", "kind-value-as-role",
+        "unknown-kind", "null-kind"])
+def test_attribute_rejects_what_the_schema_reader_rejects(name, role, kind, error, message):
+    with pytest.raises(error) as direct:
+        Attribute(name, role, kind)
+    assert str(direct.value) == message
+    with pytest.raises(ParseError) as read:
+        Schema.from_json(json.dumps([{"name": name, "role": role, "kind": kind}]))
+    assert str(read.value) == f"bad schema entry at index 0: {message}"
+
+
+def test_attribute_takes_role_and_kind_by_value():
+    age = Attribute("Age", "quasi_identifier", "integer")
+    assert age == Attribute("Age", QI, Kind.INTEGER)
+    assert age.role is QI and age.kind is Kind.INTEGER
+    # so the column is read as integers, not as text
+    assert load_csv(b"Age\n5\n", Schema((age,))).column("Age") == (5,)
+
+
 @pytest.mark.parametrize("text", ['[{"name": "a"', "[" * 100_000], ids=["truncated", "deep"])
 def test_schema_from_json_rejects_text_that_is_not_json(text):
     with pytest.raises(ParseError, match="^schema is not valid JSON: "):

@@ -119,13 +119,52 @@ def test_params_json_field_types(field, value):
     obj = {"k": 12, "h": 2, "f": 0.5, "q": 0.75, "p": 0.5, "hash_seed": 5, field: value}
     # oracle: the JSON type of the field (bool is not a JSON number)
     integer = field in ("k", "h", "hash_seed")
-    if type(value) in ({int} if integer else {int, float}):
-        params = RapporParams.from_json(json.dumps(obj))
-        assert getattr(params, field) == value
-        assert type(getattr(params, field)) is (int if integer else float)
+    built, messages = [], set()
+    # the same fields read from JSON and given to the constructor directly
+    for build in (lambda: RapporParams.from_json(json.dumps(obj)), lambda: RapporParams(**obj)):
+        if type(value) in ({int} if integer else {int, float}):
+            params = build()
+            assert getattr(params, field) == value
+            assert type(getattr(params, field)) is (int if integer else float)
+            built.append(params)
+        else:
+            with pytest.raises(InvalidParams, match=f"^{field} must be ") as info:
+                build()
+            messages.add(str(info.value))
+    if built:
+        assert built[0] == built[1] and built[0].digest() == built[1].digest()
     else:
-        with pytest.raises(InvalidParams):
-            RapporParams.from_json(json.dumps(obj))
+        assert len(messages) == 1  # both paths say the same
+
+
+_PROBABILITY = st.sampled_from([0, 1]) | st.floats(0, 1)
+
+
+def _respelled(x):
+    """An integral probability written the other way: 1 as 1.0, 1.0 as 1."""
+    return float(x) if isinstance(x, int) else int(x) if x.is_integer() else x
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 40), h=st.integers(1, 4), f=_PROBABILITY, q=_PROBABILITY,
+       p=_PROBABILITY, hash_seed=st.integers(0, 2**64 - 1), respell=st.booleans())
+def test_params_construction_paths_agree(k, h, f, q, p, hash_seed, respell):
+    assume(h <= k and p <= q)
+    fields = dict(k=k, h=h, f=f, q=q, p=p, hash_seed=hash_seed)
+    text = json.dumps({name: _respelled(v) if respell and name in ("f", "q", "p") else v
+                       for name, v in fields.items()})
+    direct, read = RapporParams(**fields), RapporParams.from_json(text)
+    assert direct == read and direct.digest() == read.digest()
+    assert all(type(getattr(direct, name)) is float for name in ("f", "q", "p"))
+    # the PRR is keyed by the params, so equal digests give equal bits
+    filt = bloom_encode("v", direct)
+    assert prr(filt, b"s", "v", direct).bits == prr(filt, b"s", "v", read).bits
+
+
+def test_params_int_probabilities_get_the_json_digest():
+    direct = RapporParams(16, 2, 1, 1, 0)
+    read = RapporParams.from_json({"k": 16, "h": 2, "f": 1, "q": 1, "p": 0})
+    assert direct.digest() == read.digest() == "5d4f99587a81cd4d"
 
 
 @pytest.mark.parametrize("text,message", [
