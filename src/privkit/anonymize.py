@@ -52,7 +52,9 @@ _PROB_TOL = 1e-12
 
 
 def _check_int(name: str, value) -> None:
-    # bins of width 2.5 have float bounds that no CSV reads back
+    """Raise TypeError unless value is an int and not a bool. Rule fields and
+    the integer arguments of the transforms go through it: bins of width 2.5
+    have float bounds that no CSV reads back, and p=True is no window."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
@@ -221,8 +223,32 @@ def generalize(dataset: Dataset, rules: Sequence[GeneralizationRule]) -> Dataset
                     f"prefix {strategy.keep} does not shorten the shortest "
                     f"value (length {min(lengths)}) of {rule.attribute!r}"
                 )
-        out = out.replace_column(rule.attribute, [strategy.apply(c) for c in column])
+        out = out.replace_column(rule.attribute, _apply_once_per_value(strategy, column))
     return out
+
+
+class _Memo(dict):
+    """``memo[type(c), c]`` is ``strategy.apply(c)``, worked out once per
+    key. The type is part of the key because ``1``, ``True`` and ``1.0`` are
+    equal keys, and a rule may accept one of them and reject another."""
+
+    def __init__(self, strategy: Strategy):
+        self.strategy = strategy
+
+    def __missing__(self, key):
+        self[key] = cell = self.strategy.apply(key[1])
+        return cell
+
+
+def _apply_once_per_value(strategy: Strategy, column: Sequence[Cell]) -> list[Cell]:
+    """``[strategy.apply(c) for c in column]``, applying the rule once per
+    distinct value, in column order, so the first bad cell raises."""
+    if isinstance(strategy, SuppressAll):  # it reads no cell
+        return [SUPPRESSED] * len(column)
+    try:
+        return list(map(_Memo(strategy).__getitem__, zip(map(type, column), column)))
+    except TypeError:  # an unhashable cell: apply it cell by cell, as it was
+        return [strategy.apply(c) for c in column]
 
 
 def check_rule_kind(schema: Schema, rule: GeneralizationRule) -> None:
@@ -305,8 +331,10 @@ def swap_values(
     """Exchange values between n_swaps disjoint record pairs chosen uniformly.
 
     No record participates in more than one exchange, so the column multiset
-    is preserved exactly.
+    is preserved exactly. ``n_swaps`` must be an int (not a bool): anything
+    else raises TypeError.
     """
+    _check_int("n_swaps", n_swaps)
     n = len(dataset)
     if n_swaps < 0:
         raise TooManySwaps(f"n_swaps must be >= 0, got {n_swaps}")
@@ -329,8 +357,10 @@ def rank_swap(
     ranks upward, each not-yet-swapped rank i is paired with a uniformly
     chosen not-yet-swapped rank in (i, i+p]; both are marked swapped. A rank
     with no eligible partner keeps its value. Original record order is
-    restored in the output.
+    restored in the output. ``p`` must be an int (not a bool): anything
+    else raises TypeError.
     """
+    _check_int("p", p)
     if p < 1:
         raise ValueError(f"rank-swap window must be >= 1, got {p}")
     column = _integer_column(dataset, attribute)
@@ -384,20 +414,29 @@ def aggregate_groups(
 
 def microaggregate_univariate(dataset: Dataset, attribute: str, k: int) -> Dataset:
     """Group sorted ranks into runs of k (last run absorbs the remainder) and
-    replace each value by the rounded group mean."""
+    replace each value by the rounded group mean. ``k`` must be an int (not
+    a bool): anything else raises TypeError.
+
+    The runs are slices of the sorted order, so they partition the records
+    by construction; this is ``aggregate_groups`` over those runs, without
+    its partition check."""
+    _check_int("k", k)
     if k < 2:
         raise ValueError(f"group size must be >= 2, got {k}")
     if len(dataset) < k:
         raise DatasetTooSmall(f"{len(dataset)} records cannot form a group of {k}")
     column = _integer_column(dataset, attribute)
     n = len(column)
-    order = sorted(range(n), key=lambda i: column[i])
+    order = sorted(range(n), key=column.__getitem__)
+    values = list(map(column.__getitem__, order))
+    out = list(column)
     full = n // k
-    groups = []
     for g in range(full):
-        hi = (g + 1) * k if g < full - 1 else n
-        groups.append([order[r] for r in range(g * k, hi)])
-    return aggregate_groups(dataset, [attribute], groups)
+        lo, hi = g * k, (g + 1) * k if g < full - 1 else n
+        mean = _round_half_away(sum(values[lo:hi]), hi - lo)
+        for i in order[lo:hi]:
+            out[i] = mean
+    return dataset.replace_column(attribute, out)
 
 
 def microaggregate_multivariate(
@@ -409,8 +448,10 @@ def microaggregate_multivariate(
     centroid of the remainder and the record s farthest from r, then form one
     group of the k records nearest r (r included) and one of the k nearest s.
     Fewer than 2k leftovers form the last group. Integer attributes are then
-    replaced by rounded group means.
+    replaced by rounded group means. ``k`` must be an int (not a bool):
+    anything else raises TypeError.
     """
+    _check_int("k", k)
     if k < 2:
         raise ValueError(f"group size must be >= 2, got {k}")
     if len(dataset) < k:
@@ -524,11 +565,12 @@ def _integer_column(dataset: Dataset, attribute: str) -> tuple[int, ...]:
     """The column of an integer attribute, each cell checked to be a raw int."""
     check_integer_attribute(dataset.schema, attribute)
     column = dataset.column(attribute)
-    for recno, cell in enumerate(column):
-        if not isinstance(cell, int) or isinstance(cell, bool):
-            raise KindMismatch(
-                f"record {recno} of {attribute!r} holds {cell!r}, not an integer"
-            )
+    if not {int}.issuperset(map(type, column)):  # one pass; the loop names the culprit
+        for recno, cell in enumerate(column):
+            if not isinstance(cell, int) or isinstance(cell, bool):
+                raise KindMismatch(
+                    f"record {recno} of {attribute!r} holds {cell!r}, not an integer"
+                )
     return column  # type: ignore[return-value]
 
 

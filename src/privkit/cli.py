@@ -145,10 +145,10 @@ _RANDOMIZED_OPS = {"add_noise", "swap_values", "rank_swap"}
 
 
 def _int_field(obj: Mapping, name: str) -> int:
-    """A field that must be a JSON integer: int() would truncate 2.9 and parse "7"."""
+    """A field that must be a JSON integer: int() would truncate 2.9 and parse "7".
+    Checked here, before any input is read, by the transforms' own check."""
     value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+    anon._check_int(name, value)
     return value
 
 

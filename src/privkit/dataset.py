@@ -85,8 +85,13 @@ Cell = Union[str, int, Interval, MaskedText, Suppressed]
 _CELL_TYPES = (str, int, *GENERALIZED)
 
 # Matched with fullmatch: "$" would also match before a final newline.
-_INT_RE = re.compile(r"[+-]?\d+")
-_INTERVAL_RE = re.compile(r"(-?\d+)-(-?\d+)")
+# ASCII: a Unicode \d would read "٤٤" as 44, which writes back as "44".
+_INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
+_INTERVAL_RE = re.compile(r"(-?\d+)-(-?\d+)", re.ASCII)
+# One block of an integer column, each cell followed by "\n". A quoted line
+# end inside a cell can pass it ("1\n2"), but int() rejects such a cell.
+_INT_BLOCK_RE = re.compile(r"(?:[+-]?\d+\n)*", re.ASCII)
+_BLOCK_ROWS = 4096  # rows parsed per block: bounds the transposed copy
 
 
 def render_cell(cell: Cell) -> str:
@@ -244,11 +249,19 @@ def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
 
     Lines may end in LF, CRLF or a lone CR. A line end inside a quoted
     field is kept in the cell; a bare CR in an unquoted field ends the
-    row. Rejects the whole file on the first malformed row; no
-    partial dataset is ever returned. Data rows count from 1, after the
-    header; a row the ``csv`` module cannot split (say, a field over its
-    size limit) is a ParseError naming that row, and a byte that is not
-    valid UTF-8 is one naming its line.
+    row. Integer cells are ASCII digits with an optional sign. Rejects the
+    whole file on the first malformed row; no partial dataset is ever
+    returned. Data rows count from 1, after the header; a row the ``csv``
+    module cannot split (say, a field over its size limit) is a ParseError
+    naming that row, and a byte that is not valid UTF-8 is one naming its
+    line.
+
+    Rows are read one by one and parsed in blocks of ``_BLOCK_ROWS``, a
+    column at a time. A block of an integer column that holds only plain
+    integers takes one regex match and ``int``; every other column parses
+    each distinct text once, so equal cells of a column are one object. A
+    block with a bad cell is parsed again row by row, so the error names
+    the first bad cell in file order, as it would cell by cell.
     """
     if isinstance(source, bytes):
         data = source
@@ -263,6 +276,7 @@ def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
             f"line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8"
         ) from exc
     reader = csv.reader(io.StringIO(text, newline=""))
+    attributes = schema.attributes
     header, rownum = None, 0  # rownum: the last data row read
     try:
         header = next(reader, None)
@@ -270,29 +284,80 @@ def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
             raise HeaderMismatch("empty input, expected a header row")
         if tuple(header) != schema.names:
             raise HeaderMismatch(f"header {tuple(header)} does not match schema {schema.names}")
-        columns: list[list[Cell]] = [[] for _ in schema.attributes]
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(columns):
-                raise ArityError(f"row {rownum} has {len(row)} cells, schema has {len(columns)}")
-            for attr, text, column in zip(schema.attributes, row, columns):
-                try:
-                    column.append(parse_cell(text, attr.kind))
-                except ParseError as exc:
-                    raise ParseError(
-                        f"row {rownum}, column {attr.name!r}: {exc}"
-                    ) from exc
+        columns: list[list[Cell]] = [[] for _ in attributes]
+        memos: list[dict[str, Cell]] = [{} for _ in attributes]  # kept across blocks
+        block: list[list[str]] = []
+        first = 1  # the row number of block[0]
+        try:
+            for rownum, row in enumerate(reader, start=1):
+                if len(row) != len(columns):
+                    raise ArityError(
+                        f"row {rownum} has {len(row)} cells, schema has {len(columns)}"
+                    )
+                block.append(row)
+                if len(block) == _BLOCK_ROWS:
+                    _parse_block(attributes, block, first, columns, memos)
+                    block, first = [], rownum + 1
+        except (ArityError, csv.Error):
+            _parse_block(attributes, block, first, columns, memos)  # a bad cell above wins
+            raise
+        _parse_block(attributes, block, first, columns, memos)
     except csv.Error as exc:
         where = "header row" if header is None else f"row {rownum + 1}"
         raise ParseError(f"{where}: {exc}") from exc
     return Dataset(schema, tuple(map(tuple, columns)))
 
 
+def _parse_block(
+    attributes: Sequence[Attribute],
+    block: list[list[str]],
+    first: int,
+    columns: list[list[Cell]],
+    memos: list[dict[str, Cell]],
+) -> None:
+    """Parse data rows ``first``, ``first + 1``, ... onto ``columns``, one
+    column at a time, through each column's memo from text to cell."""
+    try:
+        for attr, texts, column, memo in zip(attributes, zip(*block), columns, memos):
+            joined = "\n".join(texts) + "\n"
+            if attr.kind is Kind.INTEGER:
+                if _INT_BLOCK_RE.fullmatch(joined):
+                    column.extend(map(int, texts))  # ValueError past the digit limit
+                    continue
+            elif "*\n" not in joined:  # no cell ends in "*": each text is its own cell
+                column.extend(map(memo.setdefault, texts, texts))
+                continue
+            memo.update(
+                {t: parse_cell(t, attr.kind) for t in dict.fromkeys(texts) if t not in memo}
+            )
+            column.extend(map(memo.__getitem__, texts))
+    except (ParseError, ValueError):
+        for rownum, row in enumerate(block, start=first):
+            for attr, text in zip(attributes, row):
+                try:
+                    parse_cell(text, attr.kind)
+                except ParseError as exc:
+                    raise ParseError(f"row {rownum}, column {attr.name!r}: {exc}") from exc
+        raise
+
+
+_PLAIN_CELL_TYPES = frozenset(_CELL_TYPES)  # csv.writer's str() is render_cell on these
+
+
 def write_csv(dataset: Dataset) -> bytes:
-    """Serialize to UTF-8 CSV: header line, then one row per record."""
+    """Serialize to UTF-8 CSV: header line, then one row per record.
+
+    When every cell is of one of the cell types exactly (no bool, no
+    subclass), the columns go to ``csv.writer`` as they are, and its
+    ``str()`` renders them; otherwise every cell goes through
+    ``render_cell``, so the first bad cell in row order raises."""
+    columns = dataset.columns
+    if not all(_PLAIN_CELL_TYPES.issuperset(map(type, column)) for column in columns):
+        columns = tuple(map(render_cell, column) for column in columns)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(dataset.schema.names)
-    writer.writerows(zip(*(map(render_cell, column) for column in dataset.columns)))
+    writer.writerows(zip(*columns))
     return buf.getvalue().encode("utf-8")
 
 

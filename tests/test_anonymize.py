@@ -130,6 +130,25 @@ def test_strategy_field_types_validated(make, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda t, r: rank_swap(t, "Age", True, r), "p must be an integer, got True"),
+    (lambda t, r: rank_swap(t, "Age", 2.0, r), "p must be an integer, got 2.0"),
+    (lambda t, r: swap_values(t, "Age", True, r), "n_swaps must be an integer, got True"),
+    (lambda t, r: swap_values(t, "Age", "2", r), "n_swaps must be an integer, got '2'"),
+    (lambda t, r: microaggregate_univariate(t, "Age", 2.5), "k must be an integer, got 2.5"),
+    (lambda t, r: microaggregate_univariate(t, "Age", True), "k must be an integer, got True"),
+    (lambda t, r: microaggregate_multivariate(t, ["Age"], 3.0),
+     "k must be an integer, got 3.0"),
+], ids=["rank-swap-p-true", "rank-swap-p-float", "swap-true", "swap-str", "univariate-2.5",
+        "univariate-true", "multivariate-float"])
+def test_transform_integer_arguments_validated(call, message):
+    # True ran as p=1 and 2.5 failed inside range(); the message is the one
+    # the pipeline config reader prints for the same field
+    with pytest.raises(TypeError) as info:
+        call(fixture_table1(), random.Random(0))
+    assert str(info.value) == message
+
+
 def test_suppress_idempotent_and_empty():
     t1 = fixture_table1()
     once = suppress(t1, ["Name"])

@@ -330,6 +330,18 @@ def test_anonymize_config_integer_fields_strict(capsys, tmp_path, export_fixture
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize("name,field", [
+    ("swap_values", "n_swaps"), ("rank_swap", "p"), ("microaggregate_univariate", "k"),
+    ("microaggregate_multivariate", "k")])
+def test_anonymize_config_integer_argument_message(capsys, tmp_path, export_fixture,
+                                                   name, field):
+    # the config reader rejects the field before the transform's own check runs
+    steps = [with_field(name, field, True)]
+    code, out, err, written = run_pipeline(capsys, tmp_path, export_fixture, steps)
+    assert (code, out, err, written) == (
+        2, "", f"error: step 0 ({name}): {field} must be an integer, got True\n", False)
+
+
 @pytest.mark.parametrize("steps", [
     {"0": VALID_STEPS["suppress"]},
     [3],
