@@ -35,6 +35,7 @@ from .dataset import (
     MaskedText,
     Schema,
     Suppressed,
+    check_cell_types,
 )
 from .errors import (
     BadGrouping,
@@ -228,27 +229,24 @@ def generalize(dataset: Dataset, rules: Sequence[GeneralizationRule]) -> Dataset
 
 
 class _Memo(dict):
-    """``memo[type(c), c]`` is ``strategy.apply(c)``, worked out once per
-    key. The type is part of the key because ``1``, ``True`` and ``1.0`` are
-    equal keys, and a rule may accept one of them and reject another."""
+    """``memo[c]`` is ``strategy.apply(c)``, worked out once per cell value.
+    The cell is key enough: the cells of a dataset column are of one kind's
+    exact types, and no two of those types hold equal values."""
 
     def __init__(self, strategy: Strategy):
         self.strategy = strategy
 
-    def __missing__(self, key):
-        self[key] = cell = self.strategy.apply(key[1])
-        return cell
+    def __missing__(self, cell):
+        self[cell] = out = self.strategy.apply(cell)
+        return out
 
 
 def _apply_once_per_value(strategy: Strategy, column: Sequence[Cell]) -> list[Cell]:
     """``[strategy.apply(c) for c in column]``, applying the rule once per
-    distinct value, in column order, so the first bad cell raises."""
+    distinct value, in column order."""
     if isinstance(strategy, SuppressAll):  # it reads no cell
         return [SUPPRESSED] * len(column)
-    try:
-        return list(map(_Memo(strategy).__getitem__, zip(map(type, column), column)))
-    except TypeError:  # an unhashable cell: apply it cell by cell, as it was
-        return [strategy.apply(c) for c in column]
+    return list(map(_Memo(strategy).__getitem__, column))
 
 
 def check_rule_kind(schema: Schema, rule: GeneralizationRule) -> None:
@@ -565,12 +563,7 @@ def _integer_column(dataset: Dataset, attribute: str) -> tuple[int, ...]:
     """The column of an integer attribute, each cell checked to be a raw int."""
     check_integer_attribute(dataset.schema, attribute)
     column = dataset.column(attribute)
-    if not {int}.issuperset(map(type, column)):  # one pass; the loop names the culprit
-        for recno, cell in enumerate(column):
-            if not isinstance(cell, int) or isinstance(cell, bool):
-                raise KindMismatch(
-                    f"record {recno} of {attribute!r} holds {cell!r}, not an integer"
-                )
+    check_cell_types(attribute, column, frozenset((int,)), "an integer")
     return column  # type: ignore[return-value]
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .dataset import AttributeRole, Dataset, render_cell
+from .dataset import AttributeRole, Dataset
 from .errors import (
     BadThreshold,
     DisjointnessViolation,
@@ -231,5 +231,5 @@ def transactions_from_dataset(
     txs: list[set[str]] = [set() for _ in range(len(dataset))]
     for name in picked:
         for items, cell in zip(txs, dataset.column(name)):
-            items.add(f"{name}={render_cell(cell)}")
+            items.add(f"{name}={cell}")
     return TransactionSet.from_iterables(txs)

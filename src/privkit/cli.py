@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import anonymize as anon
 from . import assoc, dpcheck, rappor, smc
-from .dataset import Dataset, Schema, fixture_table1, load_csv, render_cell, write_csv
+from .dataset import Dataset, Schema, fixture_table1, load_csv, write_csv
 from .errors import ConfigError, DomainError, InvalidParams, PrivkitError, UsageError
 
 OUTPUT_VERSION = 1
@@ -295,7 +295,7 @@ def _cmd_metrics(args) -> dict:
         "qi": qi,
         "k": anon.k_anonymity(dataset, qi, partition),
         "classes": [
-            {"key": [render_cell(c) for c in cls.key], "size": cls.size}
+            {"key": [str(c) for c in cls.key], "size": cls.size}
             for cls in partition.classes
         ],
     }

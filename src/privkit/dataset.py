@@ -9,14 +9,19 @@ plus three generalized forms produced by anonymization transforms:
   serialized as ``prefix*`` (an empty prefix is SUPPRESSED);
 * ``SUPPRESSED`` -- a fully removed value, serialized as ``*``.
 
-The textual encodings are reversible given the schema, so generalized
-datasets round-trip through CSV. Raw text that itself ends in ``*`` is
-indistinguishable from a mask and is parsed as one; such values are outside
-the supported input domain.
+A ``Dataset`` holds only these cells, and only those of its attribute's
+kind: ``int``, ``Interval`` or ``Suppressed`` under INTEGER, ``str``,
+``MaskedText`` or ``Suppressed`` under TEXT, each type exactly (no bool, no
+subclass). It checks them when it is built, so every dataset that exists
+is written by ``write_csv`` as a file that ``load_csv`` reads back equal.
+The one exception is raw text that itself ends in ``*``: it is
+indistinguishable from a mask and is read back as one, so such values are
+outside the supported input domain.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import enum
 import io
@@ -82,7 +87,12 @@ SUPPRESSED = Suppressed()
 GENERALIZED = (Interval, MaskedText, Suppressed)
 
 Cell = Union[str, int, Interval, MaskedText, Suppressed]
-_CELL_TYPES = (str, int, *GENERALIZED)
+# The exact cell types of each kind, and how an error names them; csv.writer's
+# str() of each type is its CSV text.
+_KIND_TYPES = {
+    Kind.INTEGER: (frozenset((int, Interval, Suppressed)), "a cell of kind integer"),
+    Kind.TEXT: (frozenset((str, MaskedText, Suppressed)), "a cell of kind text"),
+}
 
 # Matched with fullmatch: "$" would also match before a final newline.
 # ASCII: a Unicode \d would read "٤٤" as 44, which writes back as "44".
@@ -92,13 +102,6 @@ _INTERVAL_RE = re.compile(r"(-?\d+)-(-?\d+)", re.ASCII)
 # end inside a cell can pass it ("1\n2"), but int() rejects such a cell.
 _INT_BLOCK_RE = re.compile(r"(?:[+-]?\d+\n)*", re.ASCII)
 _BLOCK_ROWS = 4096  # rows parsed per block: bounds the transposed copy
-
-
-def render_cell(cell: Cell) -> str:
-    """Serialize one cell to its CSV text form."""
-    if isinstance(cell, bool) or not isinstance(cell, _CELL_TYPES):
-        raise KindMismatch(f"unsupported cell value {cell!r}")
-    return str(cell)
 
 
 def parse_cell(text: str, kind: Kind) -> Cell:
@@ -202,6 +205,12 @@ class Dataset:
     """Immutable table under a schema, stored by column: one equal-length
     tuple of cells per attribute, in schema order.
 
+    Every cell is of one of the exact types its attribute's kind allows
+    (see the module docstring); any other cell, a bool or a str subclass
+    included, raises KindMismatch naming the record, the attribute and the
+    cell. So the table in memory is the table ``write_csv`` releases, up to
+    raw text ending in ``*``, which reads back as a mask.
+
     Transforms never mutate; they return new datasets, which share every
     column they do not replace. ``from_records`` builds a dataset from rows,
     and ``records`` is a derived row view. Instances are safe to share
@@ -215,6 +224,8 @@ class Dataset:
         lengths = [len(column) for column in self.columns]
         if len(lengths) != len(self.schema.attributes) or len(set(lengths)) > 1:
             raise ArityError(f"columns of lengths {lengths} for attributes {self.schema.names}")
+        for attr, column in zip(self.schema.attributes, self.columns):
+            check_cell_types(attr.name, column, *_KIND_TYPES[attr.kind])
 
     @classmethod
     def from_records(cls, schema: Schema, rows: Sequence[Sequence[Cell]]) -> "Dataset":
@@ -237,11 +248,27 @@ class Dataset:
         return self.columns[self.schema.index(name)]
 
     def replace_column(self, name: str, cells: Sequence[Cell]) -> "Dataset":
+        """A copy with the named column replaced. Only the new column is
+        checked: the ones it shares were checked when ``self`` was built."""
         idx = self.schema.index(name)
         if len(cells) != len(self):
             raise ArityError(f"column has {len(cells)} values for {len(self)} records")
-        columns = self.columns[:idx] + (tuple(cells),) + self.columns[idx + 1 :]
-        return Dataset(self.schema, columns)
+        cells = tuple(cells)
+        check_cell_types(name, cells, *_KIND_TYPES[self.schema.attributes[idx].kind])
+        out = copy.copy(self)  # no __post_init__: no second pass over the shared columns
+        object.__setattr__(out, "columns", self.columns[:idx] + (cells,) + self.columns[idx + 1 :])
+        return out
+
+
+def check_cell_types(
+    name: str, column: Sequence[Cell], allowed: frozenset[type], what: str
+) -> None:
+    """Raise KindMismatch naming the first cell of column ``name`` whose type
+    is not in ``allowed`` (exactly: a bool is no int). One pass over the
+    types when every cell passes; only a failed pass looks for the culprit."""
+    if not allowed.issuperset(map(type, column)):
+        recno, cell = next((i, c) for i, c in enumerate(column) if type(c) not in allowed)
+        raise KindMismatch(f"record {recno} of {name!r} holds {cell!r}, not {what}")
 
 
 def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
@@ -341,23 +368,15 @@ def _parse_block(
         raise
 
 
-_PLAIN_CELL_TYPES = frozenset(_CELL_TYPES)  # csv.writer's str() is render_cell on these
-
-
 def write_csv(dataset: Dataset) -> bytes:
     """Serialize to UTF-8 CSV: header line, then one row per record.
 
-    When every cell is of one of the cell types exactly (no bool, no
-    subclass), the columns go to ``csv.writer`` as they are, and its
-    ``str()`` renders them; otherwise every cell goes through
-    ``render_cell``, so the first bad cell in row order raises."""
-    columns = dataset.columns
-    if not all(_PLAIN_CELL_TYPES.issuperset(map(type, column)) for column in columns):
-        columns = tuple(map(render_cell, column) for column in columns)
+    The columns go to ``csv.writer`` as they are: every cell of a dataset
+    is of a type whose ``str()`` is its CSV text."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(dataset.schema.names)
-    writer.writerows(zip(*columns))
+    writer.writerows(zip(*dataset.columns))
     return buf.getvalue().encode("utf-8")
 
 

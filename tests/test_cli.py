@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -575,6 +576,95 @@ def test_rappor_simulate_estimate_byte_identical(capsys, tmp_path, rappor_inputs
     assert code == 0
     assert (hashlib.sha256(reports.read_bytes()).hexdigest(),
             hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDENS[k]
+
+
+TABLE_SCHEMA = [
+    {"name": "Name", "role": "explicit_identifier", "kind": "text"},
+    {"name": "Age", "role": "quasi_identifier", "kind": "integer"},
+    {"name": "Gender", "role": "quasi_identifier", "kind": "text"},
+    {"name": "ZIP", "role": "quasi_identifier", "kind": "text"},
+    {"name": "Income", "role": "non_sensitive", "kind": "integer"},
+    {"name": "Weight", "role": "non_sensitive", "kind": "integer"},
+    {"name": "Diagnosis", "role": "sensitive", "kind": "text"},
+]
+TABLE_STEPS = [
+    {"op": "suppress", "attributes": ["Name"]},
+    {"op": "generalize", "rules": [
+        {"attribute": "Age", "strategy": "numeric_bins", "width": 10},
+        {"attribute": "ZIP", "strategy": "text_prefix", "keep": 3}]},
+    {"op": "add_noise", "attribute": "Income",
+     "deltas": {"-2": 0.25, "-1": 0.25, "1": 0.25, "2": 0.25}, "seed": 21},
+    {"op": "swap_values", "attribute": "Diagnosis", "n_swaps": 40, "seed": 22},
+    {"op": "rank_swap", "attribute": "Income", "p": 3, "seed": 23},
+    {"op": "microaggregate_univariate", "attribute": "Weight", "k": 4},
+]
+# SHA-256 of stdout (with the temp directory cut out) and of each output file.
+TABLE_GOLDENS = {
+    "anonymize": (
+        "f3c424e506b8325d08b06fc3a50bf4131124d8e25af33d18348d8fabe875d504",
+        "aa2d28d85b93cb8e084114b84a1747580d775621c2f869aae02f56ee44c5ee77",
+    ),
+    "metrics": (
+        "5e4c1e062754e9eb8b9fcef41cab6e7f93659d095ece087f2be4e42573f87d1e",
+    ),
+    "mdav": (
+        "4e640e19c3ab8f14b5b7edf2878858a611e67923fea6b4f47ee9db05606278f9",
+        "20c1a3da0cc7185cea568040851b4db4b7fa9930b40540086308372c945ca7eb",
+    ),
+}
+
+
+def write_generated_table(tmp_path, rows=300, seed=2025):
+    """A medical table drawn from ``random.Random(seed)``; its names hold a
+    comma, a quote and non-ASCII letters, so the writer quotes some cells."""
+    rng = random.Random(seed)
+    first = ["Ana", "Bo", "Chloé", "Dara", "Émile", 'Jo "JJ"', "Kai", "Lena"]
+    last = ["Smith", "Müller", "O'Neil, Jr.", "Nguyễn", "Okafor", "Søren"]
+    diagnoses = ["Cancer", "Diabetes", "Flu", "Migraine", "No illness", "Asthma, mild"]
+    zips = [f"{n:03d}" for n in rng.sample(range(100, 1000), 8)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([a["name"] for a in TABLE_SCHEMA])
+    for _ in range(rows):
+        writer.writerow([
+            f"{rng.choice(first)} {rng.choice(last)}", rng.randint(18, 90),
+            rng.choice(["Female", "Male"]), rng.choice(zips) + f"{rng.randrange(100):02d}",
+            int(rng.lognormvariate(10.5, 0.5)), rng.randint(40_000, 120_000),
+            rng.choice(diagnoses),
+        ])
+    (tmp_path / "table.csv").write_text(buf.getvalue(), encoding="utf-8")
+    (tmp_path / "schema.json").write_text(json.dumps(TABLE_SCHEMA))
+
+
+def run_hashed(capsys, tmp_path, argv, outputs=()):
+    """SHA-256 of a command's stdout, the temp directory cut out, then of each output."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    return tuple(hashlib.sha256(data).hexdigest() for data in
+                 [out.replace(str(tmp_path), "").encode("utf-8")]
+                 + [(tmp_path / name).read_bytes() for name in outputs])
+
+
+def test_table_path_byte_identical(capsys, tmp_path):
+    write_generated_table(tmp_path)
+    (tmp_path / "release.json").write_text(json.dumps({
+        "input": "table.csv", "schema": "schema.json", "output": "release.csv",
+        "steps": TABLE_STEPS}))
+    (tmp_path / "mdav.json").write_text(json.dumps({
+        "input": "table.csv", "schema": "schema.json", "output": "mdav.csv",
+        "steps": [{"op": "microaggregate_multivariate",
+                   "attributes": ["Age", "Gender", "Income", "Weight"], "k": 3}]}))
+    hashes = {
+        "anonymize": run_hashed(capsys, tmp_path, ["anonymize", "--config",
+                                str(tmp_path / "release.json")], ["release.csv"]),
+        "metrics": run_hashed(capsys, tmp_path, [
+            "metrics", "--input", str(tmp_path / "release.csv"), "--schema",
+            str(tmp_path / "schema.json"), "--qi", "Age,Gender,ZIP", "--sensitive",
+            "Diagnosis"]),
+        "mdav": run_hashed(capsys, tmp_path, ["anonymize", "--config",
+                           str(tmp_path / "mdav.json")], ["mdav.csv"]),
+    }
+    assert hashes == TABLE_GOLDENS
 
 
 def test_rappor_estimate_rejects_bad_lines(capsys, tmp_path, rappor_inputs):

@@ -5,7 +5,9 @@ copies of the cell-by-cell code it replaced: ``load_csv``, ``write_csv``,
 Each must return an equal result, cell types included, or raise the same
 error type with the same message. ``load_csv`` parses in blocks of
 ``dataset._BLOCK_ROWS`` rows; the Hypothesis tests shrink the block so that
-a short input spans several, and the fixed tests use the real size.
+a short input spans several, and the fixed tests use the real size. The
+datasets given to the other functions hold the cells of each column's kind,
+as every ``Dataset`` does; ``test_dataset`` pins that any other is rejected.
 """
 
 import csv
@@ -38,9 +40,9 @@ from privkit.dataset import (
     Kind,
     MaskedText,
     Schema,
+    Suppressed,
     load_csv,
     parse_cell,
-    render_cell,
     write_csv,
 )
 from privkit.errors import (
@@ -94,6 +96,15 @@ def reference_load_csv(source, schema: Schema) -> Dataset:
         where = "header row" if header is None else f"row {rownum + 1}"
         raise ParseError(f"{where}: {exc}") from exc
     return Dataset(schema, tuple(map(tuple, columns)))
+
+
+_CELL_TYPES = (str, int, Interval, MaskedText, Suppressed)
+
+
+def render_cell(cell: Cell) -> str:
+    if isinstance(cell, bool) or not isinstance(cell, _CELL_TYPES):
+        raise KindMismatch(f"unsupported cell value {cell!r}")
+    return str(cell)
 
 
 def reference_write_csv(dataset: Dataset) -> bytes:
@@ -328,77 +339,88 @@ def test_ascii_digits_only():
 
 # --- write_csv ----------------------------------------------------------------
 
+# The cells a dataset column of each kind can hold. No text holds "\r": the
+# cell-by-cell writer left a lone CR unquoted, so its file did not read back.
+_CELLS = {
+    Kind.TEXT: st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
+                max_size=5),
+        st.builds(MaskedText, st.text(alphabet="a,\"\n*", min_size=1, max_size=3)),
+        st.just(SUPPRESSED),
+    ),
+    Kind.INTEGER: st.one_of(
+        st.integers(-10**30, 10**30),
+        st.builds(pow, st.just(10), st.just(DIGIT_LIMIT)),  # str() raises ValueError
+        st.builds(lambda lo, d: Interval(lo, lo + d), st.integers(-99, 99), st.integers(0, 9)),
+        st.just(SUPPRESSED),
+    ),
+}
 
-class Name(str):
-    pass
 
-
-_ANY_CELL = st.one_of(
-    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
-    st.integers(-10**30, 10**30),
-    st.builds(lambda lo, d: Interval(lo, lo + d), st.integers(-99, 99), st.integers(0, 9)),
-    st.builds(MaskedText, st.text(alphabet="a,\"\n*", max_size=3)),
-    st.just(SUPPRESSED),
-    st.booleans(),
-    st.sampled_from([1.0, None, Name("n"), 10 ** DIGIT_LIMIT]),
-)
+@st.composite
+def datasets(draw, kinds=_KINDS, cells=_CELLS, max_rows=8):
+    kinds = draw(kinds)
+    rows = draw(st.lists(st.tuples(*(cells[kind] for kind in kinds)), max_size=max_rows))
+    return Dataset.from_records(schema_of(kinds), rows)
 
 
 @settings(max_examples=200)
-@given(st.integers(1, 3).flatmap(
-    lambda width: st.tuples(st.just(width), st.lists(
-        st.lists(_ANY_CELL, min_size=width, max_size=width), max_size=8))))
-def test_write_csv_equals_cell_by_cell(table):
-    width, rows = table
-    ds = Dataset.from_records(schema_of([Kind.TEXT] * width), rows)
+@given(datasets())
+def test_write_csv_equals_cell_by_cell(ds):
     assert outcome(write_csv, ds) == outcome(reference_write_csv, ds)
 
 
 # --- generalize ---------------------------------------------------------------
 
-_MIXED_CELL = st.one_of(
-    st.sampled_from([1, True, 1.0, 0, False, 0.0, -1, "1", "", "ab", [1]]),
-    st.integers(-30, 30),
-    st.text(alphabet="ab*", max_size=4),
-    st.builds(lambda lo, d: Interval(lo, lo + d), st.integers(-9, 9), st.integers(0, 9)),
-    st.builds(MaskedText, st.text(alphabet="ab", max_size=2)),
-    st.just(SUPPRESSED),
-)
+_SMALL_CELLS = {
+    Kind.TEXT: st.one_of(
+        st.sampled_from(["1", "", "ab"]),
+        st.text(alphabet="ab*", max_size=4),
+        st.builds(MaskedText, st.text(alphabet="ab", min_size=1, max_size=2)),
+        st.just(SUPPRESSED),
+    ),
+    Kind.INTEGER: st.one_of(
+        st.sampled_from([1, 0, -1]),
+        st.integers(-30, 30),
+        st.builds(lambda lo, d: Interval(lo, lo + d), st.integers(-9, 9), st.integers(0, 9)),
+        st.just(SUPPRESSED),
+    ),
+}
 _STRATEGY = st.one_of(
     st.builds(NumericBins, st.integers(1, 10), st.integers(-5, 5)),
     st.builds(TextPrefix, st.integers(0, 3)),
     st.just(SuppressAll()),
 )
-_MIXED_SCHEMA = schema_of([Kind.INTEGER, Kind.TEXT])
+_MIXED = st.just([Kind.INTEGER, Kind.TEXT])
 
 
 @settings(max_examples=300)
 @given(
-    st.lists(st.lists(_MIXED_CELL, min_size=2, max_size=2), max_size=10),
+    datasets(_MIXED, _SMALL_CELLS, max_rows=10),
     st.lists(st.builds(GeneralizationRule, st.sampled_from(["c0", "c1"]), _STRATEGY),
              max_size=3),
 )
-def test_generalize_equals_cell_by_cell(rows, rules):
-    ds = Dataset.from_records(_MIXED_SCHEMA, rows)
+def test_generalize_equals_cell_by_cell(ds, rules):
     assert outcome(generalize, ds, rules) == outcome(reference_generalize, ds, rules)
 
 
 @pytest.mark.parametrize("column", [(1, True), (True, 1), (1, 1.0), (1.0, 1), (False, 0, 0.0)])
 def test_generalize_tells_equal_keys_of_other_types_apart(column):
-    ds = Dataset.from_records(schema_of([Kind.INTEGER]), [(c,) for c in column])
+    """1, True and 1.0 are one key of the memo; only the int gets into a dataset."""
+    recno, first = next((i, c) for i, c in enumerate(column) if type(c) is not int)
+    with pytest.raises(KindMismatch, match=f"^record {recno} of 'c0' holds {first!r}, "):
+        Dataset.from_records(schema_of([Kind.INTEGER]), [(c,) for c in column])
+    ds = Dataset.from_records(schema_of([Kind.INTEGER]), [(int(c),) for c in column])
     rules = [GeneralizationRule("c0", NumericBins(5))]
-    new, old = outcome(generalize, ds, rules), outcome(reference_generalize, ds, rules)
-    assert new == old
-    assert new[1] is KindMismatch
+    assert outcome(generalize, ds, rules) == outcome(reference_generalize, ds, rules)
 
 
 # --- _integer_column and microaggregate_univariate ------------------------------
 
 
 @settings(max_examples=200)
-@given(st.lists(_MIXED_CELL, max_size=10), st.sampled_from([Kind.INTEGER, Kind.TEXT]))
-def test_integer_column_equals_cell_by_cell(column, kind):
-    ds = Dataset.from_records(schema_of([kind]), [(c,) for c in column])
+@given(datasets(st.sampled_from([[Kind.INTEGER], [Kind.TEXT]]), _SMALL_CELLS, max_rows=10))
+def test_integer_column_equals_cell_by_cell(ds):
     assert outcome(anonymize._integer_column, ds, "c0") == outcome(
         reference_integer_column, ds, "c0")
 
@@ -408,7 +430,7 @@ def test_integer_column_equals_cell_by_cell(column, kind):
     st.lists(st.tuples(st.one_of(st.integers(-10**20, 10**20), st.integers(-5, 5)),
                        st.integers(0, 9)), max_size=25),
     st.integers(2, 7),
-    st.none() | st.tuples(st.integers(0, 24), st.sampled_from([True, 1.0, "3", Interval(1, 2)])),
+    st.none() | st.tuples(st.integers(0, 24), st.sampled_from([Interval(1, 2), SUPPRESSED])),
 )
 def test_microaggregate_univariate_equals_cell_by_cell(rows, k, bad):
     if bad and bad[0] < len(rows):

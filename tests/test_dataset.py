@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -18,7 +19,6 @@ from privkit.dataset import (
     fixture_table1,
     load_csv,
     parse_cell,
-    render_cell,
     write_csv,
 )
 from privkit.errors import ArityError, HeaderMismatch, KindMismatch, ParseError, UnknownAttribute
@@ -94,9 +94,9 @@ def test_write_empty_dataset_is_header_only():
 
 
 def test_generalized_cell_encodings():
-    assert render_cell(Interval(40, 49)) == "40-49"
-    assert render_cell(MaskedText("12")) == "12*"
-    assert render_cell(SUPPRESSED) == "*"
+    assert str(Interval(40, 49)) == "40-49"
+    assert str(MaskedText("12")) == "12*"
+    assert str(SUPPRESSED) == "*"
     assert parse_cell("40-49", Kind.INTEGER) == Interval(40, 49)
     assert parse_cell("12*", Kind.TEXT) == MaskedText("12")
     assert parse_cell("*", Kind.TEXT) is SUPPRESSED
@@ -104,10 +104,33 @@ def test_generalized_cell_encodings():
     assert parse_cell("-5--2", Kind.INTEGER) == Interval(-5, -2)
 
 
-def test_render_cell_rejects_foreign_values():
-    for cell in (True, False, 1.5, None, b"x"):
-        with pytest.raises(KindMismatch):
-            render_cell(cell)
+class Name(str):
+    pass
+
+
+# Cells of no kind, and cells of the other kind: each writes a file that
+# does not read back as the same table, or none at all.
+FOREIGN_CELLS = [
+    (Kind.INTEGER, True), (Kind.INTEGER, False), (Kind.INTEGER, 1.0), (Kind.INTEGER, None),
+    (Kind.INTEGER, [1]), (Kind.INTEGER, "1"), (Kind.INTEGER, MaskedText("1")),
+    (Kind.TEXT, True), (Kind.TEXT, 1.5), (Kind.TEXT, None), (Kind.TEXT, b"x"),
+    (Kind.TEXT, [1]), (Kind.TEXT, Name("n")), (Kind.TEXT, 1), (Kind.TEXT, Interval(1, 2)),
+]
+
+
+@pytest.mark.parametrize("kind,cell", FOREIGN_CELLS, ids=repr)
+def test_dataset_rejects_foreign_cells(kind, cell):
+    schema = Schema((Attribute("Name", QI, Kind.TEXT), Attribute("X", QI, kind)))
+    good = "a" if kind is Kind.TEXT else 7
+    message = f"^record 2 of 'X' holds {re.escape(repr(cell))}, not a cell of kind {kind.value}$"
+    columns = (("a", "b", "c"), (good, SUPPRESSED, cell))
+    with pytest.raises(KindMismatch, match=message):
+        Dataset(schema, columns)
+    with pytest.raises(KindMismatch, match=message):
+        Dataset.from_records(schema, list(zip(*columns)))
+    ds = Dataset(schema, (("a", "b", "c"), (good, good, good)))
+    with pytest.raises(KindMismatch, match=message):
+        ds.replace_column("X", columns[1])
 
 
 def test_interval_validates_bounds():
