@@ -35,6 +35,7 @@ from .dataset import (
     MaskedText,
     Schema,
     Suppressed,
+    _check_int,
     check_cell_types,
 )
 from .errors import (
@@ -50,14 +51,6 @@ from .errors import (
 )
 
 _PROB_TOL = 1e-12
-
-
-def _check_int(name: str, value) -> None:
-    """Raise TypeError unless value is an int and not a bool. Rule fields and
-    the integer arguments of the transforms go through it: bins of width 2.5
-    have float bounds that no CSV reads back, and p=True is no window."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,18 @@ plus three generalized forms produced by anonymization transforms:
 * ``Interval(lo, hi)`` -- an integer replaced by the bin it falls into,
   serialized as ``lo-hi``;
 * ``MaskedText(prefix)`` -- a text value reduced to a non-empty prefix,
-  serialized as ``prefix*`` (an empty prefix is SUPPRESSED);
+  serialized as ``prefix*`` (a prefix of no characters is SUPPRESSED);
 * ``SUPPRESSED`` -- a fully removed value, serialized as ``*``.
 
 A ``Dataset`` holds only these cells, and only those of its attribute's
 kind: ``int``, ``Interval`` or ``Suppressed`` under INTEGER, ``str``,
 ``MaskedText`` or ``Suppressed`` under TEXT, each type exactly (no bool, no
-subclass). It checks them when it is built, so every dataset that exists
-is written by ``write_csv`` as a file that ``load_csv`` reads back equal.
-The one exception is raw text that itself ends in ``*``: it is
-indistinguishable from a mask and is read back as one, so such values are
-outside the supported input domain.
+subclass). It checks them when it is built, so ``write_csv`` writes every
+dataset as a file that ``load_csv`` reads back equal, or raises ValueError
+for the two cells no file holds: an int past the interpreter's digit limit
+and text with a lone surrogate. The one exception is raw text that itself
+ends in ``*``: it is indistinguishable from a mask and is read back as one,
+so such values are outside the supported input domain.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from typing import IO, Sequence, Union
+from typing import IO, Iterable, Sequence, Union
 
 from .errors import ArityError, HeaderMismatch, KindMismatch, ParseError, UnknownAttribute
 
@@ -49,6 +50,15 @@ class Kind(enum.Enum):
     INTEGER = "integer"
 
 
+def _check_int(name: str, value) -> None:
+    """Raise TypeError unless value is an int and not a bool. Interval
+    bounds, rule fields and the integer arguments of the transforms go
+    through it: a bound of 2.5 writes a cell that no CSV reads back, and
+    p=True is no window."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed integer range replacing a generalized numeric value."""
@@ -57,6 +67,8 @@ class Interval:
     hi: int
 
     def __post_init__(self):
+        _check_int("interval lo", self.lo)
+        _check_int("interval hi", self.hi)
         if self.lo > self.hi:
             raise ValueError(f"interval lo {self.lo} > hi {self.hi}")
 
@@ -69,6 +81,12 @@ class MaskedText:
     """Text value reduced to a prefix; renders as ``prefix*``."""
 
     prefix: str
+
+    def __post_init__(self):
+        if not isinstance(self.prefix, str):
+            raise TypeError(f"masked prefix must be a string, got {self.prefix!r}")
+        if not self.prefix:  # "*" reads back as SUPPRESSED
+            raise ValueError("masked prefix must not be empty")
 
     def __str__(self):
         return f"{self.prefix}*"
@@ -155,6 +173,8 @@ class Schema:
     attributes: tuple[Attribute, ...]
 
     def __post_init__(self):
+        # a list would leave the schema unhashable, an iterator empty
+        object.__setattr__(self, "attributes", tuple(self.attributes))
         names = [a.name for a in self.attributes]
         if not names:
             raise ValueError("schema has no attributes")
@@ -221,6 +241,8 @@ class Dataset:
     columns: tuple[tuple[Cell, ...], ...]
 
     def __post_init__(self):
+        # a tuple is kept as it is; lists and iterators become tuples
+        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
         lengths = [len(column) for column in self.columns]
         if len(lengths) != len(self.schema.attributes) or len(set(lengths)) > 1:
             raise ArityError(f"columns of lengths {lengths} for attributes {self.schema.names}")
@@ -228,7 +250,8 @@ class Dataset:
             check_cell_types(attr.name, column, *_KIND_TYPES[attr.kind])
 
     @classmethod
-    def from_records(cls, schema: Schema, rows: Sequence[Sequence[Cell]]) -> "Dataset":
+    def from_records(cls, schema: Schema, rows: Iterable[Sequence[Cell]]) -> "Dataset":
+        rows = tuple(rows)  # an iterator would be used up by the width check
         width = len(schema.attributes)
         for i, rec in enumerate(rows):
             if len(rec) != width:
@@ -247,13 +270,13 @@ class Dataset:
     def column(self, name: str) -> tuple[Cell, ...]:
         return self.columns[self.schema.index(name)]
 
-    def replace_column(self, name: str, cells: Sequence[Cell]) -> "Dataset":
+    def replace_column(self, name: str, cells: Iterable[Cell]) -> "Dataset":
         """A copy with the named column replaced. Only the new column is
         checked: the ones it shares were checked when ``self`` was built."""
         idx = self.schema.index(name)
+        cells = tuple(cells)
         if len(cells) != len(self):
             raise ArityError(f"column has {len(cells)} values for {len(self)} records")
-        cells = tuple(cells)
         check_cell_types(name, cells, *_KIND_TYPES[self.schema.attributes[idx].kind])
         out = copy.copy(self)  # no __post_init__: no second pass over the shared columns
         object.__setattr__(out, "columns", self.columns[:idx] + (cells,) + self.columns[idx + 1 :])
@@ -372,12 +395,24 @@ def write_csv(dataset: Dataset) -> bytes:
     """Serialize to UTF-8 CSV: header line, then one row per record.
 
     The columns go to ``csv.writer`` as they are: every cell of a dataset
-    is of a type whose ``str()`` is its CSV text."""
+    is of a type whose ``str()`` is its CSV text. Fields are quoted only
+    where they must be, with one exception: ``csv.writer`` leaves a lone CR
+    unquoted, and ``load_csv`` ends the row there. So a table with a CR in
+    any cell or name is written again with every field quoted. Raises
+    ValueError for an int past the interpreter's digit limit or text with
+    a lone surrogate; ``load_csv`` makes neither."""
+    text = _csv_text(dataset, csv.QUOTE_MINIMAL)
+    if "\r" in text:  # rows end in "\n": each CR is in a field
+        text = _csv_text(dataset, csv.QUOTE_ALL)
+    return text.encode("utf-8")
+
+
+def _csv_text(dataset: Dataset, quoting: int) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
     writer.writerow(dataset.schema.names)
     writer.writerows(zip(*dataset.columns))
-    return buf.getvalue().encode("utf-8")
+    return buf.getvalue()
 
 
 _FIXTURE_SCHEMA = Schema(

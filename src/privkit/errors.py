@@ -4,8 +4,10 @@ Most validation errors raised by the library derive from PrivkitError.
 Some range checks in ``anonymize``, ``assoc``, ``dataset``, ``dpcheck`` and
 ``smc`` raise a plain ValueError instead, so callers (including the CLI) that
 separate data/validation failures from bugs catch both. The field type
-checks of ``Attribute`` and the generalization strategies raise TypeError;
-the CLI reports them through the schema or pipeline step that named them.
+checks of ``Attribute``, ``Interval``, ``MaskedText`` and the generalization
+strategies raise TypeError; the CLI reports them through the schema or
+pipeline step that named them. A ``Dataset`` cell of the wrong type for its
+attribute's kind raises KindMismatch when the dataset is built.
 """
 
 
@@ -32,7 +34,8 @@ class UnknownAttribute(PrivkitError):
 
 
 class KindMismatch(PrivkitError):
-    """An operation was applied to an attribute or cell of the wrong kind."""
+    """A cell is not of its attribute's kind, or an operation was applied
+    to an attribute or cell of the wrong kind."""
 
 
 # --- anonymize --------------------------------------------------------------

@@ -667,6 +667,23 @@ def test_table_path_byte_identical(capsys, tmp_path):
     assert hashes == TABLE_GOLDENS
 
 
+def test_anonymize_release_with_a_lone_cr_reads_back(capsys, tmp_path):
+    (tmp_path / "in.csv").write_bytes(b'Name,Age,Diagnosis\nJane,44,"Flu\rX"\nJoe,39,Cancer\n')
+    (tmp_path / "schema.json").write_text(json.dumps([
+        {"name": "Name", "role": "explicit_identifier", "kind": "text"},
+        {"name": "Age", "role": "quasi_identifier", "kind": "integer"},
+        {"name": "Diagnosis", "role": "sensitive", "kind": "text"}]))
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "input": "in.csv", "schema": "schema.json", "output": "out.csv",
+        "steps": [{"op": "suppress", "attributes": ["Name"]}]}))
+    run_json(capsys, "anonymize", "--config", str(tmp_path / "cfg.json"))
+    assert (tmp_path / "out.csv").read_bytes() == (
+        b'"Name","Age","Diagnosis"\n"*","44","Flu\rX"\n"*","39","Cancer"\n')
+    out = run_json(capsys, "metrics", "--input", str(tmp_path / "out.csv"), "--schema",
+                   str(tmp_path / "schema.json"), "--qi", "Age", "--sensitive", "Diagnosis")
+    assert (out["records"], out["k"], out["l"]) == (2, 1, 1)
+
+
 def test_rappor_estimate_rejects_bad_lines(capsys, tmp_path, rappor_inputs):
     _, candidates = rappor_inputs
     reports = tmp_path / "reports.jsonl"

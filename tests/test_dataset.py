@@ -4,9 +4,9 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from privkit.anonymize import NumericBins, TextPrefix
+from privkit.anonymize import NumericBins, TextPrefix, k_anonymity, l_diversity
 from privkit.dataset import (
     SUPPRESSED,
     Attribute,
@@ -118,7 +118,8 @@ FOREIGN_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("kind,cell", FOREIGN_CELLS, ids=repr)
+@pytest.mark.parametrize("kind,cell", FOREIGN_CELLS,
+                         ids=[f"{kind.value}-{cell!r}" for kind, cell in FOREIGN_CELLS])
 def test_dataset_rejects_foreign_cells(kind, cell):
     schema = Schema((Attribute("Name", QI, Kind.TEXT), Attribute("X", QI, kind)))
     good = "a" if kind is Kind.TEXT else 7
@@ -138,6 +139,26 @@ def test_interval_validates_bounds():
         Interval(5, 4)
     with pytest.raises(ParseError):
         parse_cell("49-40", Kind.INTEGER)
+
+
+@pytest.mark.parametrize("lo,hi,message", [
+    (1.5, 2, "interval lo must be an integer, got 1.5"),  # would write "1.5-2"
+    (1, 2.0, "interval hi must be an integer, got 2.0"),
+    (True, 2, "interval lo must be an integer, got True"),
+    ("1", 2, "interval lo must be an integer, got '1'"),
+])
+def test_interval_bounds_are_integers(lo, hi, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        Interval(lo, hi)
+
+
+def test_masked_text_prefix_is_nonempty_text():
+    with pytest.raises(ValueError, match="^masked prefix must not be empty$"):
+        MaskedText("")  # would write "*", which reads back as SUPPRESSED
+    for prefix in (None, 1, b"ab"):
+        with pytest.raises(TypeError, match="^masked prefix must be a string, got "):
+            MaskedText(prefix)
+    assert str(MaskedText("ab*")) == "ab**"
 
 
 def test_fixture_contents():
@@ -237,6 +258,18 @@ def test_dataset_is_stored_by_column():
     assert Dataset.from_records(t1.schema, t1.records) == t1
 
 
+def test_iterables_become_tuples():
+    t1 = fixture_table1()
+    rows = list(t1.records)
+    assert Dataset.from_records(t1.schema, (r for r in rows)) == t1
+    assert Dataset.from_records(t1.schema, [list(r) for r in rows]) == t1
+    schema = Schema(a for a in t1.schema.attributes)
+    assert schema.names == t1.schema.names and schema == t1.schema
+    listed = Dataset(Schema(list(t1.schema.attributes)), [list(c) for c in t1.columns])
+    assert listed == t1 and hash(listed) == hash(t1)
+    assert t1.replace_column("Age", (a for a in t1.column("Age"))) == t1
+
+
 def test_unknown_attribute():
     with pytest.raises(UnknownAttribute):
         fixture_table1().schema.index("Salary")
@@ -280,3 +313,58 @@ _any_int_cell = st.one_of(
 def test_csv_round_trip_identity(rows):
     ds = Dataset.from_records(two_col_schema(), tuple(rows))
     assert load_csv(write_csv(ds), ds.schema) == ds
+
+
+# Every cell a dataset of each kind can hold, text with a comma, a quote, a
+# line end, a lone CR, a "*" not at its end, NUL and non-ASCII letters. Raw
+# text ending in "*" is the one cell that does not read back as itself; the
+# test below pins what it reads back as.
+_raw_text = st.text(
+    st.sampled_from(',"\n\r*\x00 aé漢') | st.characters(blacklist_categories=("Cs",)),
+    max_size=6,
+).filter(lambda t: not t.endswith("*"))
+_CELLS = {
+    Kind.TEXT: st.one_of(
+        _raw_text, st.builds(MaskedText, _raw_text.filter(bool)), st.just(SUPPRESSED)),
+    Kind.INTEGER: st.one_of(
+        st.integers(), st.integers(-5, 5),
+        st.builds(lambda lo, d: Interval(lo, lo + d), st.integers(), st.integers(0, 9)),
+        st.just(SUPPRESSED)),
+}
+
+
+@st.composite
+def datasets(draw):
+    kinds = draw(st.lists(st.sampled_from(Kind), min_size=1, max_size=4))
+    schema = Schema(tuple(Attribute(f"a{i}", QI, kind) for i, kind in enumerate(kinds)))
+    rows = draw(st.lists(st.tuples(*(_CELLS[kind] for kind in kinds)), max_size=12))
+    return Dataset.from_records(schema, rows)
+
+
+@settings(max_examples=300)
+@given(datasets())
+def test_every_dataset_reads_back_from_its_csv(ds):
+    back = load_csv(write_csv(ds), ds.schema)
+    assert back == ds
+    assert [tuple(map(type, c)) for c in back.columns] == [tuple(map(type, c)) for c in ds.columns]
+    if len(ds):
+        qi, sensitive = ds.schema.names[:-1] or ds.schema.names, ds.schema.names[-1]
+        assert k_anonymity(back, qi) == k_anonymity(ds, qi)
+        assert l_diversity(back, qi, sensitive) == l_diversity(ds, qi, sensitive)
+
+
+def test_a_lone_cr_is_quoted():
+    schema = Schema((Attribute("Diagnosis", QI, Kind.TEXT),))
+    ds = Dataset.from_records(schema, [("Flu\rX",), (MaskedText("a\r"),), ("Cancer",)])
+    assert write_csv(ds) == b'"Diagnosis"\n"Flu\rX"\n"a\r*"\n"Cancer"\n'
+    assert load_csv(write_csv(ds), schema) == ds  # one record each, not two
+
+
+def test_raw_text_ending_in_star_reads_back_as_a_mask():
+    """The documented limit of the text encoding: "ab*" is written as it is
+    and read back as the mask of "ab"; "*" alone as SUPPRESSED."""
+    schema = Schema((Attribute("ZIP", QI, Kind.TEXT),))
+    ds = Dataset.from_records(schema, [("ab*",), ("*",), ("a**",)])
+    assert write_csv(ds) == b"ZIP\nab*\n*\na**\n"
+    assert load_csv(write_csv(ds), schema).column("ZIP") == (
+        MaskedText("ab"), SUPPRESSED, MaskedText("a*"))
