@@ -11,6 +11,7 @@ FIFO, is written in place.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -19,12 +20,34 @@ import sys
 import tempfile
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from . import anonymize as anon
-from . import assoc, dpcheck, rappor, smc
-from .dataset import Dataset, Schema, fixture_table1, load_csv, write_csv
 from .errors import ConfigError, DomainError, InvalidParams, PrivkitError, UsageError
 
 OUTPUT_VERSION = 1
+
+
+def _lazy(name: str):
+    """The sibling module ``name``, in ``sys.modules`` at once but executed
+    only when one of its attributes is first used, so a call runs only the
+    modules it needs. A module imported already is returned as it is.
+    Not an import inside each handler: ``bench/tracing.py`` patches every
+    module it finds in ``sys.modules`` right after importing this one."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+anon = _lazy("anonymize")
+assoc = _lazy("assoc")
+dset = _lazy("dataset")
+dpcheck = _lazy("dpcheck")
+rappor = _lazy("rappor")
+smc = _lazy("smc")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,11 +104,11 @@ def _load_json_arg(text: str):
         raise ConfigError(f"not valid JSON: {exc}") from exc
 
 
-def _load_dataset(input_path: str, schema_path: str) -> Dataset:
+def _load_dataset(input_path: str, schema_path: str) -> dset.Dataset:
     with open(schema_path, "r", encoding="utf-8") as fh:
-        schema = Schema.from_json(fh.read())
+        schema = dset.Schema.from_json(fh.read())
     with open(input_path, "rb") as fh:
-        return load_csv(fh, schema)
+        return dset.load_csv(fh, schema)
 
 
 def _is_string_list(value) -> bool:
@@ -118,20 +141,18 @@ def _comma_ints(text: str) -> list[int]:
 
 # --- fixtures ---------------------------------------------------------------
 
-_TABLE2_RULES = [
-    anon.GeneralizationRule("Age", anon.NumericBins(width=10, origin=0)),
-    anon.GeneralizationRule("ZIP", anon.TextPrefix(keep=2)),
-]
-
-
-def table2_fixture() -> Dataset:
+def table2_fixture() -> dset.Dataset:
     """The medical-record fixture after suppression and generalization."""
-    return anon.generalize(anon.suppress(fixture_table1(), ["Name"]), _TABLE2_RULES)
+    rules = [
+        anon.GeneralizationRule("Age", anon.NumericBins(width=10, origin=0)),
+        anon.GeneralizationRule("ZIP", anon.TextPrefix(keep=2)),
+    ]
+    return anon.generalize(anon.suppress(dset.fixture_table1(), ["Name"]), rules)
 
 
 def _cmd_fixtures_export(args) -> dict:
-    dataset = {"table1": fixture_table1, "table2": table2_fixture}[args.name]()
-    _write_atomic(args.output, [write_csv(dataset)])
+    dataset = {"table1": dset.fixture_table1, "table2": table2_fixture}[args.name]()
+    _write_atomic(args.output, [dset.write_csv(dataset)])
     written = [args.output]
     if args.schema_output:
         _write_atomic(args.schema_output, [dataset.schema.to_json().encode("utf-8")])
@@ -186,7 +207,8 @@ def _parse_rule(obj) -> anon.GeneralizationRule:
     return anon.GeneralizationRule(obj["attribute"], strategy)
 
 
-def _compile_step(step, schema: Schema, stepno: int) -> Callable[[Dataset], Dataset]:
+def _compile_step(step, schema: dset.Schema,
+                  stepno: int) -> Callable[[dset.Dataset], dset.Dataset]:
     """Validate one pipeline step against the schema and return its action."""
     if not isinstance(step, dict):
         raise ConfigError(f"step {stepno} must be an object, got {step!r}")
@@ -267,18 +289,18 @@ def _cmd_anonymize(args) -> dict:
     if not isinstance(steps, list):
         raise ConfigError("pipeline config steps must be an array")
     with open(schema_path, "r", encoding="utf-8") as fh:
-        schema = Schema.from_json(fh.read())
+        schema = dset.Schema.from_json(fh.read())
     actions = [
         _compile_step(step, schema, i) for i, step in enumerate(steps)
     ]  # fail fast: every step validated before any runs
     with open(input_path, "rb") as fh:
-        dataset = load_csv(fh, schema)
+        dataset = dset.load_csv(fh, schema)
     verbose = os.environ.get("PRIVKIT_LOG") in ("info", "debug")
     for i, action in enumerate(actions):
         if verbose:
             print(f"INFO step {i}: {steps[i].get('op')}", file=sys.stderr)
         dataset = action(dataset)
-    _write_atomic(output_path, [write_csv(dataset)])
+    _write_atomic(output_path, [dset.write_csv(dataset)])
     return {
         "output": output_path,
         "records": len(dataset),
@@ -404,9 +426,8 @@ def _cmd_dpcheck(args) -> dict:
 
 def _cmd_smc_demo(args) -> dict:
     votes = _comma_ints(args.votes)
-    transcript = smc.secret_sum_transcript(
-        votes, args.modulus, random.Random(args.seed)
-    )
+    modulus = smc.DEFAULT_MODULUS if args.modulus is None else args.modulus
+    transcript = smc.secret_sum_transcript(votes, modulus, random.Random(args.seed))
     return {
         "modulus": transcript.modulus,
         "votes": list(transcript.votes),
@@ -521,7 +542,7 @@ def _build_parser() -> _Parser:
     smc_sub = smc_cmd.add_subparsers(dest="subcommand", required=True)
     demo = smc_sub.add_parser("demo")
     demo.add_argument("--votes", required=True, help="comma-separated votes")
-    demo.add_argument("--modulus", type=int, default=smc.DEFAULT_MODULUS)
+    demo.add_argument("--modulus", type=int)
     demo.add_argument("--seed", type=int, required=True)
     demo.set_defaults(handler=_cmd_smc_demo)
 

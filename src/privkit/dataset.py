@@ -13,11 +13,12 @@ A ``Dataset`` holds only these cells, and only those of its attribute's
 kind: ``int``, ``Interval`` or ``Suppressed`` under INTEGER, ``str``,
 ``MaskedText`` or ``Suppressed`` under TEXT, each type exactly (no bool, no
 subclass). It checks them when it is built, so ``write_csv`` writes every
-dataset as a file that ``load_csv`` reads back equal, or raises ValueError
-for the two cells no file holds: an int past the interpreter's digit limit
-and text with a lone surrogate. The one exception is raw text that itself
-ends in ``*``: it is indistinguishable from a mask and is read back as one,
-so such values are outside the supported input domain.
+dataset as a file that ``load_csv`` reads back equal, or raises for the two
+cells no file holds: TooManyDigits, naming the cell, for an int past the
+interpreter's digit limit, and ValueError for text with a lone surrogate.
+The one exception is raw text that itself ends in ``*``: it is
+indistinguishable from a mask and is read back as one, so such values are
+outside the supported input domain.
 """
 
 from __future__ import annotations
@@ -28,10 +29,18 @@ import enum
 import io
 import json
 import re
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence, Union
 
-from .errors import ArityError, HeaderMismatch, KindMismatch, ParseError, UnknownAttribute
+from .errors import (
+    ArityError,
+    HeaderMismatch,
+    KindMismatch,
+    ParseError,
+    TooManyDigits,
+    UnknownAttribute,
+)
 
 
 class AttributeRole(enum.Enum):
@@ -399,12 +408,31 @@ def write_csv(dataset: Dataset) -> bytes:
     where they must be, with one exception: ``csv.writer`` leaves a lone CR
     unquoted, and ``load_csv`` ends the row there. So a table with a CR in
     any cell or name is written again with every field quoted. Raises
-    ValueError for an int past the interpreter's digit limit or text with
-    a lone surrogate; ``load_csv`` makes neither."""
-    text = _csv_text(dataset, csv.QUOTE_MINIMAL)
+    TooManyDigits, naming the first such record and its attribute, for a
+    cell holding an int past the interpreter's digit limit, and ValueError
+    for text with a lone surrogate; ``load_csv`` makes neither."""
+    try:
+        text = _csv_text(dataset, csv.QUOTE_MINIMAL)
+    except ValueError:
+        _raise_too_many_digits(dataset)
+        raise
     if "\r" in text:  # rows end in "\n": each CR is in a field
         text = _csv_text(dataset, csv.QUOTE_ALL)
     return text.encode("utf-8")
+
+
+def _raise_too_many_digits(dataset: Dataset) -> None:
+    """Name the first cell, row by row, whose text str() refuses to make."""
+    names = dataset.schema.names
+    for i, row in enumerate(zip(*dataset.columns)):
+        for name, cell in zip(names, row):
+            try:
+                str(cell)
+            except ValueError:
+                raise TooManyDigits(
+                    f"record {i} of {name!r} has more than "
+                    f"{sys.get_int_max_str_digits()} digits"
+                ) from None
 
 
 def _csv_text(dataset: Dataset, quoting: int) -> str:

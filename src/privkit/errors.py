@@ -38,6 +38,11 @@ class KindMismatch(PrivkitError):
     to an attribute or cell of the wrong kind."""
 
 
+class TooManyDigits(PrivkitError):
+    """A cell holds an integer with more digits than the interpreter will
+    write as text (``sys.set_int_max_str_digits``)."""
+
+
 # --- anonymize --------------------------------------------------------------
 
 class EmptyQiList(PrivkitError):

@@ -1133,6 +1133,29 @@ def test_metrics_names_the_cell_of_an_oversized_integer(capsys, export_fixture):
     assert "row 1, column 'Age'" in err
 
 
+def test_anonymize_names_the_cell_too_long_to_write(capsys, tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer strings of any length")
+    nines = "9" * limit  # read back fine; one more digit cannot be written
+    (tmp_path / "in.csv").write_text("Name,Age\n" + "".join(f"P{i},{nines}\n" for i in range(4)))
+    (tmp_path / "schema.json").write_text(json.dumps([
+        {"name": "Name", "role": "explicit_identifier", "kind": "text"},
+        {"name": "Age", "role": "quasi_identifier", "kind": "integer"}]))
+    step = {"op": "add_noise", "attribute": "Age", "deltas": {"-1": 0.5, "1": 0.5}, "seed": 1}
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "input": "in.csv", "schema": "schema.json", "output": "out.csv", "steps": [step]}))
+    code, out, err = run(capsys, "anonymize", "--config", str(tmp_path / "cfg.json"))
+    # the first record the noise pushed past the limit, by the library's own draw
+    schema = Schema.from_json((tmp_path / "schema.json").read_text())
+    noised = anonymize.add_noise(load_csv((tmp_path / "in.csv").read_bytes(), schema), "Age",
+                                 anonymize.NoiseSpec({-1: 0.5, 1: 0.5}), random.Random(1))
+    first = noised.column("Age").index(10**limit)
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err == f"error: record {first} of 'Age' has more than {limit} digits\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "in.csv", "schema.json"]
+
+
 @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=repr)
 def test_metrics_names_line_of_undecodable_byte(capsys, export_fixture, ending):
     csv_path, schema_path = export_fixture("table1")

@@ -3,7 +3,8 @@ copies of the cell-by-cell code it replaced: ``load_csv``, ``write_csv``,
 ``generalize``, ``_integer_column`` and ``microaggregate_univariate``.
 
 Each must return an equal result, cell types included, or raise the same
-error type with the same message. ``load_csv`` parses in blocks of
+error type with the same message, except that ``write_csv`` names the cell
+of an int too long to write. ``load_csv`` parses in blocks of
 ``dataset._BLOCK_ROWS`` rows; the Hypothesis tests shrink the block so that
 a short input spans several, and the fixed tests use the real size. The
 datasets given to the other functions hold the cells of each column's kind,
@@ -51,6 +52,7 @@ from privkit.errors import (
     HeaderMismatch,
     KindMismatch,
     ParseError,
+    TooManyDigits,
     VacuousRule,
 )
 
@@ -367,7 +369,15 @@ def datasets(draw, kinds=_KINDS, cells=_CELLS, max_rows=8):
 @settings(max_examples=200)
 @given(datasets())
 def test_write_csv_equals_cell_by_cell(ds):
-    assert outcome(write_csv, ds) == outcome(reference_write_csv, ds)
+    expected = outcome(reference_write_csv, ds)
+    if expected[:2] == ("raised", ValueError):
+        # where the interpreter refused an int's text, the error now names its cell
+        i, name = next((i, name) for i, row in enumerate(zip(*ds.columns))
+                       for name, cell in zip(ds.schema.names, row)
+                       if type(cell) is int and abs(cell) >= 10**DIGIT_LIMIT)
+        expected = ("raised", TooManyDigits,
+                    f"record {i} of {name!r} has more than {DIGIT_LIMIT} digits")
+    assert outcome(write_csv, ds) == expected
 
 
 # --- generalize ---------------------------------------------------------------

@@ -111,6 +111,68 @@ def test_cli_calls_load_numpy_only_when_used(workdir, argv, loads_numpy):
     assert probe(setup, workdir) == {"result": 0, "numpy": loads_numpy}
 
 
+# The privkit modules whose code has run: cli.py puts every module into
+# sys.modules, but one it has not used yet is still of the lazy loader's type.
+# type() reads no attribute, so it does not trigger the load.
+_EXECUTED = """
+import types
+result = [result, sorted(name for name, module in sys.modules.items()
+                         if name.split(".")[0] == "privkit" and type(module) is types.ModuleType)]
+"""
+_CLI = ["privkit", "privkit.cli", "privkit.errors"]
+_RAPPOR = sorted([*_CLI, "privkit.rappor"])
+_TABLE = sorted([*_CLI, "privkit.dataset", "privkit.anonymize"])
+
+
+@pytest.mark.parametrize("argv,executed", [
+    (["rappor", "epsilon", "--params", PAPER_PARAMS], _RAPPOR),
+    (["rappor", "encode", "--params", PAPER_PARAMS, "--value", "flu"], _RAPPOR),
+    (["rappor", "report", "--params", PAPER_PARAMS, "--value", "flu", "--secret", "s",
+      "--seed", "1"], _RAPPOR),
+    (["rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "40", "--dist",
+      "dist.json", "--seed", "3", "--output", "again.jsonl"], _RAPPOR),
+    (["rappor", "estimate", "--params", PAPER_PARAMS, "--reports", "reports.jsonl",
+      "--candidates", "candidates.json"], _RAPPOR),
+    (["dpcheck", "--mode=report", "--params", PAPER_PARAMS, "--bits1", "0,1",
+      "--bits2", "2,3"], sorted([*_RAPPOR, "privkit.dpcheck"])),
+    (["anonymize", "--config", "pipeline.json"], _TABLE),
+    (["metrics", "--input", "t1.csv", "--schema", "t1.schema.json", "--qi", "Age,Gender,ZIP",
+      "--sensitive", "Diagnosis"], _TABLE),
+    (["fixtures", "export", "--name", "table2", "--output", "t2.csv"], _TABLE),
+    (["fixtures", "export", "--name", "table1", "--output", "t1.again.csv"],
+     sorted([*_CLI, "privkit.dataset"])),
+    (["assoc", "mine", "--input", "baskets.json", "--min-support", "0.3"],
+     sorted([*_CLI, "privkit.assoc", "privkit.dataset"])),
+    (["smc", "demo", "--votes", "1,1,0", "--seed", "7"], sorted([*_CLI, "privkit.smc"])),
+], ids=["rappor epsilon", "rappor encode", "rappor report", "rappor simulate",
+        "rappor estimate", "dpcheck", "anonymize", "metrics", "fixtures export table2",
+        "fixtures export table1", "assoc mine", "smc demo"])
+def test_cli_calls_execute_only_the_modules_they_use(workdir, argv, executed):
+    setup = _RUN_MAIN.format(argv=argv) + _EXECUTED
+    assert probe(setup, workdir)["result"] == [0, executed]
+
+
+def test_cli_import_executes_no_module_it_imports_lazily(tmp_path):
+    setup = "import privkit.cli\nresult = 0" + _EXECUTED
+    assert probe(setup, tmp_path)["result"] == [0, _CLI]
+
+
+# ``python -m privkit.cli``, as the benchmark starts its children, runs the
+# module as __main__ and resolves its siblings through __package__.
+@pytest.mark.parametrize("argv", [
+    ["rappor", "epsilon", "--params", PAPER_PARAMS],
+    ["dpcheck", "--mode=prr", "--params", PAPER_PARAMS, "--bits1", "0,1", "--bits2", "2,3"],
+    ["smc", "demo", "--votes", "1,1,0", "--seed", "7"],
+    ["smc", "demo", "--votes", "1,1,0", "--seed", "7", "--modulus", str(2**127 - 1)],
+], ids=["rappor epsilon", "dpcheck", "smc demo", "smc demo --modulus"])
+def test_module_entry_point_prints_what_main_prints(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    proc = subprocess.run([sys.executable, "-m", "privkit.cli", *argv], capture_output=True,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+
+
 @pytest.mark.parametrize("setup", [
     "import privkit.cli",
     _RUN_MAIN.format(argv=["rappor", "epsilon", "--params", PAPER_PARAMS]),
