@@ -81,13 +81,15 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
         with open(path, "wb") as fh:
             fh.writelines(chunks)
         return
-    path = os.path.realpath(path)
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".privkit-")
+    target = os.path.realpath(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".privkit-")
+    except OSError as exc:  # its message names the temp file, a name the user never gave
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -15,13 +15,14 @@ numpy: a line exactly as ``envelope_lines`` writes it is read by slicing out
 its hex, any other line is parsed as JSON, and the bits of each chunk are
 counted byte column by byte column with ``bytes.translate``.
 
-Many clients are simulated in chunks of reports by ``simulate_packed``, with
-numpy doing the PRR and IRR comparisons; no other code here uses numpy. It
-draws from the same keyed hashes and the same seeded stream as the scalar
-``prr``/``irr``/``make_report``, which stay as the reference the batch path
-is tested against, so both give identical bits. Each chunk is ``bytes`` in
-the layout of ``Report.to_hex``, report after report, for ``envelope_lines``
-to write and ``simulate_reports`` to decode as ``Report.from_hex`` does.
+Many clients are simulated in chunks of reports by ``simulate_packed``,
+without numpy: no code here uses it. It draws from the same keyed hashes and
+the same seeded stream as the scalar ``prr``/``irr``/``make_report``, which
+stay as the reference the batch path is tested against, and makes each of
+their float comparisons as an exact integer one, so both give identical
+bits. Each chunk is ``bytes`` in the layout of ``Report.to_hex``, report
+after report, for ``envelope_lines`` to write and ``simulate_reports`` to
+decode as ``Report.from_hex`` does.
 
 All hashing is keyed BLAKE2b, so encodings and permanent responses are
 bit-identical across processes and platforms for fixed parameters.
@@ -39,6 +40,7 @@ import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -53,7 +55,8 @@ from .errors import (
 _MASK64 = (1 << 64) - 1
 
 # Report bits per chunk of the batch path: k=16 gives 4096 reports per chunk,
-# k=256 gives 256, so the client's numpy arrays stay near 0.5 MiB each.
+# k=256 gives 256, so the client's PRR blocks and IRR draws stay near 0.5 MiB
+# each, and its flags, one byte per bit, near 64 KiB.
 _CHUNK_BITS = 1 << 16
 
 Bits = tuple[int, ...]
@@ -593,34 +596,111 @@ def simulate_packed(
     ceil(k/8) bytes per report, report after report, laid out like
     ``Report.to_hex``.
 
-    PRR uniforms come from the same keyed blocks as ``prr``. IRR uniforms
-    come from a numpy generator handed the state of ``random.Random(seed)``,
-    whose ``random_sample`` yields the same doubles as ``rng.random()``.
-    """
-    import numpy as np
+    Each count must be a non-negative int (not a bool); anything else raises
+    ``InvalidParams``.
 
+    PRR words come from the same keyed blocks as ``prr``, and IRR draws from
+    the words of ``random.Random(seed)`` that ``rng.random()`` would read, so
+    every comparison is the scalar one made on integers: the uniform
+    word / 2^64 is below t exactly when the word is below ``_bound(t, 64)``,
+    and a draw X / 2^53 exactly when X is below ``_bound(t, 53)``. Each
+    comparison of a chunk is decided at once by a byte table over the top
+    bytes, and a value is read in full only where its top byte is the
+    bound's. The flags, one byte per bit, are combined as big integers.
+    """
     k = params.k
+    stride = 8 * ((k + 7) // 8)  # PRR words per client, and report bits with padding
     values = sorted(counts)
-    blooms = np.array([bloom_encode(v, params).bits for v in values], dtype=bool)
+    for v in values:  # bool is an int subclass in Python
+        if isinstance(counts[v], bool) or not isinstance(counts[v], int) or counts[v] < 0:
+            raise InvalidParams(f"count of {v!r} must be a non-negative integer, "
+                                f"got {counts[v]!r}")
+    blooms = [bytes(bloom_encode(v, params).bits) + bytes(stride - k) for v in values]
     messages = [_prr_messages(v, params) for v in values]
-    owners = np.repeat(np.arange(len(values)), [counts[v] for v in values])
-    half_f = params.f / 2.0
-    _, internal, _ = random.Random(seed).getstate()
-    stream = np.random.RandomState()
-    stream.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+    owners = chain.from_iterable(repeat(j, counts[v]) for j, v in enumerate(values))
+    half_f, f = (_Below(_bound(t, 64), 56) for t in (params.f / 2.0, params.f))
+    q, p = (_Below(_bound(t, 53), 45) for t in (params.q, params.p))
+    rng = random.Random(seed)
     rows = _chunk_rows(k)
-    for start in range(0, len(owners), rows):
-        owner = owners[start : start + rows]
+    start = 0
+    while owner := list(islice(owners, rows)):
+        n = len(owner)
         blocks = b"".join([
             _prr_blocks(client_secret(seed, i), messages[j])
-            for i, j in enumerate(owner.tolist(), start)
+            for i, j in enumerate(owner, start)
         ])
-        words = np.frombuffer(blocks, dtype="<u8").reshape(len(owner), -1)[:, :k]
-        uniforms = words.astype(np.float64) / 2.0**64
-        perm = (uniforms < half_f) | ((uniforms >= params.f) & blooms[owner])
-        draws = stream.random_sample((len(owner), k))
-        report = draws < np.where(perm, params.q, params.p)
-        yield np.packbits(report, axis=1, bitorder="little").tobytes()
+        start += n
+        tops = blocks[7::8]  # the top byte of each little-endian word
+
+        def word(i):
+            return int.from_bytes(blocks[8 * i : 8 * i + 8], "little")
+
+        bloom = int.from_bytes(b"".join([blooms[j] for j in owner]), "little")
+        perm = int.from_bytes(half_f(tops, word), "little") | (
+            bloom & ~int.from_bytes(f(tops, word), "little"))
+        # 32-bit words a, b per draw; random() is ((a >> 5) * 2^26 + (b >> 6)) / 2^53
+        draws = rng.getrandbits(64 * n * k).to_bytes(8 * n * k, "little")
+        tops = draws[3::8]  # the top byte of a, so of X
+
+        def draw(i):
+            ab = int.from_bytes(draws[8 * i : 8 * i + 8], "little")
+            return (ab & 0xFFFFFFFF) >> 5 << 26 | ab >> 38
+
+        dq, dp = (int.from_bytes(_pad_rows(below(tops, draw), k, stride), "little")
+                  for below in (q, p))
+        # one flag per byte: q's draw where the permanent bit is 1, p's where it
+        # is 0, then the eight flags of each report byte gathered into its low byte
+        bits = dp ^ ((dp ^ dq) & perm)
+        bits |= bits >> 7
+        bits |= bits >> 14
+        bits |= bits >> 28
+        yield bits.to_bytes(n * stride, "little")[::8]
+
+
+def _bound(t: float, bits: int) -> int:
+    """The least integer w in [0, 2^bits] with w / 2.0**bits >= t, found by
+    bisection: an integer below it, read as the uniform w / 2^bits the way
+    the scalar path reads it, is below t."""
+    lo, hi = 0, 1 << bits
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2.0**bits < t:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class _Below:
+    """The comparison value < bound over many values at once, given each
+    value's top byte (its bits from ``shift`` up)."""
+
+    def __init__(self, bound: int, shift: int):
+        self.bound = bound
+        top, low = divmod(bound, 1 << shift)
+        # 1: every value with this top byte is below the bound, 0: none is,
+        # 2: the bits below the top byte decide
+        self.table = bytes(1 if x < top else 2 if x == top and low else 0 for x in range(256))
+
+    def __call__(self, tops: bytes, value) -> bytearray:
+        """Flag bytes, 1 where value i is below the bound; ``value(i)`` reads
+        value i in full where its top byte alone cannot tell."""
+        flags = bytearray(tops.translate(self.table))
+        i = flags.find(2)
+        while i >= 0:
+            flags[i] = value(i) < self.bound
+            i = flags.find(2, i + 1)
+        return flags
+
+
+def _pad_rows(flags: bytearray, k: int, stride: int) -> bytearray:
+    """Rows of k flag bytes spread to rows of ``stride``, zero-padded."""
+    if k == stride:
+        return flags
+    padded = bytearray(len(flags) // k * stride)
+    for j in range(k):
+        padded[j::stride] = flags[j::k]
+    return padded
 
 
 def envelope_lines(chunks: Iterable[bytes], params: RapporParams) -> Iterator[bytes]:

@@ -825,6 +825,17 @@ def test_write_atomic_leaves_target_when_chunks_raise(tmp_path):
     assert os.listdir(tmp_path) == ["out.csv"]  # no .privkit-* temp file left
 
 
+def test_output_in_missing_directory_names_the_output(capsys, tmp_path, rappor_inputs):
+    dist, _ = rappor_inputs
+    output = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run(capsys, "rappor", "simulate", "--params", PAPER_PARAMS,
+                         "--clients", "10", "--dist", str(dist), "--seed", "1",
+                         "--output", str(output))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(output)!r}\n"
+    assert sorted(os.listdir(tmp_path)) == ["candidates.json", "dist.json"]
+
+
 def test_rappor_params_bool_rejected(capsys):
     code, _, err = run(capsys, "rappor", "epsilon", "--params",
                        '{"k":true,"h":1,"f":0.5,"p":0.5,"q":0.75}')

@@ -1,5 +1,5 @@
-"""numpy is imported only by the calls that compute with it (``rappor
-simulate`` and multivariate microaggregation), and logging by none of them.
+"""numpy is imported only by the calls that compute with it (multivariate
+microaggregation), and logging by none of them.
 ``import privkit`` loads no module, and a name taken from the package loads
 only its own module.
 
@@ -101,9 +101,9 @@ def workdir(tmp_path, capsys):
       "--bits1", "0,1", "--bits2", "2,3"], False),
     (["dpcheck", "--mode=report", "--params", PAPER_PARAMS,
       "--bits1", "0,1", "--bits2", "2,3"], False),
-    # the calls that compute with numpy do load it, so the probe can see it
     (["rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "40", "--dist",
-      "dist.json", "--seed", "3", "--output", "again.jsonl"], True),
+      "dist.json", "--seed", "3", "--output", "again.jsonl"], False),
+    # the call that computes with numpy does load it, so the probe can see it
     (["anonymize", "--config", "mdav.json"], True),
 ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else str(v))
 def test_cli_calls_load_numpy_only_when_used(workdir, argv, loads_numpy):
@@ -193,6 +193,19 @@ result = count_report_lines(text.splitlines(keepends=True), params)
     reports = [b"\x02\x03", b"\x04\x05", b"\x06\x07"]
     counts = [sum((r[i // 8] >> (i % 8)) & 1 for r in reports) for i in range(12)]
     assert probe(setup, tmp_path) == {"result": [counts, 3], "numpy": False}
+
+
+def test_reports_simulated_without_numpy(tmp_path):
+    setup = """\
+from privkit.rappor import RapporParams, simulate_packed, simulate_reports
+params = RapporParams(k=12, h=2, f=0.5, q=0.75, p=0.5)
+counts = {"flu": 30, "cold": 10}
+result = [b"".join(simulate_packed(counts, params, 3)).hex(),
+          [report.to_hex() for report in simulate_reports(counts, params, 3)]]
+"""
+    here = {}
+    exec(setup, here)  # this process has numpy loaded; the probe must not load it
+    assert probe(setup, tmp_path) == {"result": here["result"], "numpy": False}
 
 
 # The package's API, module by module: ``privkit.__all__`` is exactly these

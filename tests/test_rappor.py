@@ -4,12 +4,13 @@ import json
 import math
 import pickle
 import random
+import re
 import struct
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -45,6 +46,7 @@ from privkit.rappor import (
     simulate_packed,
     simulate_reports,
 )
+from privkit.rappor import _chunk_rows, _prr_blocks, _prr_messages
 
 PAPER = RapporParams(k=12, h=2, f=0.5, q=0.75, p=0.5)
 NOISELESS = RapporParams(k=12, h=2, f=0.0, q=1.0, p=0.0)
@@ -728,18 +730,90 @@ def test_batch_client_matches_scalar_reference(params, chunk_bits, monkeypatch):
         ).encode("utf-8")
 
 
-def test_numpy_word_to_float_matches_python():
-    # PRR uniforms are word / 2^64; words straddling float64 rounding ties
-    # must convert the same way in numpy as in Python
-    rng = random.Random(3)
-    words = [rng.getrandbits(64) for _ in range(20_000)]
-    for top in range(11, 64):
-        base = 1 << top
-        half_ulp = 1 << (top - 53) if top > 53 else 0
-        words += [base, base - 1, base + half_ulp, base + 3 * half_ulp, (1 << 64) - 1]
-    words = [w for w in words if w < 1 << 64]
-    converted = np.array(words, dtype=np.uint64).astype(np.float64) / 2.0**64
-    assert converted.tolist() == [w / 2.0**64 for w in words]
+@pytest.mark.parametrize("t", [0.0, 5e-324, 0.1, 1 / 3, 0.25, 0.5, 0.75, 1 - 2**-53, 1.0],
+                         ids=repr)
+def test_integer_bounds_compare_like_the_uniforms(t):
+    # PRR: the word w is the uniform w / 2^64, and float(w) rounds to the
+    # nearest even. Words straddling each rounding tie near t * 2^64 must
+    # compare with the bound as the uniform compares with t.
+    bound = rappor._bound(t, 64)
+    centre = math.floor(Fraction(t) * 2**64)
+    half_ulp = 1 << max((centre - 1).bit_length() - 54, 0)
+    words = {2**64 - 1, bound - 1, bound, bound + 1}
+    for tie in range(centre - 4 * half_ulp, centre + 5 * half_ulp, half_ulp):
+        words.update(range(tie - 2, tie + 3))
+    for w in sorted(w for w in words if 0 <= w < 2**64):
+        assert (w < bound) == (w / 2.0**64 < t), w
+    # IRR: random() is X / 2^53 for a 53-bit integer X, so no rounding
+    bound = rappor._bound(t, 53)
+    assert bound == math.ceil(Fraction(t) * 2**53)
+    for x in range(max(bound - 3, 0), min(bound + 4, 2**53)):
+        assert (x < bound) == (x / 2**53 < t), x
+
+
+def numpy_simulate_packed(counts, params, seed):
+    """The numpy batch client this module replaced, verbatim."""
+    import numpy as np
+
+    k = params.k
+    values = sorted(counts)
+    blooms = np.array([bloom_encode(v, params).bits for v in values], dtype=bool)
+    messages = [_prr_messages(v, params) for v in values]
+    owners = np.repeat(np.arange(len(values)), [counts[v] for v in values])
+    half_f = params.f / 2.0
+    _, internal, _ = random.Random(seed).getstate()
+    stream = np.random.RandomState()
+    stream.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+    rows = _chunk_rows(k)
+    for start in range(0, len(owners), rows):
+        owner = owners[start : start + rows]
+        blocks = b"".join([
+            _prr_blocks(client_secret(seed, i), messages[j])
+            for i, j in enumerate(owner.tolist(), start)
+        ])
+        words = np.frombuffer(blocks, dtype="<u8").reshape(len(owner), -1)[:, :k]
+        uniforms = words.astype(np.float64) / 2.0**64
+        perm = (uniforms < half_f) | ((uniforms >= params.f) & blooms[owner])
+        draws = stream.random_sample((len(owner), k))
+        report = draws < np.where(perm, params.q, params.p)
+        yield np.packbits(report, axis=1, bitorder="little").tobytes()
+
+
+# Non-dyadic values put low bits into the integer bounds, so that top bytes
+# equal to a bound's occur and only the full value decides.
+PROBABILITY = st.one_of(
+    st.sampled_from([0.0, 5e-324, 0.1, 1 / 3, 0.5, 0.7, 0.9, 1 - 2**-53, 1.0]), st.floats(0, 1))
+
+
+@given(
+    k=st.integers(1, 80),
+    h=st.integers(1, 4),
+    f=PROBABILITY,
+    qp=st.tuples(PROBABILITY, PROBABILITY).map(sorted),
+    seed=st.one_of(st.integers(-2**80, -1), st.integers(2**64, 2**80), st.integers(0, 2**64)),
+    sizes=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+    chunk_bits=st.sampled_from([1, 100, rappor._CHUNK_BITS]),
+)
+@settings(max_examples=150, deadline=None)
+def test_batch_client_equals_numpy_kernel_and_scalar_reference(k, h, f, qp, seed, sizes,
+                                                               chunk_bits):
+    params = RapporParams(k=k, h=min(h, k), f=f, q=qp[1], p=qp[0])
+    counts = {f"v{i}": n for i, n in enumerate(sizes)}
+    with mock.patch.object(rappor, "_CHUNK_BITS", chunk_bits):
+        chunks = list(simulate_packed(counts, params, seed))
+        assert chunks == list(numpy_simulate_packed(counts, params, seed))
+    expected = scalar_simulate(counts, params, seed)
+    assert b"".join(chunks) == b"".join(bytes.fromhex(r.to_hex()) for r in expected)
+
+
+@pytest.mark.parametrize("count", [-1, 2.0, "2", True, None], ids=repr)
+def test_simulated_counts_must_be_non_negative_integers(count):
+    counts = {"a": 3, "b": count}
+    message = rf"^count of 'b' must be a non-negative integer, got {re.escape(repr(count))}$"
+    with pytest.raises(InvalidParams, match=message):
+        simulate_reports(counts, PAPER, seed=1)
+    with pytest.raises(InvalidParams, match=message):
+        next(simulate_packed(counts, PAPER, seed=1))
 
 
 def test_simulate_reports_deterministic():
