@@ -612,9 +612,9 @@ def simulate_packed(
     stride = 8 * ((k + 7) // 8)  # PRR words per client, and report bits with padding
     values = sorted(counts)
     for v in values:  # bool is an int subclass in Python
-        if isinstance(counts[v], bool) or not isinstance(counts[v], int) or counts[v] < 0:
-            raise InvalidParams(f"count of {v!r} must be a non-negative integer, "
-                                f"got {counts[v]!r}")
+        count = counts[v]
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise InvalidParams(f"count of {v!r} must be a non-negative integer, got {count!r}")
     blooms = [bytes(bloom_encode(v, params).bits) + bytes(stride - k) for v in values]
     messages = [_prr_messages(v, params) for v in values]
     owners = chain.from_iterable(repeat(j, counts[v]) for j, v in enumerate(values))
