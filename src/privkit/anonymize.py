@@ -20,11 +20,11 @@ import math
 import operator
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
+from ._value import Frozen
 from .dataset import (
     GENERALIZED,
     SUPPRESSED,
@@ -53,8 +53,7 @@ from .errors import (
 _PROB_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class NumericBins:
+class NumericBins(Frozen):
     """Replace integer x by the width-sized bin [lo, lo+width-1] containing it."""
 
     width: int
@@ -76,8 +75,7 @@ class NumericBins:
         return Interval(lo, lo + self.width - 1)
 
 
-@dataclass(frozen=True)
-class TextPrefix:
+class TextPrefix(Frozen):
     """Keep the first ``keep`` characters of a text value, mask the rest; an
     empty prefix is SUPPRESSED, so the cell reads back the same from CSV."""
 
@@ -97,8 +95,7 @@ class TextPrefix:
         return MaskedText(t[: self.keep]) if self.keep and t else SUPPRESSED
 
 
-@dataclass(frozen=True)
-class SuppressAll:
+class SuppressAll(Frozen):
     """Suppress every value of the attribute, generalized or not."""
 
     kind: ClassVar[Optional[Kind]] = None
@@ -110,14 +107,12 @@ class SuppressAll:
 Strategy = Union[NumericBins, TextPrefix, SuppressAll]
 
 
-@dataclass(frozen=True)
-class GeneralizationRule:
+class GeneralizationRule(Frozen):
     attribute: str
     strategy: Strategy
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(Frozen):
     """Records agreeing on every quasi-identifier value."""
 
     key: tuple[Cell, ...]
@@ -128,16 +123,14 @@ class EquivalenceClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     classes: tuple[EquivalenceClass, ...]
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(c.size for c in self.classes)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(Frozen):
     """Zero-mean discrete noise: mapping from integer delta to probability.
 
     Probabilities are ints or floats (bool is neither), stored as floats.

@@ -12,12 +12,12 @@ classified without floating-point wobble. The float ``support`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from ._value import Frozen
 from .dataset import AttributeRole, Dataset
 from .errors import (
     BadThreshold,
@@ -29,8 +29,7 @@ from .errors import (
 ItemSet = frozenset[str]
 
 
-@dataclass(frozen=True)
-class TransactionSet:
+class TransactionSet(Frozen):
     """Transactions over a fixed item universe."""
 
     transactions: tuple[ItemSet, ...]
@@ -67,8 +66,7 @@ class TransactionSet:
         return {item: int.from_bytes(row, "little") for item, row in rows.items()}
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Frozen):
     """A -> B with its support (of A union B) and certainty P(B | A)."""
 
     antecedent: ItemSet

@@ -30,9 +30,9 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import IO, Iterable, Sequence, Union
 
+from ._value import Frozen
 from .errors import (
     ArityError,
     HeaderMismatch,
@@ -68,8 +68,7 @@ def _check_int(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """Closed integer range replacing a generalized numeric value."""
 
     lo: int
@@ -85,8 +84,7 @@ class Interval:
         return f"{self.lo}-{self.hi}"
 
 
-@dataclass(frozen=True)
-class MaskedText:
+class MaskedText(Frozen):
     """Text value reduced to a prefix; renders as ``prefix*``."""
 
     prefix: str
@@ -101,8 +99,7 @@ class MaskedText:
         return f"{self.prefix}*"
 
 
-@dataclass(frozen=True)
-class Suppressed:
+class Suppressed(Frozen):
     """Fully suppressed value; renders as ``*``."""
 
     def __str__(self):
@@ -159,8 +156,7 @@ def _int(digits: str) -> int:
         raise ParseError(f"integer too long: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(Frozen):
     """One column of a schema. Role and kind may be given by their values
     ("quasi_identifier", "integer"); they are stored as the enum members."""
 
@@ -175,8 +171,7 @@ class Attribute:
         object.__setattr__(self, "kind", Kind(self.kind))
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Frozen):
     """Ordered attribute list; names are unique."""
 
     attributes: tuple[Attribute, ...]
@@ -229,8 +224,7 @@ class Schema:
         return cls(tuple(attrs))
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Frozen):
     """Immutable table under a schema, stored by column: one equal-length
     tuple of cells per attribute, in schema order.
 

@@ -14,6 +14,8 @@ approximated, because an approximate oracle cannot arbitrate closed forms.
 from __future__ import annotations
 
 import math
+import operator
+from itertools import repeat
 from typing import Sequence
 
 from .errors import FilterTooLarge, SpaceMismatch
@@ -40,13 +42,14 @@ class MechanismDistribution:
         log_probs = tuple(map(float, log_probs))
         if k < 0 or len(log_probs) != 1 << k:
             raise SpaceMismatch(f"log_probs has {len(log_probs)} entries, expected 2^{k}")
-        if not all(x < math.inf for x in log_probs):  # NaN < inf is False too
+        # The checks and the sum iterate in C: 2^k entries, k up to 20.
+        if math.inf in log_probs or any(map(math.isnan, log_probs)):
             raise ValueError("log-probabilities must be finite or -inf")
         m = max(log_probs)
         if m == -math.inf:
             total = -math.inf
         else:
-            total = m + math.log(math.fsum(math.exp(x - m) for x in log_probs))
+            total = m + math.log(math.fsum(map(math.exp, map(operator.sub, log_probs, repeat(m)))))
         # total > 1 first: expm1 overflows above about 709
         if total > 1.0 or abs(math.expm1(total)) > 1e-9:
             raise ValueError(f"probabilities sum to exp({total}), not 1")

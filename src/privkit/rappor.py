@@ -30,7 +30,6 @@ bit-identical across processes and platforms for fixed parameters.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -38,11 +37,10 @@ import math
 import random
 import re
 import struct
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+from ._value import Frozen
 from .errors import (
     ConfigError,
     DegenerateParams,
@@ -73,8 +71,7 @@ _CLIENT_HASH = hashlib.blake2b(digest_size=16, person=b"privkit.client")
 _PRR_KEY_HASH = hashlib.blake2b(digest_size=32, person=b"privkit.prrkey")
 
 
-@dataclass(frozen=True)
-class RapporParams:
+class RapporParams(Frozen):
     """Tuning knobs of the reporting pipeline.
 
     k: Bloom filter size in bits.
@@ -131,7 +128,8 @@ class RapporParams:
             raise InvalidParams(f"need q >= p, got q={self.q}, p={self.p}")
         if not 0 <= self.hash_seed <= _MASK64:
             raise InvalidParams(f"hash_seed must be in [0, 2^64), got {self.hash_seed}")
-        canonical = json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
+        fields = dict(zip(self._fields, self._astuple(self)))
+        canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
         # Fields are frozen, so the fingerprint is computed once per object.
         object.__setattr__(
             self, "_digest", hashlib.sha256(canonical.encode("ascii")).hexdigest()[:16]
@@ -146,7 +144,7 @@ class RapporParams:
 
     def __reduce__(self):
         # pickle and deepcopy rebuild from the fields: hash states do not pickle
-        return type(self), dataclasses.astuple(self)
+        return type(self), self._astuple(self)
 
     def digest(self) -> str:
         """Short stable fingerprint used to bind serialized reports."""
@@ -168,8 +166,7 @@ class RapporParams:
         return cls(**fields, hash_seed=obj.get("hash_seed", 0))
 
 
-@dataclass(frozen=True)
-class BloomFilter:
+class BloomFilter(Frozen):
     bits: Bits
 
     @classmethod
@@ -186,16 +183,14 @@ class BloomFilter:
         return tuple(i for i, b in enumerate(self.bits) if b)
 
 
-@dataclass(frozen=True)
-class PermanentResponse:
+class PermanentResponse(Frozen):
     """Memorized noisy filter; identical for every report of the same value."""
 
     value: str
     bits: Bits
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Frozen):
     """The k-bit vector actually sent to the aggregator."""
 
     bits: Bits
@@ -533,7 +528,7 @@ def allocate_counts(
     """Split a client population across values by largest remainder, so the
     realized counts match the target shares as closely as integers allow.
 
-    The shares are scaled to sum to 1 and multiplied out in exact rational
+    The shares are scaled to sum to 1 and multiplied out in exact integer
     arithmetic, so the counts sum to ``clients`` at every size and each is
     within 1 of its exact share.
 
@@ -549,14 +544,17 @@ def allocate_counts(
     total = sum(distribution.values())
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise InvalidParams(f"distribution sums to {total}, expected 1")
-    exact_total = sum(map(Fraction, distribution.values()))
-    exact = {v: Fraction(share) * clients / exact_total
-             for v, share in sorted(distribution.items())}
-    counts = {v: math.floor(x) for v, x in exact.items()}
+    # Share i is A_i / L over the common denominator L, so its exact part of
+    # the clients is clients * A_i / S with S the sum of the A_i.
+    ratios = {v: share.as_integer_ratio() for v, share in sorted(distribution.items())}
+    common = math.lcm(*(den for _, den in ratios.values()))
+    numerators = {v: num * (common // den) for v, (num, den) in ratios.items()}
+    exact_total = sum(numerators.values())
+    counts, remainders = {}, {}
+    for v, num in numerators.items():
+        counts[v], remainders[v] = divmod(clients * num, exact_total)
     leftover = clients - sum(counts.values())
-    by_remainder = sorted(
-        exact, key=lambda v: (-(exact[v] - counts[v]), v)
-    )
+    by_remainder = sorted(remainders, key=lambda v: (-remainders[v], v))
     for v in by_remainder[:leftover]:
         counts[v] += 1
     return counts

@@ -21,9 +21,9 @@ is the reference the table is tested against.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._value import Frozen
 from .errors import BadModulus, DuplicateX
 
 DEFAULT_MODULUS = 2**31 - 1
@@ -102,8 +102,7 @@ def lagrange_at(
     return total
 
 
-@dataclass(frozen=True)
-class SecretSumTranscript:
+class SecretSumTranscript(Frozen):
     """Everything exchanged during one protocol run, for inspection."""
 
     modulus: int

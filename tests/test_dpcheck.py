@@ -157,6 +157,59 @@ def test_distribution_rejects_bad_log_probabilities(log_probs):
         MechanismDistribution(1, np.array(log_probs))
 
 
+class _GeneratorChecks:
+    """MechanismDistribution.__init__ as it was with generator checks and
+    sum, verbatim: the reference for the checks that iterate in C."""
+
+    def __init__(self, k, log_probs):
+        log_probs = tuple(map(float, log_probs))
+        if k < 0 or len(log_probs) != 1 << k:
+            raise SpaceMismatch(f"log_probs has {len(log_probs)} entries, expected 2^{k}")
+        if not all(x < math.inf for x in log_probs):  # NaN < inf is False too
+            raise ValueError("log-probabilities must be finite or -inf")
+        m = max(log_probs)
+        if m == -math.inf:
+            total = -math.inf
+        else:
+            total = m + math.log(math.fsum(math.exp(x - m) for x in log_probs))
+        # total > 1 first: expm1 overflows above about 709
+        if total > 1.0 or abs(math.expm1(total)) > 1e-9:
+            raise ValueError(f"probabilities sum to exp({total}), not 1")
+        self.k = k
+        self.log_probs = log_probs
+
+
+def _built(cls, k, log_probs):
+    try:
+        return cls(k, log_probs).log_probs
+    except (ValueError, SpaceMismatch) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def log_prob_vectors(draw):
+    """Normalized vectors, nudged off a total of 1 or spiked with -inf, +inf
+    and NaN, and vectors that are all -inf."""
+    k = draw(st.integers(0, 5))
+    if draw(st.integers(0, 9)) == 0:
+        return k, [-math.inf] * (1 << k)
+    weights = draw(st.lists(st.floats(0, 1e6), min_size=1 << k, max_size=1 << k))
+    total = math.fsum(weights) or 1.0
+    scale = draw(st.sampled_from([1.0, 1.0, 1 + 1e-8, 1 - 1e-8, 1 + 1e-10, 2.0]))
+    probs = [w * scale / total for w in weights]
+    log_probs = [math.log(p) if p > 0 else -math.inf for p in probs]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(log_probs) - 1))
+        log_probs[i] = draw(st.sampled_from([-math.inf, math.inf, math.nan, 0.0, 800.0]))
+    return k, log_probs
+
+
+@given(log_prob_vectors())
+def test_distribution_checks_match_the_generator_reference(case):
+    k, log_probs = case
+    assert _built(MechanismDistribution, k, log_probs) == _built(_GeneratorChecks, k, log_probs)
+
+
 probabilities = st.floats(min_value=0.0, max_value=1.0)
 
 

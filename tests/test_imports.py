@@ -1,5 +1,6 @@
 """numpy is imported only by the calls that compute with it (multivariate
-microaggregation), and logging by none of them.
+microaggregation), logging and dataclasses by none of them, and fractions
+only by rule mining.
 ``import privkit`` loads no module, and a name taken from the package loads
 only its own module.
 
@@ -81,7 +82,8 @@ def workdir(tmp_path, capsys):
     return tmp_path
 
 
-@pytest.mark.parametrize("argv,loads_numpy", [
+# Each CLI call of the import tests, and whether it loads numpy.
+_CALLS = [
     (["rappor", "epsilon", "--params", PAPER_PARAMS], False),
     (["rappor", "encode", "--params", PAPER_PARAMS, "--value", "flu"], False),
     (["rappor", "estimate", "--params", PAPER_PARAMS, "--reports", "reports.jsonl",
@@ -105,10 +107,34 @@ def workdir(tmp_path, capsys):
       "dist.json", "--seed", "3", "--output", "again.jsonl"], False),
     # the call that computes with numpy does load it, so the probe can see it
     (["anonymize", "--config", "mdav.json"], True),
-], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else str(v))
+]
+
+
+def _call_id(value):
+    return " ".join(value[:2]) if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize("argv,loads_numpy", _CALLS, ids=_call_id)
 def test_cli_calls_load_numpy_only_when_used(workdir, argv, loads_numpy):
     setup = _RUN_MAIN.format(argv=argv)
     assert probe(setup, workdir) == {"result": 0, "numpy": loads_numpy}
+
+
+# Standard modules that cost a call start-up time and that privkit avoids:
+# dataclasses loads inspect (and ast, dis, tokenize), fractions loads decimal.
+_STDLIB = """
+result = [result, sorted(m for m in ("dataclasses", "inspect", "fractions", "decimal")
+                         if m in sys.modules)]
+"""
+
+
+@pytest.mark.parametrize("argv,loads_numpy", _CALLS, ids=_call_id)
+def test_cli_calls_load_no_dataclasses_or_fractions(workdir, argv, loads_numpy):
+    setup = _RUN_MAIN.format(argv=argv) + _STDLIB
+    expected = ["inspect"] if loads_numpy else []  # numpy imports inspect
+    if argv[0] == "assoc":  # exact thresholds in Fraction
+        expected = ["decimal", "fractions"]
+    assert probe(setup, workdir)["result"] == [0, expected]
 
 
 # The privkit modules whose code has run: cli.py puts every module into
@@ -120,8 +146,10 @@ result = [result, sorted(name for name, module in sys.modules.items()
                          if name.split(".")[0] == "privkit" and type(module) is types.ModuleType)]
 """
 _CLI = ["privkit", "privkit.cli", "privkit.errors"]
-_RAPPOR = sorted([*_CLI, "privkit.rappor"])
-_TABLE = sorted([*_CLI, "privkit.dataset", "privkit.anonymize"])
+# every module with a value class executes the base class's module
+_VALUES = sorted([*_CLI, "privkit._value"])
+_RAPPOR = sorted([*_VALUES, "privkit.rappor"])
+_TABLE = sorted([*_VALUES, "privkit.dataset", "privkit.anonymize"])
 
 
 @pytest.mark.parametrize("argv,executed", [
@@ -140,10 +168,10 @@ _TABLE = sorted([*_CLI, "privkit.dataset", "privkit.anonymize"])
       "--sensitive", "Diagnosis"], _TABLE),
     (["fixtures", "export", "--name", "table2", "--output", "t2.csv"], _TABLE),
     (["fixtures", "export", "--name", "table1", "--output", "t1.again.csv"],
-     sorted([*_CLI, "privkit.dataset"])),
+     sorted([*_VALUES, "privkit.dataset"])),
     (["assoc", "mine", "--input", "baskets.json", "--min-support", "0.3"],
-     sorted([*_CLI, "privkit.assoc", "privkit.dataset"])),
-    (["smc", "demo", "--votes", "1,1,0", "--seed", "7"], sorted([*_CLI, "privkit.smc"])),
+     sorted([*_VALUES, "privkit.assoc", "privkit.dataset"])),
+    (["smc", "demo", "--votes", "1,1,0", "--seed", "7"], sorted([*_VALUES, "privkit.smc"])),
 ], ids=["rappor epsilon", "rappor encode", "rappor report", "rappor simulate",
         "rappor estimate", "dpcheck", "anonymize", "metrics", "fixtures export table2",
         "fixtures export table1", "assoc mine", "smc demo"])
@@ -243,8 +271,9 @@ def test_all_is_the_frozen_api():
 
 @pytest.mark.parametrize("setup,loaded", [
     ("import privkit", ["privkit"]),
-    ("import privkit.rappor", ["privkit", "privkit.errors", "privkit.rappor"]),
-    ("from privkit import RapporParams", ["privkit", "privkit.errors", "privkit.rappor"]),
+    ("import privkit.rappor", ["privkit", "privkit._value", "privkit.errors", "privkit.rappor"]),
+    ("from privkit import RapporParams",
+     ["privkit", "privkit._value", "privkit.errors", "privkit.rappor"]),
     ("from privkit import PrivkitError", ["privkit", "privkit.errors"]),
 ], ids=["import privkit", "import privkit.rappor", "RapporParams", "PrivkitError"])
 def test_package_loads_only_the_modules_asked_for(tmp_path, setup, loaded):

@@ -692,6 +692,60 @@ def test_allocate_counts_halves_and_quarters_at_the_largest_population():
         "A": 2**62 - 1, "B": 2**61, "C": 2**61}
 
 
+def fraction_allocate_counts(distribution, clients):
+    """allocate_counts as it was in Fraction arithmetic, verbatim."""
+    if isinstance(clients, bool) or not isinstance(clients, int) or not 0 <= clients < 2**63:
+        raise InvalidParams(f"clients must be an integer in [0, 2^63), got {clients!r}")
+    for share in distribution.values():
+        if isinstance(share, bool) or not isinstance(share, (int, float)) or not 0 <= share <= 1:
+            raise InvalidParams(f"distribution share {share!r} is not a number in [0, 1]")
+    total = sum(distribution.values())
+    if not math.isclose(total, 1.0, abs_tol=1e-9):
+        raise InvalidParams(f"distribution sums to {total}, expected 1")
+    exact_total = sum(map(Fraction, distribution.values()))
+    exact = {v: Fraction(share) * clients / exact_total
+             for v, share in sorted(distribution.items())}
+    counts = {v: math.floor(x) for v, x in exact.items()}
+    leftover = clients - sum(counts.values())
+    by_remainder = sorted(
+        exact, key=lambda v: (-(exact[v] - counts[v]), v)
+    )
+    for v in by_remainder[:leftover]:
+        counts[v] += 1
+    return counts
+
+
+@st.composite
+def share_maps(draw):
+    """Normalized float shares, or arbitrary ones that seldom sum to 1, with
+    zero and subnormal shares added, and 0 or 1 sometimes as an int."""
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 2**60), min_size=1, max_size=8))
+        total = sum(weights)
+        shares = [w / total if total else 0.0 for w in weights]
+    else:
+        shares = draw(st.lists(st.floats(0, 1), min_size=1, max_size=4))
+    shares += draw(st.lists(st.sampled_from([0, 0.0, 5e-324, 1e-310, 1e-300]), max_size=3))
+    shares = [int(s) if s in (0, 1) and draw(st.booleans()) else s for s in shares]
+    return {f"v{i}": s for i, s in enumerate(shares)}
+
+
+def _allocation(allocate, distribution, clients):
+    try:
+        return list(allocate(distribution, clients).items())
+    except InvalidParams as exc:
+        return str(exc)
+
+
+@given(distribution=share_maps(),
+       clients=st.one_of(st.integers(0, 1000), st.integers(0, 2**63 - 1),
+                         st.integers(2**53, 2**63 - 1), st.just(2**63 - 1)))
+@settings(max_examples=500, deadline=None)
+def test_allocate_counts_equals_fraction_arithmetic(distribution, clients):
+    assert (_allocation(allocate_counts, distribution, clients)
+            == _allocation(fraction_allocate_counts, distribution, clients))
+
+
 def scalar_simulate(counts, params, seed):
     """The reference: make_report's stages applied client by client."""
     rng = random.Random(seed)
