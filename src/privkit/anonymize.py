@@ -217,13 +217,17 @@ def generalize(dataset: Dataset, rules: Sequence[GeneralizationRule]) -> Dataset
 class _Memo(dict):
     """``memo[c]`` is ``strategy.apply(c)``, worked out once per cell value.
     The cell is key enough: the cells of a dataset column are of one kind's
-    exact types, and no two of those types hold equal values."""
+    exact types, and no two of those types hold equal values. Equal outputs
+    are one object, so ages 20 to 29 give one ``Interval(20, 29)``, which a
+    later grouping by cell hashes once and compares by identity."""
 
     def __init__(self, strategy: Strategy):
         self.strategy = strategy
+        self.outputs: dict[Cell, Cell] = {}
 
     def __missing__(self, cell):
-        self[cell] = out = self.strategy.apply(cell)
+        out = self.strategy.apply(cell)
+        self[cell] = out = self.outputs.setdefault(out, out)
         return out
 
 
@@ -455,9 +459,11 @@ def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
     the point farthest from the centroid and keep the rest as the last
     group; with fewer, they form one group.
 
-    The points are one float64 array, and a mask marks those still
-    unassigned. The arithmetic is fixed so that the grouping is exactly
-    reproducible, not merely close:
+    The unassigned points are kept compacted: their record indices in
+    ascending order, and one contiguous float64 array per axis, filtered
+    after each group. The k nearest come from ``np.partition`` at the k-th
+    distance; only the rows at or below it are sorted. The arithmetic is
+    fixed so that the grouping is exactly reproducible, not merely close:
 
     * a squared distance adds the axes' squared differences one axis at a
       time, from the first axis to the last, and squares with C ``pow``
@@ -475,36 +481,42 @@ def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
 
     n = len(coords)
     points = np.array(coords, dtype=np.float64).reshape(n, len(coords[0]) if n else 0)
-    free = np.ones(n, dtype=bool)
+    axes = list(np.ascontiguousarray(points.T))
+    rows = np.arange(n)  # the record index of each unassigned point
     groups: list[list[int]] = []
 
-    def dist2(sub, centre):
-        d = np.zeros(len(sub))
-        for column, c in zip(sub.T, centre):
-            d = d + np.float_power(column - c, 2.0)
+    def dist2(centre):
+        if not axes:  # zero-length points are all at distance 0
+            return np.zeros(len(rows))
+        d = np.float_power(axes[0] - centre[0], 2.0)
+        for column, c in zip(axes[1:], centre[1:]):
+            d += np.float_power(column - c, 2.0)
         return d
 
-    def take(rows, d, at):
-        """Group rows[at] with the k-1 other rows nearest it by d."""
+    def take(d, at):
+        """Group row ``at`` with the k-1 other rows nearest it by d, drop
+        them from the unassigned rows, and return the mask of those left."""
+        nonlocal rows, axes
         d[at] = -1.0  # the centre first, ahead of other rows at distance 0 from it
-        group = rows[np.argsort(d, kind="stable")[:k]]
-        free[group] = False
-        groups.append(sorted(group.tolist()))
+        near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
+        near = near[np.argsort(d[near], kind="stable")[:k]]
+        groups.append(sorted(rows[near].tolist()))
+        rest = np.ones(len(d), dtype=bool)
+        rest[near] = False
+        rows, axes = rows[rest], [column[rest] for column in axes]
+        return rest
 
-    while len(rows := np.flatnonzero(free)) >= 2 * k:
-        sub = points[rows]
-        centroid = [np.cumsum(column)[-1] / len(rows) for column in sub.T]
-        at = int(np.argmax(dist2(sub, centroid)))  # argmax: first of equal maxima
-        d = dist2(sub, sub[at])
-        take(rows, d, at)
-        if len(rows) < 3 * k:  # fewer than 2k left: they form the last group
+    while len(rows) >= 2 * k:
+        centroid = [np.cumsum(column)[-1] / len(rows) for column in axes]
+        at = int(np.argmax(dist2(centroid)))  # argmax: first of equal maxima
+        d = dist2([column[at] for column in axes])
+        d = d[take(d, at)]
+        if len(rows) < 2 * k:  # they form the last group
             break
-        keep = free[rows]
-        rows, sub, d = rows[keep], sub[keep], d[keep]
         at = int(np.argmax(d))  # farthest from the first centre
-        take(rows, dist2(sub, sub[at]), at)
-    if free.any():
-        groups.append(np.flatnonzero(free).tolist())
+        take(dist2([column[at] for column in axes]), at)
+    if len(rows):
+        groups.append(rows.tolist())
     return groups
 
 

@@ -30,7 +30,8 @@ import io
 import json
 import re
 import sys
-from typing import IO, Iterable, Sequence, Union
+from itertools import repeat
+from typing import IO, Iterable, Optional, Sequence, Union
 
 from ._value import Frozen
 from .errors import (
@@ -309,7 +310,13 @@ def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
     naming that row, and a byte that is not valid UTF-8 is one naming its
     line.
 
-    Rows are read one by one and parsed in blocks of ``_BLOCK_ROWS``, a
+    The text is read in blocks of up to ``_BLOCK_ROWS`` lines, the header
+    in the first. A plain block, one whose every line ``csv.reader`` would
+    split at each comma (see ``_plain_lines``), is split at its commas, a
+    column taken as every width-th cell. From the first block that is not
+    plain, the rest of the file goes row by row through ``csv.reader``,
+    since a quoted field may span lines, and is gathered into blocks of
+    ``_BLOCK_ROWS`` rows. Either way ``_parse_block`` parses each block a
     column at a time. A block of an integer column that holds only plain
     integers takes one regex match and ``int``; every other column parses
     each distinct text once, so equal cells of a column are one object. A
@@ -328,50 +335,88 @@ def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
         raise ParseError(
             f"line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8"
         ) from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
     attributes = schema.attributes
+    width = len(attributes)
+    columns: list[list[Cell]] = [[] for _ in attributes]
+    memos: list[dict[str, Cell]] = [{} for _ in attributes]  # kept across blocks
     header, rownum = None, 0  # rownum: the last data row read
-    try:
-        header = next(reader, None)
+    rest = 0  # where the text not yet read starts
+    limit = csv.field_size_limit()
+    for match in re.finditer(rf"(?:[^\n]*\n){{1,{_BLOCK_ROWS}}}|[^\n]+\Z", text):
+        lines = _plain_lines(match.group(), width, limit)
+        if lines is None:
+            break
+        cells = ",".join(lines).split(",")
+        skip = 0
         if header is None:
-            raise HeaderMismatch("empty input, expected a header row")
-        if tuple(header) != schema.names:
-            raise HeaderMismatch(f"header {tuple(header)} does not match schema {schema.names}")
-        columns: list[list[Cell]] = [[] for _ in attributes]
-        memos: list[dict[str, Cell]] = [{} for _ in attributes]  # kept across blocks
-        block: list[list[str]] = []
-        first = 1  # the row number of block[0]
+            header, skip = cells[:width], width
+            _check_header(header, schema)
+        texts = [cells[j::width] for j in range(skip, skip + width)]
+        _parse_block(attributes, texts, rownum + 1, columns, memos)
+        rownum += len(texts[0])
+        rest = match.end()
+    if rest < len(text):  # the first block that is not plain, and all after it
+        reader = csv.reader(io.StringIO(text[rest:], newline=""))
         try:
-            for rownum, row in enumerate(reader, start=1):
-                if len(row) != len(columns):
-                    raise ArityError(
-                        f"row {rownum} has {len(row)} cells, schema has {len(columns)}"
-                    )
-                block.append(row)
-                if len(block) == _BLOCK_ROWS:
-                    _parse_block(attributes, block, first, columns, memos)
-                    block, first = [], rownum + 1
-        except (ArityError, csv.Error):
-            _parse_block(attributes, block, first, columns, memos)  # a bad cell above wins
-            raise
-        _parse_block(attributes, block, first, columns, memos)
-    except csv.Error as exc:
-        where = "header row" if header is None else f"row {rownum + 1}"
-        raise ParseError(f"{where}: {exc}") from exc
+            if header is None:
+                header = next(reader)  # text[rest:] is not empty, so it has a row
+                _check_header(header, schema)
+            block: list[list[str]] = []
+            first = rownum + 1  # the row number of block[0]
+            try:
+                for rownum, row in enumerate(reader, start=first):
+                    if len(row) != width:
+                        raise ArityError(f"row {rownum} has {len(row)} cells, schema has {width}")
+                    block.append(row)
+                    if len(block) == _BLOCK_ROWS:
+                        _parse_block(attributes, list(zip(*block)), first, columns, memos)
+                        block, first = [], rownum + 1
+            except (ArityError, csv.Error):  # a bad cell above wins
+                _parse_block(attributes, list(zip(*block)), first, columns, memos)
+                raise
+            _parse_block(attributes, list(zip(*block)), first, columns, memos)
+        except csv.Error as exc:
+            where = "header row" if header is None else f"row {rownum + 1}"
+            raise ParseError(f"{where}: {exc}") from exc
+    elif header is None:
+        raise HeaderMismatch("empty input, expected a header row")
     return Dataset(schema, tuple(map(tuple, columns)))
+
+
+def _plain_lines(chunk: str, width: int, limit: int) -> Optional[list[str]]:
+    """The lines of ``chunk`` if ``csv.reader`` would split each of them at
+    every comma and nowhere else, or None: no quote, no CR, no empty line
+    (the reader gives it no cell at all), exactly ``width - 1`` commas in
+    each line, and none longer than the field size limit ``limit``."""
+    if '"' in chunk or "\r" in chunk:
+        return None
+    lines = chunk.split("\n")
+    if not lines[-1]:  # the chunk ends in a line end
+        lines.pop()
+    if "" in lines or max(map(len, lines)) > limit:
+        return None
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    return lines
+
+
+def _check_header(header: Sequence[str], schema: Schema) -> None:
+    if tuple(header) != schema.names:
+        raise HeaderMismatch(f"header {tuple(header)} does not match schema {schema.names}")
 
 
 def _parse_block(
     attributes: Sequence[Attribute],
-    block: list[list[str]],
+    block: Sequence[Sequence[str]],
     first: int,
     columns: list[list[Cell]],
     memos: list[dict[str, Cell]],
 ) -> None:
     """Parse data rows ``first``, ``first + 1``, ... onto ``columns``, one
-    column at a time, through each column's memo from text to cell."""
+    column at a time, through each column's memo from text to cell.
+    ``block`` holds the rows' texts by column, one sequence per attribute."""
     try:
-        for attr, texts, column, memo in zip(attributes, zip(*block), columns, memos):
+        for attr, texts, column, memo in zip(attributes, block, columns, memos):
             joined = "\n".join(texts) + "\n"
             if attr.kind is Kind.INTEGER:
                 if _INT_BLOCK_RE.fullmatch(joined):
@@ -385,7 +430,7 @@ def _parse_block(
             )
             column.extend(map(memo.__getitem__, texts))
     except (ParseError, ValueError):
-        for rownum, row in enumerate(block, start=first):
+        for rownum, row in enumerate(zip(*block), start=first):
             for attr, text in zip(attributes, row):
                 try:
                     parse_cell(text, attr.kind)

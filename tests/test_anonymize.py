@@ -785,6 +785,12 @@ def mdav_cases(draw):
 # the squared distances between these points underflow to 0, so 0 and 4 tie
 # with the centre 5 itself; the centre must still be in its own group
 @example(([(1e-162,), (2e-162,), (3e-162,), (5e-162,), (1e-162,), (0.0,)], 2))
+# four rows sit at or below the k-th distance from each centre, (11, 0) and
+# then (0, 1), for three slots: the lowest record index takes the tied slot
+@example(([(0.0, 0.0), (10.0, 1.0), (0.5, 0.0), (10.0, -1.0), (10.0, 0.0), (0.0, 0.5),
+           (11.0, 0.0), (9.0, 0.0), (1.0, 1.0), (0.0, 1.0)], 3))
+# zero-length points: every row is at distance 0 from every centre
+@example(([()] * 7, 2))
 @settings(max_examples=400, deadline=None)
 def test_mdav_groups_equal_pure_python_oracle(case):
     coords, k = case

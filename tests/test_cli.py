@@ -613,14 +613,33 @@ TABLE_GOLDENS = {
     ),
 }
 
+# The same for the plain table: taken before the split path was added, when
+# every file went through csv.reader.
+PLAIN_TABLE_GOLDENS = {
+    "anonymize": (
+        "f3c424e506b8325d08b06fc3a50bf4131124d8e25af33d18348d8fabe875d504",
+        "fee06c037a497465e1eab75afd84b63cfa0aacb040bad20f4fa77fcea0bd59fd",
+    ),
+    "metrics": (
+        "5e4c1e062754e9eb8b9fcef41cab6e7f93659d095ece087f2be4e42573f87d1e",
+    ),
+    "mdav": (
+        "4e640e19c3ab8f14b5b7edf2878858a611e67923fea6b4f47ee9db05606278f9",
+        "2235a87ad6c393da9a71eeb4dba94db5dfe02cce94c8cfe89b4dab29ce402bdd",
+    ),
+}
 
-def write_generated_table(tmp_path, rows=300, seed=2025):
+
+def write_generated_table(tmp_path, rows=300, seed=2025, plain=False):
     """A medical table drawn from ``random.Random(seed)``; its names hold a
-    comma, a quote and non-ASCII letters, so the writer quotes some cells."""
+    comma, a quote and non-ASCII letters, so the writer quotes some cells.
+    With ``plain``, no cell holds a comma or a quote, so none is quoted."""
     rng = random.Random(seed)
     first = ["Ana", "Bo", "Chloé", "Dara", "Émile", 'Jo "JJ"', "Kai", "Lena"]
     last = ["Smith", "Müller", "O'Neil, Jr.", "Nguyễn", "Okafor", "Søren"]
     diagnoses = ["Cancer", "Diabetes", "Flu", "Migraine", "No illness", "Asthma, mild"]
+    if plain:
+        first[5], last[2], diagnoses[5] = "Jo JJ", "O'Neil Jr.", "Asthma mild"
     zips = [f"{n:03d}" for n in rng.sample(range(100, 1000), 8)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -645,8 +664,9 @@ def run_hashed(capsys, tmp_path, argv, outputs=()):
                  + [(tmp_path / name).read_bytes() for name in outputs])
 
 
-def test_table_path_byte_identical(capsys, tmp_path):
-    write_generated_table(tmp_path)
+def run_table_path(capsys, tmp_path):
+    """SHA-256 of each call of the table path over ``table.csv``: the
+    release, its metrics and MDAV."""
     (tmp_path / "release.json").write_text(json.dumps({
         "input": "table.csv", "schema": "schema.json", "output": "release.csv",
         "steps": TABLE_STEPS}))
@@ -654,7 +674,7 @@ def test_table_path_byte_identical(capsys, tmp_path):
         "input": "table.csv", "schema": "schema.json", "output": "mdav.csv",
         "steps": [{"op": "microaggregate_multivariate",
                    "attributes": ["Age", "Gender", "Income", "Weight"], "k": 3}]}))
-    hashes = {
+    return {
         "anonymize": run_hashed(capsys, tmp_path, ["anonymize", "--config",
                                 str(tmp_path / "release.json")], ["release.csv"]),
         "metrics": run_hashed(capsys, tmp_path, [
@@ -664,7 +684,20 @@ def test_table_path_byte_identical(capsys, tmp_path):
         "mdav": run_hashed(capsys, tmp_path, ["anonymize", "--config",
                            str(tmp_path / "mdav.json")], ["mdav.csv"]),
     }
-    assert hashes == TABLE_GOLDENS
+
+
+def test_table_path_byte_identical(capsys, tmp_path):
+    write_generated_table(tmp_path)
+    assert run_table_path(capsys, tmp_path) == TABLE_GOLDENS
+
+
+def test_plain_table_path_byte_identical(capsys, tmp_path, monkeypatch):
+    """The same calls on a table that no cell needs quoting in: every file
+    they read, the release included, is split at its commas, so none of
+    them constructs a csv.reader."""
+    write_generated_table(tmp_path, plain=True)
+    monkeypatch.setattr(csv, "reader", None)  # calling it raises TypeError
+    assert run_table_path(capsys, tmp_path) == PLAIN_TABLE_GOLDENS
 
 
 def test_anonymize_release_with_a_lone_cr_reads_back(capsys, tmp_path):

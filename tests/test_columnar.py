@@ -339,6 +339,184 @@ def test_ascii_digits_only():
     assert parse_cell("٤٤", Kind.TEXT) == "٤٤"
 
 
+# --- load_csv: plain blocks, split at their commas ----------------------------
+
+# Cell texts that csv.reader splits only at commas: no comma, quote, CR or LF.
+# A NUL and the characters str.splitlines ends a line at are cell text to csv.
+_PLAIN_TEXT = st.one_of(
+    st.text(alphabet="ab *-1٤\x00\t\x0b\x1c\x85\u2028", max_size=6),
+    st.sampled_from(["", "*", "x*", "Ab", "1-2"]),
+)
+_PLAIN_BAD_INT = st.sampled_from([
+    "x", "1.5", "", " 1", "+-1", "1_000", "5-3", "0x1", "٤٤", "1*", "9" * (DIGIT_LIMIT + 1),
+])
+
+
+@st.composite
+def plain_lines(draw, max_rows=14):
+    """(schema, lines of a CSV file, header first) that csv.reader splits at
+    every comma and nowhere else. No line is empty, so a one-column table
+    has no empty cell; some integer cells are bad."""
+    kinds = draw(_KINDS)
+    cell = {Kind.TEXT: _PLAIN_TEXT, Kind.INTEGER: _INT_TEXT}
+    if len(kinds) == 1:
+        cell = {kind: strategy.filter(bool) for kind, strategy in cell.items()}
+    rows = [[draw(cell[kind]) for kind in kinds] for _ in range(draw(st.integers(0, max_rows)))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        j = draw(st.integers(0, len(kinds) - 1))
+        if kinds[j] is Kind.INTEGER:
+            bad = draw(_PLAIN_BAD_INT.filter(bool) if len(kinds) == 1 else _PLAIN_BAD_INT)
+            rows[draw(st.integers(0, len(rows) - 1))][j] = bad
+    schema = schema_of(kinds)
+    return schema, [",".join(row) for row in [schema.names, *rows]]
+
+
+def joined(lines, final_newline=True) -> bytes:
+    return ("\n".join(lines) + ("\n" if final_newline else "")).encode("utf-8")
+
+
+def no_csv_reader():
+    """Patch csv.reader, and so the one the dataset module reads with, to raise."""
+    return mock.patch.object(dataset.csv, "reader", side_effect=AssertionError("csv.reader"))
+
+
+@settings(max_examples=300)
+@given(plain_lines(), st.booleans(), st.integers(1, 5))
+def test_plain_load_csv_equals_cell_by_cell_without_csv_reader(table, final_newline, block):
+    schema, lines = table
+    data = joined(lines, final_newline)
+    old = outcome(reference_load_csv, data, schema)
+    with no_csv_reader(), mock.patch.object(dataset, "_BLOCK_ROWS", block):
+        assert outcome(load_csv, data, schema) == old
+
+
+def _quote_first_cell(line):
+    first, sep, rest = line.partition(",")
+    return f'"{first}"{sep}{rest}'
+
+
+# Edits that make one line, or the end of one, not plain; each takes the
+# lines and an index and returns the lines.
+_NOT_PLAIN = {
+    "blank line": lambda lines, i: lines[:i] + [""] + lines[i:],
+    "extra comma": lambda lines, i: lines[:i] + [lines[i] + ","] + lines[i + 1:],
+    "one comma less": lambda lines, i: lines[:i] + [lines[i].replace(",", "", 1)] + lines[i + 1:],
+    "quoted cell": lambda lines, i: lines[:i] + [_quote_first_cell(lines[i])] + lines[i + 1:],
+    "quote in a cell": lambda lines, i: lines[:i] + ['a"b' + lines[i]] + lines[i + 1:],
+    "line end in quotes": lambda lines, i: (
+        lines[:i] + [_quote_first_cell(lines[i]).replace('"', '"z\n', 1)] + lines[i + 1:]),
+    "lone CR": lambda lines, i: lines[:i] + [lines[i] + "\r" + lines[i + 1]] + lines[i + 2:]
+    if i + 1 < len(lines) else lines[:i] + [lines[i] + "\r"],
+    "CRLF": lambda lines, i: lines[:i] + [lines[i] + "\r"] + lines[i + 1:],
+}
+
+
+@settings(max_examples=300)
+@given(plain_lines(), st.sampled_from(sorted(_NOT_PLAIN)), st.data(), st.booleans(),
+       st.integers(1, 5))
+def test_load_csv_from_a_line_that_is_not_plain_equals_cell_by_cell(
+        table, edit, data, final_newline, block):
+    """From the first block that is not plain on, the file goes through
+    csv.reader, row numbers carried on; the header may be that line."""
+    schema, lines = table
+    lines = _NOT_PLAIN[edit](lines, data.draw(st.integers(0, len(lines) - 1)))
+    new, old = load_both(joined(lines, final_newline), schema, block)
+    assert new == old
+
+
+def _rows(n, seed=5):
+    return [",".join(row) for row in _mutation_rows(n, seed)]
+
+
+_HEADER = ",".join(_WIDE.names)
+_ONE_TEXT, _ONE_INT = schema_of([Kind.TEXT]), schema_of([Kind.INTEGER])
+_B = dataset._BLOCK_ROWS
+
+
+def _replace(lines, i, line):
+    return lines[:i] + [line] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("schema,data", [
+    pytest.param(_ONE_TEXT, b"c0\na\n\nb\n", id="width-1 blank line"),
+    pytest.param(_ONE_INT, b"c0\n1\n\n2\n", id="width-1 blank integer line"),
+    pytest.param(_ONE_TEXT, b"c0\n\n", id="width-1 blank first row"),
+    pytest.param(_ONE_TEXT, b"\nc0\n", id="blank header"),
+    pytest.param(_ONE_TEXT, b"c0\na\n\n", id="width-1 trailing blank line"),
+    pytest.param(_WIDE, joined([_HEADER, *_rows(5)]) + b"\n", id="trailing blank line"),
+    pytest.param(_WIDE, joined([_HEADER, *_rows(5)], False), id="no final newline"),
+    pytest.param(_WIDE, joined([_HEADER], False), id="header alone, no final newline"),
+    pytest.param(_WIDE, b"", id="empty"),
+    pytest.param(_WIDE, b"\n", id="one blank line"),
+    pytest.param(_WIDE, joined([_HEADER, "a\x00b,1,\x00,2-3", "\x00,-4,*,0-0"]),
+                 id="NUL in a cell"),
+    pytest.param(_WIDE, joined([_HEADER, *_rows(_B - 1)]), id="block ends at the end"),
+    pytest.param(_WIDE, joined([_HEADER, *_rows(2 * _B - 1)]), id="two blocks end at the end"),
+    pytest.param(_WIDE, joined([_HEADER, *_rows(_B)], False),
+                 id="last block one line, no final newline"),
+    pytest.param(_WIDE, joined([_HEADER, *_rows(_B - 1)], False),
+                 id="block ends at the end, no final newline"),
+    pytest.param(_WIDE, joined(_replace([_HEADER, *_rows(3 * _B)], 5000,
+                                        'x "y",1,"B,*",0-1')), id="quote in a later block"),
+    pytest.param(_WIDE, joined(_replace([_HEADER, *_rows(3 * _B)], 6000, "n,7,A,1-2\rm,8,B,1-3")),
+                 id="lone CR in a later block"),
+    pytest.param(_WIDE, joined(_replace([_HEADER, *_rows(3 * _B)], 6000, "n,7,A,1-2\r")),
+                 id="CRLF in a later block"),
+    pytest.param(_WIDE, joined(_replace(_replace([_HEADER, *_rows(3 * _B)], 6000, '"n'),
+                                        6001, 'm",8,B,1-3')), id="line end in quotes, later"),
+    pytest.param(_WIDE, joined(_replace(_replace([_HEADER, *_rows(3 * _B)], 6000, 'n,"x'), 9000,
+                                        "y,1,A,0-1")), id="quote left open in a later block"),
+    pytest.param(_WIDE, joined(_replace(_replace([_HEADER, *_rows(3 * _B)], 4500, 'n,x,A,0-1'),
+                                        6000, '"n",1,A,0-1')), id="bad cell before a quote"),
+    pytest.param(_WIDE, joined(_replace(_replace([_HEADER, *_rows(3 * _B)], 6000, '"n",1,A,0-1'),
+                                        9000, "n,x,A,0-1")), id="bad cell after a quote"),
+    pytest.param(_WIDE, joined(_replace([_HEADER, *_rows(3 * _B)], 0, '"c0",c1,c2,c3')),
+                 id="quoted header"),
+])
+def test_load_csv_fixed_cases_equal_cell_by_cell(schema, data):
+    assert outcome(load_csv, data, schema) == outcome(reference_load_csv, data, schema)
+
+
+@pytest.mark.parametrize("limit", [None, 50])
+@pytest.mark.parametrize("over", [-1, 0, 1])
+@pytest.mark.parametrize("row", [3, 5000])
+def test_load_csv_at_the_field_size_limit_equals_cell_by_cell(limit, over, row):
+    """A field one past csv.field_size_limit(), read at call time, is a
+    ParseError; a line past it whose fields are within it reads."""
+    saved = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        size = csv.field_size_limit() + over
+        lines = [_HEADER, *_rows(2 * _B)]
+        long_field = _replace(lines, row, "M" * size + ",1,A,0-1")
+        long_line = _replace(lines, row, "M" * (size // 2) + ",1," + "A" * (size // 2) + ",0-1")
+        for data in (joined(long_field), joined(long_line)):
+            assert outcome(load_csv, data, _WIDE) == outcome(reference_load_csv, data, _WIDE)
+    finally:
+        csv.field_size_limit(saved)
+
+
+def test_plain_file_never_constructs_csv_reader():
+    data = joined([_HEADER, *_rows(3 * _B + 5)])
+    expected = outcome(reference_load_csv, data, _WIDE)
+    with no_csv_reader():
+        assert outcome(load_csv, data, _WIDE) == expected
+    assert expected[0] == "returned"
+
+
+def test_quote_in_the_second_block_reads_the_rest_through_csv_reader():
+    lines = _replace([_HEADER, *_rows(3 * _B)], _B + 10, '"Jo, Jr.",1,A,0-1')
+    data = joined(lines)
+    with mock.patch.object(dataset.csv, "reader", wraps=csv.reader) as reader:
+        new = outcome(load_csv, data, _WIDE)
+    assert new == outcome(reference_load_csv, data, _WIDE)
+    assert new[0] == "returned"
+    (buf,), _ = reader.call_args
+    assert reader.call_count == 1
+    assert buf.getvalue() == "\n".join(lines[_B:]) + "\n"
+
+
 # --- write_csv ----------------------------------------------------------------
 
 # The cells a dataset column of each kind can hold. No text holds "\r": the
@@ -412,6 +590,36 @@ _MIXED = st.just([Kind.INTEGER, Kind.TEXT])
 )
 def test_generalize_equals_cell_by_cell(ds, rules):
     assert outcome(generalize, ds, rules) == outcome(reference_generalize, ds, rules)
+
+
+@settings(max_examples=300)
+@given(
+    datasets(_MIXED, _SMALL_CELLS, max_rows=10),
+    st.lists(st.builds(GeneralizationRule, st.sampled_from(["c0", "c1"]), _STRATEGY),
+             min_size=1, max_size=3),
+)
+def test_generalize_gives_each_distinct_output_one_object(ds, rules):
+    """Equal cells of a generalized column are one object; that the cells
+    are unchanged is the test above."""
+    try:
+        out = generalize(ds, rules)
+    except (KindMismatch, VacuousRule):
+        return
+    for name in {rule.attribute for rule in rules}:
+        column = out.column(name)
+        assert len(set(map(id, column))) == len(set(column))
+
+
+def test_generalize_gives_each_distinct_output_one_object_on_a_large_table():
+    rng = random.Random(7)
+    ds = Dataset.from_records(schema_of([Kind.INTEGER, Kind.TEXT]), [
+        (rng.randint(18, 90), f"{rng.randrange(100, 140)}{rng.randrange(100):02d}")
+        for _ in range(2000)])
+    rules = [GeneralizationRule("c0", NumericBins(10)), GeneralizationRule("c1", TextPrefix(3))]
+    out = generalize(ds, rules)
+    assert outcome(generalize, ds, rules) == outcome(reference_generalize, ds, rules)
+    for column in out.columns:
+        assert len(set(map(id, column))) == len(set(column)) < len(set(map(id, ds.columns[1])))
 
 
 @pytest.mark.parametrize("column", [(1, True), (True, 1), (1, 1.0), (1.0, 1), (False, 0, 0.0)])
