@@ -197,46 +197,36 @@ def generalize(dataset: Dataset, rules: Sequence[GeneralizationRule]) -> Dataset
 
     Each rule's strategy maps every cell of its column; a TextPrefix rule
     that would not shorten any value in its column is rejected as vacuous.
+
+    The rule is applied once per distinct cell, in order of first
+    appearance. The cell is key enough: the cells of a dataset column are
+    of one kind's exact types, and no two of those types hold equal values.
+    Equal outputs are one object, so ages 20 to 29 give one
+    ``Interval(20, 29)``, which a later grouping by cell hashes once and
+    compares by identity.
     """
     out = dataset
     for rule in rules:
         strategy = rule.strategy
         check_rule_kind(dataset.schema, rule)
         column = out.column(rule.attribute)
+        if isinstance(strategy, SuppressAll):  # it reads no cell
+            out = out.replace_column(rule.attribute, [SUPPRESSED] * len(column))
+            continue
+        table = dict.fromkeys(column)
         if isinstance(strategy, TextPrefix):
-            lengths = [len(c) for c in column if isinstance(c, str)]
+            lengths = [len(c) for c in table if isinstance(c, str)]
             if lengths and strategy.keep >= min(lengths):
                 raise VacuousRule(
                     f"prefix {strategy.keep} does not shorten the shortest "
                     f"value (length {min(lengths)}) of {rule.attribute!r}"
                 )
-        out = out.replace_column(rule.attribute, _apply_once_per_value(strategy, column))
+        outputs: dict[Cell, Cell] = {}
+        for cell in table:
+            generalized = strategy.apply(cell)
+            table[cell] = outputs.setdefault(generalized, generalized)
+        out = out.replace_column(rule.attribute, map(table.__getitem__, column))
     return out
-
-
-class _Memo(dict):
-    """``memo[c]`` is ``strategy.apply(c)``, worked out once per cell value.
-    The cell is key enough: the cells of a dataset column are of one kind's
-    exact types, and no two of those types hold equal values. Equal outputs
-    are one object, so ages 20 to 29 give one ``Interval(20, 29)``, which a
-    later grouping by cell hashes once and compares by identity."""
-
-    def __init__(self, strategy: Strategy):
-        self.strategy = strategy
-        self.outputs: dict[Cell, Cell] = {}
-
-    def __missing__(self, cell):
-        out = self.strategy.apply(cell)
-        self[cell] = out = self.outputs.setdefault(out, out)
-        return out
-
-
-def _apply_once_per_value(strategy: Strategy, column: Sequence[Cell]) -> list[Cell]:
-    """``[strategy.apply(c) for c in column]``, applying the rule once per
-    distinct value, in column order."""
-    if isinstance(strategy, SuppressAll):  # it reads no cell
-        return [SUPPRESSED] * len(column)
-    return list(map(_Memo(strategy).__getitem__, column))
 
 
 def check_rule_kind(schema: Schema, rule: GeneralizationRule) -> None:
@@ -353,7 +343,7 @@ def rank_swap(
         raise ValueError(f"rank-swap window must be >= 1, got {p}")
     column = _integer_column(dataset, attribute)
     n = len(column)
-    order = sorted(range(n), key=lambda i: column[i])
+    order = sorted(range(n), key=column.__getitem__)
     values = [column[i] for i in order]
     swapped = [False] * n
     for i in range(n):
@@ -380,20 +370,39 @@ def aggregate_groups(
 ) -> Dataset:
     """Replace integer values by their rounded group mean, per explicit group.
 
-    ``groups`` must partition the record indices. Text attributes among
+    ``groups`` must partition the record indices: each group a non-empty
+    iterable of integer indices (ints, or objects ``operator.index``
+    takes, such as numpy integers), each index in exactly one group. Any
+    other grouping raises BadGrouping. Text attributes among
     ``attributes`` are left unchanged; they only steer grouping.
     """
-    group_list = [tuple(g) for g in groups]
+    group_list = []
+    for j, g in enumerate(groups):
+        try:
+            group = tuple(map(operator.index, g))
+        except TypeError as exc:
+            raise BadGrouping(f"group {j} is not a sequence of integer indices: {exc}") from exc
+        if not group:
+            raise BadGrouping(f"group {j} is empty")
+        group_list.append(group)
     seen = [i for g in group_list for i in g]
     if sorted(seen) != list(range(len(dataset))):
         raise BadGrouping("groups must partition the record indices exactly")
+    return _group_means(dataset, attributes, group_list)
+
+
+def _group_means(
+    dataset: Dataset, attributes: Sequence[str], groups: Sequence[Sequence[int]]
+) -> Dataset:
+    """``aggregate_groups`` past its partition check: ``groups`` are
+    non-empty and partition the record indices."""
     out = dataset
     for name in attributes:
         if dataset.schema.attribute(name).kind is not Kind.INTEGER:
             continue
         column = list(_integer_column(out, name))
-        for g in group_list:
-            mean = _round_half_away(sum(column[i] for i in g), len(g))
+        for g in groups:
+            mean = _round_half_away(sum(map(column.__getitem__, g)), len(g))
             for i in g:
                 column[i] = mean
         out = out.replace_column(name, column)
@@ -406,25 +415,15 @@ def microaggregate_univariate(dataset: Dataset, attribute: str, k: int) -> Datas
     a bool): anything else raises TypeError.
 
     The runs are slices of the sorted order, so they partition the records
-    by construction; this is ``aggregate_groups`` over those runs, without
-    its partition check."""
-    _check_int("k", k)
-    if k < 2:
-        raise ValueError(f"group size must be >= 2, got {k}")
-    if len(dataset) < k:
-        raise DatasetTooSmall(f"{len(dataset)} records cannot form a group of {k}")
+    by construction: their means are written by ``aggregate_groups``' own
+    code, without its partition check."""
+    _check_group_size(dataset, k)
     column = _integer_column(dataset, attribute)
     n = len(column)
     order = sorted(range(n), key=column.__getitem__)
-    values = list(map(column.__getitem__, order))
-    out = list(column)
     full = n // k
-    for g in range(full):
-        lo, hi = g * k, (g + 1) * k if g < full - 1 else n
-        mean = _round_half_away(sum(values[lo:hi]), hi - lo)
-        for i in order[lo:hi]:
-            out[i] = mean
-    return dataset.replace_column(attribute, out)
+    runs = [order[g * k : (g + 1) * k] for g in range(full - 1)] + [order[(full - 1) * k :]]
+    return _group_means(dataset, [attribute], runs)
 
 
 def microaggregate_multivariate(
@@ -439,14 +438,20 @@ def microaggregate_multivariate(
     replaced by rounded group means. ``k`` must be an int (not a bool):
     anything else raises TypeError.
     """
+    _check_group_size(dataset, k)
+    coords = _mixed_coordinates(dataset, attributes)
+    groups = mdav_groups(coords, k)
+    return aggregate_groups(dataset, attributes, groups)
+
+
+def _check_group_size(dataset: Dataset, k: int) -> None:
+    """Raise unless k is an int (TypeError), at least 2 (ValueError) and
+    at most the number of records (DatasetTooSmall)."""
     _check_int("k", k)
     if k < 2:
         raise ValueError(f"group size must be >= 2, got {k}")
     if len(dataset) < k:
         raise DatasetTooSmall(f"{len(dataset)} records cannot form a group of {k}")
-    coords = _mixed_coordinates(dataset, attributes)
-    groups = mdav_groups(coords, k)
-    return aggregate_groups(dataset, attributes, groups)
 
 
 def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:

@@ -70,7 +70,9 @@ class DatasetTooSmall(PrivkitError):
 
 
 class BadGrouping(PrivkitError):
-    """Explicit record groups do not form a partition of the dataset."""
+    """Explicit record groups do not form a partition of the dataset: a
+    group is empty, holds something other than an integer index, or the
+    groups do not cover each record exactly once."""
 
 
 class ValueOutOfRange(PrivkitError):
@@ -80,7 +82,8 @@ class ValueOutOfRange(PrivkitError):
 # --- rappor -----------------------------------------------------------------
 
 class InvalidParams(PrivkitError):
-    """Randomized-response parameters violate their invariants."""
+    """Randomized-response parameters, or the bits and counts they are
+    applied to, violate their invariants."""
 
 
 class DomainError(PrivkitError):

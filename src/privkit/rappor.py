@@ -62,6 +62,8 @@ Bits = tuple[int, ...]
 # Bit b of every byte value, for counting set bits with bytes.translate.
 _BIT_TABLES = [bytes((x >> b) & 1 for x in range(256)) for b in range(8)]
 
+_BINARY = frozenset((0, 1))
+
 # The characters "0" and "1" as the byte values 0 and 1, for decoding reports.
 _ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -166,8 +168,22 @@ class RapporParams(Frozen):
         return cls(**fields, hash_seed=obj.get("hash_seed", 0))
 
 
+def _check_bits(self) -> None:
+    """The ``__post_init__`` of the bit vectors below: store ``bits`` as a
+    tuple, and raise InvalidParams naming the first bit that does not equal
+    0 or 1."""
+    bits = tuple(self.bits)
+    if not _BINARY.issuperset(bits):
+        i, b = next((i, b) for i, b in enumerate(bits) if b not in _BINARY)
+        raise InvalidParams(f"bit {i} is {b!r}, not 0 or 1")
+    object.__setattr__(self, "bits", bits)
+
+
 class BloomFilter(Frozen):
+    """A value's Bloom filter: k bits, each 0 or 1, stored as a tuple."""
+
     bits: Bits
+    __post_init__ = _check_bits
 
     @classmethod
     def from_indices(cls, k: int, indices: Iterable[int]) -> "BloomFilter":
@@ -176,7 +192,7 @@ class BloomFilter(Frozen):
             if not 0 <= i < k:
                 raise LengthMismatch(f"bit index {i} outside filter of size {k}")
             bits[i] = 1
-        return cls(tuple(bits))
+        return cls(bits)
 
     @property
     def set_indices(self) -> tuple[int, ...]:
@@ -184,16 +200,20 @@ class BloomFilter(Frozen):
 
 
 class PermanentResponse(Frozen):
-    """Memorized noisy filter; identical for every report of the same value."""
+    """Memorized noisy filter; identical for every report of the same value.
+    Its bits are checked and stored as ``BloomFilter``'s are."""
 
     value: str
     bits: Bits
+    __post_init__ = _check_bits
 
 
 class Report(Frozen):
-    """The k-bit vector actually sent to the aggregator."""
+    """The k-bit vector actually sent to the aggregator. Its bits are
+    checked and stored as ``BloomFilter``'s are."""
 
     bits: Bits
+    __post_init__ = _check_bits
 
     def to_hex(self) -> str:
         """Lowercase hex of ceil(k/8) bytes; bit i is bit (i%8) of byte i//8."""
@@ -336,7 +356,7 @@ def prr(
             bits.append(0)
         else:
             bits.append(b)
-    return PermanentResponse(value, tuple(bits))
+    return PermanentResponse(value, bits)
 
 
 def irr(
@@ -349,10 +369,7 @@ def irr(
             f"permanent response has {len(perm.bits)} bits, params say {params.k}"
         )
     return Report(
-        tuple(
-            1 if rng.random() < (params.q if b else params.p) else 0
-            for b in perm.bits
-        )
+        1 if rng.random() < (params.q if b else params.p) else 0 for b in perm.bits
     )
 
 
@@ -426,7 +443,8 @@ def estimate_counts(
             raise LengthMismatch(
                 f"report has {len(r.bits)} bits, params say {params.k}"
             )
-    counts = [sum(column) for column in zip(*(r.bits for r in reports))]
+    # a bit may be True or 1.0 (each equals 1); count(1) keeps each count an int
+    counts = [column.count(1) for column in zip(*(r.bits for r in reports))]
     return estimate_from_counts(counts, len(reports), candidates, params)
 
 
@@ -443,11 +461,21 @@ def estimate_from_counts(
     t_i = (c_i - p* N) / (q* - p*), clamped to [0, N]; a candidate scores the
     minimum of t_i over its Bloom indices, since every index is a necessary
     condition for carrying that value.
+
+    ``n`` must be an int (not a bool), and each count an int (not a bool)
+    in [0, n], as some set of n reports gives; anything else raises
+    InvalidParams naming the value and, for a count, its bit. ``n`` below 1
+    or a number of counts other than k raises LengthMismatch.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidParams(f"number of reports must be an int, got {n!r}")
     if n < 1:
         raise LengthMismatch("need at least one report")
     if len(counts) != params.k:
         raise LengthMismatch(f"{len(counts)} bit counts, params say {params.k}")
+    for i, c in enumerate(counts):
+        if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c <= n:
+            raise InvalidParams(f"count of bit {i} must be an int in [0, {n}], got {c!r}")
     q_star, p_star = lemma1(params)
     denom = q_star - p_star
     if denom == 0.0:

@@ -620,6 +620,25 @@ def test_univariate_groups_homogeneous_and_sum_preserving(ages, k):
         assert len(group_vals) == 1
 
 
+@given(st.integers(2, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-3, 3) | st.integers(-10**20, 10**20), min_size=n, max_size=n),
+    st.integers(2, n))))
+@example(([5, 5, 5, 5, 5], 5))  # one run of equal values, k = n
+@example(([3, 1, 2, 1, 3, 2, 1], 3))  # ties across runs, n % k = 1
+@example(([0, -1, 0, -1, 0, -1, 0, -1], 3))  # n % k = k - 1
+@settings(max_examples=300, deadline=None)
+def test_univariate_is_aggregate_groups_over_sorted_runs(case):
+    ages, k = case
+    ranked = [i for _, i in sorted(zip(ages, range(len(ages))))]  # ties by record index
+    sizes = [k] * (len(ages) // k - 1) + [k + len(ages) % k]
+    runs, start = [], 0
+    for size in sizes:
+        runs.append(ranked[start : start + size])
+        start += size
+    ds = ages_dataset(ages)
+    assert microaggregate_univariate(ds, "Age", k) == aggregate_groups(ds, ["Age"], runs)
+
+
 def test_univariate_too_small():
     with pytest.raises(DatasetTooSmall):
         microaggregate_univariate(ages_dataset([1]), "Age", 2)
@@ -665,6 +684,25 @@ def test_aggregate_groups_requires_partition():
         aggregate_groups(t1, ["Age"], [[0, 1], [1, 2]])
     with pytest.raises(BadGrouping):
         aggregate_groups(t1, ["Age"], [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("groups,message", [
+    ([tuple(range(10)), ()], "group 1 is empty"),
+    ([(), tuple(range(10))], "group 0 is empty"),
+    ([tuple(range(9)), (9.0,)], "group 1 is not a sequence of integer indices: "),
+    ([[0, 1, "2"], range(3, 10)], "group 0 is not a sequence of integer indices: "),
+    ([range(9), 9], "group 1 is not a sequence of integer indices: "),
+])
+def test_aggregate_groups_rejects_groups_it_cannot_aggregate(groups, message):
+    with pytest.raises(BadGrouping, match=f"^{message}"):
+        aggregate_groups(fixture_table1(), ["Age"], groups)
+
+
+def test_aggregate_groups_takes_numpy_indices():
+    np = pytest.importorskip("numpy")
+    groups = [np.array(g) for g in [[0, 6, 4], [7, 9], [1, 8, 5], [2, 3]]]
+    out = aggregate_groups(fixture_table1(), ["Age"], groups)
+    assert out.column("Age") == (44, 23, 37, 37, 44, 23, 44, 24, 23, 24)
 
 
 def test_multivariate_whole_dataset_group():

@@ -267,6 +267,40 @@ def test_bloom_check_length_mismatch():
             BloomFilter.from_indices(8, [index])
 
 
+_BIT_VECTORS = [BloomFilter, Report, lambda bits: PermanentResponse("v", bits)]
+
+
+@pytest.mark.parametrize("make", _BIT_VECTORS, ids=["BloomFilter", "Report", "PermanentResponse"])
+@given(st.lists(st.sampled_from([0, 1, 0, 1, True, False, 1.0, 2, -1, 0.5, math.nan, "1", None]),
+                max_size=12))
+def test_bit_vectors_hold_a_tuple_of_zeros_and_ones(make, bits):
+    bad = [i for i, b in enumerate(bits) if not (b == 0 or b == 1)]
+    if bad:
+        with pytest.raises(InvalidParams, match=f"^bit {bad[0]} is {re.escape(repr(bits[bad[0]]))}, "
+                                                "not 0 or 1$"):
+            make(bits)
+    else:
+        made = make(iter(bits))
+        assert type(made.bits) is tuple and list(made.bits) == bits
+
+
+def test_bits_other_than_zero_or_one_go_no_further():
+    params = RapporParams(k=16, h=2, f=0.5, q=0.75, p=0.5)
+    with pytest.raises(InvalidParams, match="^bit 0 is 5, not 0 or 1$"):
+        prr(BloomFilter((5,) * 16), b"s", "v", params)
+    with pytest.raises(InvalidParams, match="^bit 0 is 2, not 0 or 1$"):
+        prr_distribution(BloomFilter((2,) + (0,) * 15), params)
+    with pytest.raises(InvalidParams, match="^bit 0 is 2, not 0 or 1$"):
+        estimate_counts([Report((2,) * 16)], ["A"], params)
+
+
+def test_estimate_counts_counts_bits_equal_to_one_as_ints():
+    # True and 1.0 equal 1, so a Report takes them; their counts must still be ints
+    reports = [Report((True,) * 6 + (1.0,) * 6), Report((1,) * 6 + (False,) * 6)]
+    assert estimate_counts(reports, ["A", "B"], PAPER) == estimate_from_counts(
+        [2] * 6 + [1] * 6, 2, ["A", "B"], PAPER)
+
+
 # --- permanent randomized response ---------------------------------------------
 
 def test_prr_f_zero_is_identity():
@@ -573,6 +607,29 @@ def test_estimate_from_counts_errors():
         estimate_from_counts([0] * 12, 0, ["A"], PAPER)
     with pytest.raises(LengthMismatch):
         estimate_from_counts([0] * 11, 3, ["A"], PAPER)
+
+
+@pytest.mark.parametrize("counts,n,message", [
+    ([20] * 12, 10, "count of bit 0 must be an int in [0, 10], got 20"),
+    ([0] * 11 + [11], 10, "count of bit 11 must be an int in [0, 10], got 11"),
+    ([0, -1] + [0] * 10, 10, "count of bit 1 must be an int in [0, 10], got -1"),
+    ([0, 0, 1.5] + [0] * 9, 10, "count of bit 2 must be an int in [0, 10], got 1.5"),
+    ([0, 0, 2.0] + [0] * 9, 10, "count of bit 2 must be an int in [0, 10], got 2.0"),
+    ([True] + [0] * 11, 10, "count of bit 0 must be an int in [0, 10], got True"),
+    ([math.nan] * 12, 10, "count of bit 0 must be an int in [0, 10], got nan"),
+    ([0] * 12, 2.5, "number of reports must be an int, got 2.5"),
+    ([0] * 12, True, "number of reports must be an int, got True"),
+    ([0] * 12, 3.0, "number of reports must be an int, got 3.0"),
+])
+def test_estimate_from_counts_takes_only_counts_some_reports_give(counts, n, message):
+    with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+        estimate_from_counts(counts, n, ["A"], PAPER)
+
+
+def test_estimate_from_counts_takes_counts_at_both_ends():
+    # no report sets a bit, and every report sets every bit
+    assert estimate_from_counts([0] * 12, 7, ["A"], PAPER) == {"A": 0.0}
+    assert estimate_from_counts([7] * 12, 7, ["A"], PAPER) == {"A": 7.0}
 
 
 @given(
