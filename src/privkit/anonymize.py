@@ -376,6 +376,10 @@ def aggregate_groups(
     other grouping raises BadGrouping. Text attributes among
     ``attributes`` are left unchanged; they only steer grouping.
     """
+    try:
+        groups = iter(groups)
+    except TypeError as exc:
+        raise BadGrouping(f"groups is not an iterable of groups: {exc}") from exc
     group_list = []
     for j, g in enumerate(groups):
         try:

@@ -1,24 +1,26 @@
 """Support / certainty rule mining over transaction sets.
 
 Frequent itemsets are searched depth-first over per-item transaction
-bitmaps (Eclat's vertical layout): an itemset's support count is the
-popcount of the AND of its items' bitmaps.
+bitmaps (Eclat's vertical layout). Each frequent itemset carries its
+tidset, the bitmap of the transactions that contain it, down the search:
+a candidate's tidset is the AND of two sibling tidsets, and its support
+count is that tidset's popcount.
 
-Support counts are integers and every threshold comparison is done by
-integer cross-multiplication, so rules sitting exactly on a threshold are
-classified without floating-point wobble. The float ``support`` and
+Support counts are integers. Every threshold is read as an exact integer
+ratio and every comparison is done by integer cross-multiplication, so
+rules sitting exactly on a threshold are classified without floating-point
+wobble; rules are ordered by integer keys too. The float ``support`` and
 ``certainty`` on returned rules are for display only.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+import privkit  # loaded already; privkit.dataset loads only if an annotation is resolved
 from ._value import Frozen
-from .dataset import AttributeRole, Dataset
 from .errors import (
     BadThreshold,
     DisjointnessViolation,
@@ -59,11 +61,14 @@ class TransactionSet(Frozen):
     def bitmaps(self) -> dict[str, int]:
         """Per-item transaction bitmaps (Eclat's vertical layout): bit n of
         an item's bitmap is set when transaction n contains the item."""
-        rows = {item: bytearray((len(self.transactions) + 7) // 8) for item in self.items}
-        for n, t in enumerate(self.transactions):
+        # Each row is the bitmap's binary digits, most significant first, so
+        # transaction n sets the character at n from the end.
+        rows = {item: bytearray(b"0") * len(self.transactions) for item in self.items}
+        one = ord("1")
+        for at, t in enumerate(reversed(self.transactions)):
             for item in t:
-                rows[item][n >> 3] |= 1 << (n & 7)
-        return {item: int.from_bytes(row, "little") for item, row in rows.items()}
+                rows[item][at] = one
+        return {item: int(b"0" + row, 2) for item, row in rows.items()}
 
 
 class Rule(Frozen):
@@ -124,81 +129,111 @@ def solid_rules(
     is grown by the items of its frequent siblings that follow it in sorted
     order. So a k-itemset is counted when its two (k-1)-subsets sharing the
     first k-2 items are frequent, Apriori's join condition; its other
-    subsets are not checked first. Every disjoint split of each frequent
-    itemset is then scored. Rules are ordered by certainty descending, then
-    support descending, then lexicographically.
+    subsets are not checked first. Each frequent itemset keeps its tidset
+    with its entry among its siblings, so counting a candidate is one AND of
+    two sibling tidsets and a popcount. Every disjoint split of each
+    frequent itemset is then scored, except that a consequent is grown only
+    from one whose rule held: a smaller antecedent is never more certain.
+
+    A threshold is read from its decimal string, as ``Fraction(str(x))``
+    reads it: 0.1 is 1/10, not the binary float just above it. Rules are
+    ordered by certainty descending, then support descending, then
+    lexicographically; certainty is compared as ``whole * n * n // count_a``,
+    which orders distinct ratios with denominators of at most n strictly and
+    equal ones equally.
     """
     if not 0.0 < min_support <= 1.0 or not 0.0 < min_certainty <= 1.0:
         raise BadThreshold(
             f"thresholds must be in (0, 1], got support={min_support}, "
             f"certainty={min_certainty}"
         )
+    try:
+        max_itemset = operator.index(max_itemset)
+    except TypeError:
+        raise BadThreshold(f"max_itemset must be an integer, got {max_itemset!r}") from None
     if max_itemset < 2:
         raise BadThreshold(f"max_itemset must be >= 2, got {max_itemset}")
+    sup_num, sup_den = _exact("min_support", min_support)
+    cert_num, cert_den = _exact("min_certainty", min_certainty)
     n = len(transactions)
     if n == 0:
         return []
-    # Decimal value of the threshold as written: Fraction(0.1) > 1/10 would
-    # drop itemsets sitting exactly on it.
-    sup_thr = Fraction(str(min_support))
-    cert_thr = Fraction(str(min_certainty))
-
-    def frequent(count: int) -> bool:
-        return count * sup_thr.denominator >= sup_thr.numerator * n
-
+    # the least integer count with count * sup_den >= sup_num * n
+    min_count = -(-sup_num * n // sup_den)
+    bitmaps = transactions.bitmaps
     counts: dict[ItemSet, int] = {}
 
-    def grow(itemset: ItemSet, extensions: list[str]) -> None:
-        # extensions: the sorted items whose addition kept itemset frequent
-        for i, item in enumerate(extensions):
+    def grow(itemset: ItemSet, extensions: list[tuple[str, int]]) -> None:
+        # extensions: (item, tidset of itemset plus item) for the sorted
+        # items whose addition kept itemset frequent
+        for i, (item, tidset) in enumerate(extensions):
             node = itemset | {item}
             if len(node) < max_itemset:
-                grow(node, [
-                    other
-                    for other in extensions[i + 1 :]
-                    if _count_and_keep(transactions, node | {other}, counts, frequent)
-                ])
+                kept = []
+                for other, other_tidset in extensions[i + 1 :]:
+                    both = tidset & other_tidset
+                    if _count_and_keep(node | {other}, both.bit_count(), counts, min_count):
+                        kept.append((other, both))
+                grow(node, kept)
 
     grow(frozenset(), [
-        item
+        (item, bitmaps[item])
         for item in sorted(transactions.items)
-        if _count_and_keep(transactions, frozenset({item}), counts, frequent)
+        if _count_and_keep(frozenset({item}), bitmaps[item].bit_count(), counts, min_count)
     ])
 
+    nn = n * n
     rules = []
     for itemset, whole in counts.items():
-        for r in range(1, len(itemset)):
-            for antecedent in combinations(sorted(itemset), r):
-                a = frozenset(antecedent)
-                count_a = counts[a]
-                if whole * cert_thr.denominator < cert_thr.numerator * count_a:
-                    continue
-                rules.append(
-                    (
-                        Fraction(whole, count_a),
-                        Fraction(whole, n),
-                        tuple(sorted(a)),
-                        tuple(sorted(itemset - a)),
-                    )
-                )
-    rules.sort(key=lambda r: (-r[0], -r[1], r[2], r[3]))
+        # A -> itemset - A is solid when whole * cert_den >= cert_num * count_a,
+        # that is when count_a <= limit. A smaller antecedent counts at least
+        # as many transactions, so a consequent (a sorted tuple) grows by one
+        # later item only from a consequent whose rule was solid. Most
+        # itemsets have no solid rule: one pass rules out their one-item
+        # consequents.
+        if len(itemset) == 1:
+            continue
+        limit = whole * cert_den // cert_num
+        consequents = [
+            (item,) for item in itemset if counts[itemset.difference((item,))] <= limit
+        ]
+        while consequents and len(consequents[0]) < len(itemset):
+            solid = []
+            for consequent in consequents:
+                antecedent = itemset.difference(consequent)
+                count_a = counts[antecedent]
+                if count_a <= limit:
+                    solid.append(consequent)
+                    rules.append((whole, count_a, tuple(sorted(antecedent)), consequent))
+            consequents = [b + (item,) for b in solid for item in itemset if item > b[-1]]
+    rules.sort(key=lambda r: (-(r[0] * nn // r[1]), -r[0], r[2], r[3]))
     return [
-        Rule(
-            antecedent=frozenset(a),
-            consequent=frozenset(b),
-            support=float(sup),
-            certainty=float(cert),
-        )
-        for cert, sup, a, b in rules
+        Rule(frozenset(a), frozenset(b), whole / n, whole / count_a)
+        for whole, count_a, a, b in rules
     ]
 
 
-def _count_and_keep(transactions, itemset, counts, frequent) -> bool:
-    c = support_count(transactions, itemset)
-    if frequent(c):
-        counts[itemset] = c
+def _count_and_keep(itemset, count, counts, min_count) -> bool:
+    if count >= min_count:
+        counts[itemset] = count
         return True
     return False
+
+
+def _exact(name: str, threshold) -> tuple[int, int]:
+    """The threshold as a numerator and a positive denominator, equal to
+    ``Fraction(str(threshold))`` for a float, int, Fraction or Decimal. A
+    bool's string, ``True``, is no number."""
+    text, slash, denominator = str(threshold).partition("/")
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, digits = mantissa.partition(".")
+    try:
+        if slash:
+            return int(text), int(denominator)
+        numerator, scale = int(whole + digits), int(exponent or 0) - len(digits)
+    except ValueError:
+        raise BadThreshold(f"{name} must be a number, got {threshold!r}") from None
+    return (numerator * 10**scale, 1) if scale >= 0 else (numerator, 10**-scale)
 
 
 def _itemset(items: Iterable[str]) -> ItemSet:
@@ -215,10 +250,12 @@ def _itemset(items: Iterable[str]) -> ItemSet:
 
 
 def transactions_from_dataset(
-    dataset: Dataset, include_qi: Sequence[str] = ()
+    dataset: privkit.dataset.Dataset, include_qi: Sequence[str] = ()
 ) -> TransactionSet:
     """Map each record to the set of its sensitive values, optionally joined
     by selected quasi-identifier categories. Items read ``Attribute=value``."""
+    from .dataset import AttributeRole  # only this path reads a table
+
     names = [
         a.name for a in dataset.schema.attributes if a.role is AttributeRole.SENSITIVE
     ]

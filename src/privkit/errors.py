@@ -70,9 +70,9 @@ class DatasetTooSmall(PrivkitError):
 
 
 class BadGrouping(PrivkitError):
-    """Explicit record groups do not form a partition of the dataset: a
-    group is empty, holds something other than an integer index, or the
-    groups do not cover each record exactly once."""
+    """Explicit record groups do not form a partition of the dataset: the
+    groups are not iterable, a group is empty, holds something other than an
+    integer index, or the groups do not cover each record exactly once."""
 
 
 class ValueOutOfRange(PrivkitError):
@@ -137,7 +137,8 @@ class ZeroSupportAntecedent(PrivkitError):
 
 
 class BadThreshold(PrivkitError):
-    """Mining threshold or enumeration bound is out of range."""
+    """Mining threshold or enumeration bound is out of range, or is not a
+    number (a bool threshold, a fractional bound)."""
 
 
 # --- cli --------------------------------------------------------------------

@@ -698,6 +698,12 @@ def test_aggregate_groups_rejects_groups_it_cannot_aggregate(groups, message):
         aggregate_groups(fixture_table1(), ["Age"], groups)
 
 
+def test_aggregate_groups_rejects_groups_that_are_not_iterable():
+    with pytest.raises(BadGrouping) as info:
+        aggregate_groups(fixture_table1(), ["Age"], 5)
+    assert str(info.value) == "groups is not an iterable of groups: 'int' object is not iterable"
+
+
 def test_aggregate_groups_takes_numpy_indices():
     np = pytest.importorskip("numpy")
     groups = [np.array(g) for g in [[0, 6, 4], [7, 9], [1, 8, 5], [2, 3]]]

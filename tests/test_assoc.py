@@ -1,12 +1,15 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from privkit import assoc
 from privkit.assoc import (
+    ItemSet,
     Rule,
     TransactionSet,
     certainty,
@@ -49,6 +52,88 @@ def brute_force_rules(transactions, min_support, min_certainty, max_size=None):
                     if c_whole * cert_thr.denominator >= cert_thr.numerator * c_a:
                         found.add((a, whole - a))
     return found
+
+
+# The Fraction-based miner that solid_rules replaced, verbatim but for its
+# names and docstring: the reference for the integer thresholds, the carried
+# tidsets and the integer rule order.
+def fraction_solid_rules(
+    transactions: TransactionSet,
+    min_support: float = 0.35,
+    min_certainty: float = 0.60,
+    max_itemset: int = 3,
+) -> list[Rule]:
+    if not 0.0 < min_support <= 1.0 or not 0.0 < min_certainty <= 1.0:
+        raise BadThreshold(
+            f"thresholds must be in (0, 1], got support={min_support}, "
+            f"certainty={min_certainty}"
+        )
+    if max_itemset < 2:
+        raise BadThreshold(f"max_itemset must be >= 2, got {max_itemset}")
+    n = len(transactions)
+    if n == 0:
+        return []
+    # Decimal value of the threshold as written: Fraction(0.1) > 1/10 would
+    # drop itemsets sitting exactly on it.
+    sup_thr = Fraction(str(min_support))
+    cert_thr = Fraction(str(min_certainty))
+
+    def frequent(count: int) -> bool:
+        return count * sup_thr.denominator >= sup_thr.numerator * n
+
+    counts: dict[ItemSet, int] = {}
+
+    def grow(itemset: ItemSet, extensions: list[str]) -> None:
+        # extensions: the sorted items whose addition kept itemset frequent
+        for i, item in enumerate(extensions):
+            node = itemset | {item}
+            if len(node) < max_itemset:
+                grow(node, [
+                    other
+                    for other in extensions[i + 1 :]
+                    if fraction_count_and_keep(transactions, node | {other}, counts, frequent)
+                ])
+
+    grow(frozenset(), [
+        item
+        for item in sorted(transactions.items)
+        if fraction_count_and_keep(transactions, frozenset({item}), counts, frequent)
+    ])
+
+    rules = []
+    for itemset, whole in counts.items():
+        for r in range(1, len(itemset)):
+            for antecedent in combinations(sorted(itemset), r):
+                a = frozenset(antecedent)
+                count_a = counts[a]
+                if whole * cert_thr.denominator < cert_thr.numerator * count_a:
+                    continue
+                rules.append(
+                    (
+                        Fraction(whole, count_a),
+                        Fraction(whole, n),
+                        tuple(sorted(a)),
+                        tuple(sorted(itemset - a)),
+                    )
+                )
+    rules.sort(key=lambda r: (-r[0], -r[1], r[2], r[3]))
+    return [
+        Rule(
+            antecedent=frozenset(a),
+            consequent=frozenset(b),
+            support=float(sup),
+            certainty=float(cert),
+        )
+        for cert, sup, a, b in rules
+    ]
+
+
+def fraction_count_and_keep(transactions, itemset, counts, frequent) -> bool:
+    c = support_count(transactions, itemset)
+    if frequent(c):
+        counts[itemset] = c
+        return True
+    return False
 
 
 def random_instance(rng, inclusion=0.4):
@@ -173,6 +258,20 @@ def test_threshold_validation():
         solid_rules(ts, max_itemset=1)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"min_support": True}, "min_support must be a number, got True"),
+    ({"min_certainty": True}, "min_certainty must be a number, got True"),
+    ({"max_itemset": 2.5}, "max_itemset must be an integer, got 2.5"),
+    ({"max_itemset": "3"}, "max_itemset must be an integer, got '3'"),
+], ids=["bool-support", "bool-certainty", "float-max-itemset", "str-max-itemset"])
+@pytest.mark.parametrize("transactions", [BASKET, TransactionSet.from_iterables([])],
+                         ids=["basket", "no-transactions"])
+def test_solid_rules_rejects_arguments_that_are_not_numbers(transactions, kwargs, message):
+    with pytest.raises(BadThreshold) as info:
+        solid_rules(transactions, **kwargs)
+    assert str(info.value) == message
+
+
 def test_max_itemset_caps_enumeration():
     ts = TransactionSet.from_iterables([{"a", "b", "c"}] * 5)
     rules = solid_rules(ts, 0.5, 0.5, max_itemset=2)
@@ -207,6 +306,45 @@ def test_matches_brute_force_on_random_instances(inclusion, min_support, max_ite
         assert got == brute_force_rules(ts, Fraction(str(min_support)), 0.60, cap)
 
 
+THRESHOLDS = st.one_of(
+    st.sampled_from([5e-324, 1e-05, 2.5e-3, 0.1, 1 / 3, 0.35, 1.0, 1, Fraction(1, 3),
+                     Decimal("0.35"), np.float32(0.1)]),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(),  # out of range, nan and the infinities raise BadThreshold
+)
+
+
+@st.composite
+def baskets(draw):
+    """A universe of 1-10 items and 0-60 baskets, drawn from a few distinct
+    baskets so that duplicates are common; any basket may be empty."""
+    universe = [f"i{j}" for j in range(draw(st.integers(1, 10)))]
+    pool = draw(st.lists(st.sets(st.sampled_from(universe)), min_size=1, max_size=12))
+    return universe, draw(st.lists(st.sampled_from(pool), max_size=60))
+
+
+def _outcome(mine, *args):
+    try:
+        return mine(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(baskets(), THRESHOLDS, THRESHOLDS, st.integers(2, 6))
+# a -> b and c -> d are both certain 1/2, as 2/4 and as 3/6
+@example((list("abcd"), [["a", "b"]] * 2 + [["a"]] * 2 + [["c", "d"]] * 3 + [["c"]] * 3),
+         0.2, 0.5, 2)
+# {a, b} sits exactly on support 1/10, which the float 0.1 is a little above
+@example((list("abc"), [["a", "b"]] + [["c"]] * 9), 0.1, 0.6, 2)
+@settings(max_examples=300, deadline=None)
+def test_solid_rules_equals_the_fraction_reference(instance, min_support, min_certainty,
+                                                   max_itemset):
+    universe, txs = instance
+    ts = TransactionSet.from_iterables(txs, universe)
+    args = (ts, min_support, min_certainty, max_itemset)
+    assert _outcome(solid_rules, *args) == _outcome(fraction_solid_rules, *args)
+
+
 def test_dense_instance_counts_every_candidate_once(monkeypatch):
     # The benchmark's traced mode wraps these two module attributes, the way
     # this test does, to report support_count calls and the frequent ratio.
@@ -226,7 +364,8 @@ def test_dense_instance_counts_every_candidate_once(monkeypatch):
     items = [f"i{j:02d}" for j in range(12)]
     ts = TransactionSet.from_iterables([items] * 5)
     rules = solid_rules(ts, 0.5, 0.5, max_itemset=3)
-    assert calls == {"support_count": 12 + 66 + 220, "_count_and_keep": 12 + 66 + 220}
+    # each candidate's count is its carried tidset's popcount, not a support_count call
+    assert calls == {"support_count": 0, "_count_and_keep": 12 + 66 + 220}
     assert len(rules) == 66 * 2 + 220 * 6
 
 

@@ -1,6 +1,5 @@
 """numpy is imported only by the calls that compute with it (multivariate
-microaggregation), logging and dataclasses by none of them, and fractions
-only by rule mining.
+microaggregation), and logging, dataclasses and fractions by none of them.
 ``import privkit`` loads no module, and a name taken from the package loads
 only its own module.
 
@@ -132,8 +131,6 @@ result = [result, sorted(m for m in ("dataclasses", "inspect", "fractions", "dec
 def test_cli_calls_load_no_dataclasses_or_fractions(workdir, argv, loads_numpy):
     setup = _RUN_MAIN.format(argv=argv) + _STDLIB
     expected = ["inspect"] if loads_numpy else []  # numpy imports inspect
-    if argv[0] == "assoc":  # exact thresholds in Fraction
-        expected = ["decimal", "fractions"]
     assert probe(setup, workdir)["result"] == [0, expected]
 
 
@@ -170,14 +167,23 @@ _TABLE = sorted([*_VALUES, "privkit.dataset", "privkit.anonymize"])
     (["fixtures", "export", "--name", "table1", "--output", "t1.again.csv"],
      sorted([*_VALUES, "privkit.dataset"])),
     (["assoc", "mine", "--input", "baskets.json", "--min-support", "0.3"],
-     sorted([*_VALUES, "privkit.assoc", "privkit.dataset"])),
+     sorted([*_VALUES, "privkit.assoc"])),
+    (["assoc", "mine", "--input-csv", "t1.csv", "--schema", "t1.schema.json",
+      "--min-support", "0.3"], sorted([*_VALUES, "privkit.assoc", "privkit.dataset"])),
     (["smc", "demo", "--votes", "1,1,0", "--seed", "7"], sorted([*_VALUES, "privkit.smc"])),
 ], ids=["rappor epsilon", "rappor encode", "rappor report", "rappor simulate",
         "rappor estimate", "dpcheck", "anonymize", "metrics", "fixtures export table2",
-        "fixtures export table1", "assoc mine", "smc demo"])
+        "fixtures export table1", "assoc mine", "assoc mine --input-csv", "smc demo"])
 def test_cli_calls_execute_only_the_modules_they_use(workdir, argv, executed):
     setup = _RUN_MAIN.format(argv=argv) + _EXECUTED
     assert probe(setup, workdir)["result"] == [0, executed]
+
+
+def test_assoc_mine_from_json_loads_no_table_or_fraction_modules(workdir):
+    setup = _RUN_MAIN.format(argv=["assoc", "mine", "--input", "baskets.json"]) + """
+result = [result, sorted(m for m in ("csv", "decimal", "fractions") if m in sys.modules)]
+"""
+    assert probe(setup, workdir)["result"] == [0, []]
 
 
 def test_cli_import_executes_no_module_it_imports_lazily(tmp_path):
