@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import privkit  # loaded already; privkit.dataset loads only if an annotation is resolved
@@ -51,8 +52,21 @@ class TransactionSet(Frozen):
     ) -> "TransactionSet":
         """Each transaction, and ``items`` if given, is a collection of item
         strings; ``items`` defaults to the union of the transactions."""
-        txs = tuple(map(_itemset, transactions))
-        return cls(txs, _itemset(items) if items is not None else frozenset().union(*txs))
+        raw = tuple(transactions)
+        txs = union = None
+        # Lists and tuples can be read again, so a failed pass can be rerun;
+        # the pass checks types at C level, each distinct item's once.
+        if all(map(isinstance, raw, repeat((list, tuple)))):
+            try:
+                txs = tuple(map(frozenset, raw))
+                union = frozenset().union(*txs)
+            except TypeError:  # an item that is not hashable
+                txs = None
+        if txs is None or not all(map(isinstance, union, repeat(str))):
+            # _itemset, basket by basket, raises naming the first bad basket or item
+            txs = tuple(map(_itemset, raw))
+            union = frozenset().union(*txs)
+        return cls(txs, _itemset(items) if items is not None else union)
 
     def __len__(self):
         return len(self.transactions)

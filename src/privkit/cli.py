@@ -394,9 +394,8 @@ def _cmd_rappor_estimate(args) -> dict:
     candidates = _load_json_arg("@" + args.candidates)
     if not _is_string_list(candidates):
         raise ConfigError("candidates file must be a JSON array of strings")
-    # an undecodable byte reaches count_report_lines, which names its line
-    with open(args.reports, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        counts, n = rappor.count_report_lines(fh, params)
+    with open(args.reports, "rb") as fh:
+        counts, n = rappor.count_report_file(fh, params)
     estimates = rappor.estimate_from_counts(counts, n, candidates, params)
     return {"reports": n, "estimates": estimates}
 

@@ -123,8 +123,9 @@ _KIND_TYPES = {
 # ASCII: a Unicode \d would read "٤٤" as 44, which writes back as "44".
 _INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
 _INTERVAL_RE = re.compile(r"(-?\d+)-(-?\d+)", re.ASCII)
-# One block of an integer column, each cell followed by "\n". A quoted line
-# end inside a cell can pass it ("1\n2"), but int() rejects such a cell.
+# One block of an integer column that holds a sign, each cell followed by
+# "\n". A quoted line end inside a cell can pass it ("1\n2"), but int()
+# rejects such a cell.
 _INT_BLOCK_RE = re.compile(r"(?:[+-]?\d+\n)*", re.ASCII)
 _BLOCK_ROWS = 4096  # rows parsed per block: bounds the transposed copy
 
@@ -419,7 +420,12 @@ def _parse_block(
         for attr, texts, column, memo in zip(attributes, block, columns, memos):
             joined = "\n".join(texts) + "\n"
             if attr.kind is Kind.INTEGER:
-                if _INT_BLOCK_RE.fullmatch(joined):
+                if "+" in joined or "-" in joined:
+                    plain = _INT_BLOCK_RE.fullmatch(joined)
+                else:  # bytes.isdigit takes ASCII digits only, not "²" or "٤"
+                    digits = "".join(texts)
+                    plain = digits.isascii() and digits.encode().isdigit() and "" not in texts
+                if plain:
                     column.extend(map(int, texts))  # ValueError past the digit limit
                     continue
             elif "*\n" not in joined:  # no cell ends in "*": each text is its own cell

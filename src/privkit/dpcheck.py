@@ -5,7 +5,9 @@ distribution over k-bit patterns is a product measure that can be enumerated
 exactly for small k. The tight privacy parameter between two inputs is then
 the largest absolute log-ratio of outcome probabilities, which is what the
 privacy definition bounds. Probabilities live in log space to stay exact-ish
-at the enumeration cap.
+at the enumeration cap. A distribution given as raw log-probabilities is
+checked when it is built; one built from its k bit probabilities is checked
+through those k factors, and its 2^k outcomes are valid by construction.
 
 The cap is 2^20 outcomes; larger filters are rejected rather than
 approximated, because an approximate oracle cannot arbitrate closed forms.
@@ -64,15 +66,43 @@ class MechanismDistribution:
 
     @classmethod
     def product_of_bits(cls, p_one: Sequence[float]) -> "MechanismDistribution":
-        """Joint distribution of independent bits with P(bit i = 1) = p_one[i]."""
+        """Joint distribution of independent bits with P(bit i = 1) = p_one[i].
+
+        Each p must satisfy 0 <= p <= 1; any other factor, NaN or a string
+        among them, raises ValueError naming its bit and value. The k factors
+        are the only input, so the 2^k log-probabilities are not checked
+        again: the invariant ``__init__`` checks holds by construction.
+
+        - ``lo`` and ``hi`` lie in [-inf, 0], so no sum of them is NaN or +inf.
+        - The most likely outcome sums each bit's larger term, which is at
+          least ln(1/2), so it is finite.
+        - Each outcome adds k rounded terms, so the total's error is about
+          k*eps*(1+H) for the distribution's entropy H in nats, far below
+          ``__init__``'s tolerance of 1e-9.
+        """
         k = len(p_one)
         check_enumerable(k)
+        for i, p in enumerate(p_one):
+            try:
+                valid = 0.0 <= p <= 1.0  # False for NaN
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ValueError(f"probability of bit {i} must be in [0, 1], got {p!r}")
         log_probs = [0.0]
         for p in p_one:
             lo = math.log(1.0 - p) if p < 1.0 else -math.inf
             hi = math.log(p) if p > 0.0 else -math.inf
             log_probs = [x + lo for x in log_probs] + [x + hi for x in log_probs]
-        return cls(k, log_probs)
+        return cls._trusted(k, tuple(log_probs))
+
+    @classmethod
+    def _trusted(cls, k: int, log_probs: tuple[float, ...]) -> "MechanismDistribution":
+        """A distribution whose log-probabilities its caller has shown valid."""
+        dist = cls.__new__(cls)
+        dist.k = k
+        dist.log_probs = log_probs
+        return dist
 
 
 def prr_distribution(

@@ -191,6 +191,75 @@ def test_from_iterables_takes_any_collection_of_strings():
     assert TransactionSet.from_iterables([]).items == frozenset()
 
 
+def itemset_reference(items):
+    """``assoc._itemset`` as it was when ``from_iterables`` mapped it over
+    every basket, verbatim."""
+    if isinstance(items, str):
+        raise ValueError(f"expected a collection of item strings, got the string {items!r}")
+    items = tuple(items)
+    for item in items:
+        if not isinstance(item, str):
+            raise ValueError(f"item {item!r} is not a string")
+    return frozenset(items)
+
+
+def from_iterables_reference(transactions, items=None):
+    """``TransactionSet.from_iterables`` with a Python check of every item, verbatim."""
+    txs = tuple(map(itemset_reference, transactions))
+    return TransactionSet(txs, itemset_reference(items) if items is not None
+                          else frozenset().union(*txs))
+
+
+class StrSubclass(str):
+    pass
+
+
+class UnhashableStr(str):
+    __hash__ = None
+
+
+class OneShot(tuple):
+    """Stands for an iterator over these items, made anew for each side."""
+
+
+def fresh(baskets):
+    return [iter(b) if isinstance(b, OneShot) else b for b in baskets]
+
+
+ITEMS = st.one_of(
+    st.sampled_from(["a", "b", "c", "", "a b", "٤", StrSubclass("a"), UnhashableStr("u")]),
+    st.sampled_from([1, None, b"a", 2.5, ("a",), ["a"], {"a": 1}]),  # not str; some not hashable
+)
+STR_ITEMS = st.sampled_from(["a", "b", "c"])
+BASKETS = st.one_of(
+    st.lists(STR_ITEMS, max_size=4),
+    st.lists(st.one_of(STR_ITEMS, ITEMS), max_size=4),
+    st.lists(st.one_of(STR_ITEMS, ITEMS), max_size=4).map(tuple),
+    st.frozensets(STR_ITEMS, max_size=3),
+    st.lists(st.one_of(STR_ITEMS, ITEMS), max_size=3).map(OneShot),
+    st.sampled_from(["ab", "", 5, None]),  # a string, or not a collection
+)
+
+
+def built(make, transactions, items):
+    try:
+        ts = make(transactions, items)
+    except (ValueError, TypeError, UnknownItem) as exc:
+        return type(exc), str(exc)
+    return ts.transactions, ts.items
+
+
+@given(st.lists(BASKETS, max_size=6),
+       st.one_of(st.none(), st.just("ab"), st.lists(st.one_of(STR_ITEMS, ITEMS), max_size=5)))
+@example([["a", "b"], ["b", 1]], None)  # a bad item found after the union is built
+@example([["a"], [["x"]]], None)  # an unhashable item stops the C-level pass
+@example([OneShot(["a", 1]), 5], None)  # the first bad basket wins, read only once
+@settings(max_examples=400, deadline=None)
+def test_from_iterables_equals_the_per_item_reference(baskets, items):
+    assert (built(TransactionSet.from_iterables, fresh(baskets), items)
+            == built(from_iterables_reference, fresh(baskets), items))
+
+
 def test_certainty_values():
     assert certainty(BASKET, {"a"}, {"b"}) == pytest.approx(2 / 3)
     always = TransactionSet.from_iterables([{"a", "b"}, {"a", "b"}])

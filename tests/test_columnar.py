@@ -339,6 +339,58 @@ def test_ascii_digits_only():
     assert parse_cell("٤٤", Kind.TEXT) == "٤٤"
 
 
+# The block parser as it was, checking every integer block with
+# _INT_BLOCK_RE, verbatim but for its name.
+def reference_parse_block(attributes, block, first, columns, memos) -> None:
+    try:
+        for attr, texts, column, memo in zip(attributes, block, columns, memos):
+            joined = "\n".join(texts) + "\n"
+            if attr.kind is Kind.INTEGER:
+                if dataset._INT_BLOCK_RE.fullmatch(joined):
+                    column.extend(map(int, texts))  # ValueError past the digit limit
+                    continue
+            elif "*\n" not in joined:  # no cell ends in "*": each text is its own cell
+                column.extend(map(memo.setdefault, texts, texts))
+                continue
+            memo.update(
+                {t: parse_cell(t, attr.kind) for t in dict.fromkeys(texts) if t not in memo}
+            )
+            column.extend(map(memo.__getitem__, texts))
+    except (ParseError, ValueError):
+        for rownum, row in enumerate(zip(*block), start=first):
+            for attr, text in zip(attributes, row):
+                try:
+                    parse_cell(text, attr.kind)
+                except ParseError as exc:
+                    raise ParseError(f"row {rownum}, column {attr.name!r}: {exc}") from exc
+        raise
+
+
+def parsed_block(parse, texts):
+    attributes = schema_of([Kind.INTEGER]).attributes
+    columns, memos = [[]], [{}]
+    try:
+        parse(attributes, [texts], 1, columns, memos)
+    except (ParseError, ValueError) as exc:
+        return type(exc), str(exc)
+    return typed(tuple(columns[0])), memos
+
+
+# Signs, empty cells, Unicode digits that str.isdigit takes ("٤", "²"), a
+# line end inside a cell, intervals, suppression and the digit limit.
+_INT_CELL = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.text(alphabet="0123456789+-\n ٤²*", max_size=4),
+    st.sampled_from(["", "+1", "-1", "1\n2", "١٢", "10-20", "-5--1", "*", "9" * (DIGIT_LIMIT + 1)]),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_INT_CELL, max_size=8))
+def test_parse_block_integer_check_equals_the_regex(texts):
+    assert parsed_block(dataset._parse_block, texts) == parsed_block(reference_parse_block, texts)
+
+
 # --- load_csv: plain blocks, split at their commas ----------------------------
 
 # Cell texts that csv.reader splits only at commas: no comma, quote, CR or LF.

@@ -300,3 +300,31 @@ def test_bit_identical_to_numpy_where_logs_agree(p_ones):
     assert [x.hex() for x in d1.log_probs] == [float(x).hex() for x in l1]
     assert [x.hex() for x in d2.log_probs] == [float(x).hex() for x in l2]
     assert exact_epsilon(d1, d2).hex() == numpy_exact_epsilon(l1, l2).hex()
+
+
+# Factors at the edges of [0, 1]: zero mass on one side, the least
+# subnormal, and the largest double below 1, whose complement is 2^-53.
+edge_probabilities = st.one_of(probabilities, st.sampled_from([0.0, 1.0, 5e-324, 1 - 2**-53]))
+
+
+@given(st.lists(edge_probabilities, max_size=8))
+def test_product_of_bits_holds_the_checked_invariant(p_one):
+    # product_of_bits skips __init__'s checks; __init__ must accept its result as it is
+    dist = MechanismDistribution.product_of_bits(p_one)
+    checked = MechanismDistribution(dist.k, dist.log_probs)
+    assert (checked.k, checked.log_probs) == (dist.k, dist.log_probs)
+    assert [x.hex() for x in checked.log_probs] == [x.hex() for x in dist.log_probs]
+
+
+@pytest.mark.parametrize("p_one,message", [
+    ([0.5, math.nan], "probability of bit 1 must be in [0, 1], got nan"),
+    (["0.5"], "probability of bit 0 must be in [0, 1], got '0.5'"),
+    ([0.25, 0.5, 1.5], "probability of bit 2 must be in [0, 1], got 1.5"),
+    ([-1e-300], "probability of bit 0 must be in [0, 1], got -1e-300"),
+    ([0.5, None], "probability of bit 1 must be in [0, 1], got None"),
+    ([math.inf], "probability of bit 0 must be in [0, 1], got inf"),
+], ids=["nan", "string", "above-one", "negative", "none", "infinity"])
+def test_product_of_bits_names_the_bad_factor(p_one, message):
+    with pytest.raises(ValueError) as info:
+        MechanismDistribution.product_of_bits(p_one)
+    assert type(info.value) is ValueError and str(info.value) == message

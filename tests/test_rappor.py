@@ -626,6 +626,25 @@ def test_estimate_from_counts_takes_only_counts_some_reports_give(counts, n, mes
         estimate_from_counts(counts, n, ["A"], PAPER)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: estimate_from_counts([0] * 12, 3, "abc", PAPER),
+     "expected a collection of candidate strings, got the string 'abc'"),
+    (lambda: estimate_from_counts([0] * 12, 3, ["A", 5], PAPER), "value must be a string, got 5"),
+    (lambda: estimate_counts([Report((0,) * 12)], "A", PAPER),
+     "expected a collection of candidate strings, got the string 'A'"),
+    (lambda: bloom_indices(5, PAPER), "value must be a string, got 5"),
+    (lambda: bloom_indices(b"flu", PAPER), "value must be a string, got b'flu'"),
+    (lambda: bloom_encode(5, PAPER), "value must be a string, got 5"),
+    (lambda: bloom_encode(["flu", None], PAPER), "value must be a string, got None"),
+    (lambda: bloom_check(bloom_encode("flu", PAPER), 5, PAPER), "value must be a string, got 5"),
+], ids=["bare-string-candidates", "int-candidate", "estimate-counts-bare-string",
+        "indices-int", "indices-bytes", "encode-int", "encode-none-in-list", "check-int"])
+def test_values_must_be_strings(call, message):
+    with pytest.raises(InvalidParams) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_estimate_from_counts_takes_counts_at_both_ends():
     # no report sets a bit, and every report sets every bit
     assert estimate_from_counts([0] * 12, 7, ["A"], PAPER) == {"A": 0.0}
