@@ -66,12 +66,19 @@ class NumericBins(Frozen):
         if self.width < 1:
             raise ValueError(f"bin width must be >= 1, got {self.width}")
 
+    def key(self, x: Cell) -> Cell:
+        """What ``apply(x)`` depends on: the low end of an integer's bin, and
+        any other cell itself."""
+        if isinstance(x, int) and not isinstance(x, bool):
+            return self.origin + self.width * ((x - self.origin) // self.width)
+        return x
+
     def apply(self, x: Cell) -> Cell:
         if isinstance(x, GENERALIZED):
             return x
         if not isinstance(x, int) or isinstance(x, bool):
             raise KindMismatch(f"cannot bin non-integer cell {x!r}")
-        lo = self.origin + self.width * ((x - self.origin) // self.width)
+        lo = self.key(x)
         return Interval(lo, lo + self.width - 1)
 
 
@@ -86,6 +93,11 @@ class TextPrefix(Frozen):
         _check_int("keep", self.keep)
         if self.keep < 0:
             raise ValueError(f"prefix length must be >= 0, got {self.keep}")
+
+    def key(self, t: Cell) -> Cell:
+        """What ``apply(t)`` depends on: the prefix of a text, and any other
+        cell itself."""
+        return t[: self.keep] if isinstance(t, str) else t
 
     def apply(self, t: Cell) -> Cell:
         if isinstance(t, GENERALIZED):
@@ -198,10 +210,12 @@ def generalize(dataset: Dataset, rules: Sequence[GeneralizationRule]) -> Dataset
     Each rule's strategy maps every cell of its column; a TextPrefix rule
     that would not shorten any value in its column is rejected as vacuous.
 
-    The rule is applied once per distinct cell, in order of first
-    appearance. The cell is key enough: the cells of a dataset column are
-    of one kind's exact types, and no two of those types hold equal values.
-    Equal outputs are one object, so ages 20 to 29 give one
+    The rule is applied once per distinct key of its strategy, in order of
+    first appearance: the prefix of a text, the low end of an integer's
+    bin, any generalized cell itself. So all the ZIP codes that share a
+    prefix build one ``MaskedText``. The keys of a column cannot collide:
+    its cells are of one kind's exact types, and no two of those types hold
+    equal values. Equal outputs are one object, so ages 20 to 29 give one
     ``Interval(20, 29)``, which a later grouping by cell hashes once and
     compares by identity.
     """
@@ -222,9 +236,13 @@ def generalize(dataset: Dataset, rules: Sequence[GeneralizationRule]) -> Dataset
                     f"value (length {min(lengths)}) of {rule.attribute!r}"
                 )
         outputs: dict[Cell, Cell] = {}
+        by_key: dict[Cell, Cell] = {}
         for cell in table:
-            generalized = strategy.apply(cell)
-            table[cell] = outputs.setdefault(generalized, generalized)
+            key = strategy.key(cell)
+            if key not in by_key:
+                generalized = strategy.apply(cell)
+                by_key[key] = outputs.setdefault(generalized, generalized)
+            table[cell] = by_key[key]
         out = out.replace_column(rule.attribute, map(table.__getitem__, column))
     return out
 

@@ -186,6 +186,101 @@ def test_generalize_passes_generalized_cells_through():
     assert again == t2
 
 
+def reference_generalize(dataset, rules):
+    """``generalize`` as it was before it keyed each rule by what the
+    strategy keeps of a cell, verbatim."""
+    out = dataset
+    for rule in rules:
+        strategy = rule.strategy
+        anonymize.check_rule_kind(dataset.schema, rule)
+        column = out.column(rule.attribute)
+        if isinstance(strategy, SuppressAll):  # it reads no cell
+            out = out.replace_column(rule.attribute, [SUPPRESSED] * len(column))
+            continue
+        table = dict.fromkeys(column)
+        if isinstance(strategy, TextPrefix):
+            lengths = [len(c) for c in table if isinstance(c, str)]
+            if lengths and strategy.keep >= min(lengths):
+                raise VacuousRule(
+                    f"prefix {strategy.keep} does not shorten the shortest "
+                    f"value (length {min(lengths)}) of {rule.attribute!r}"
+                )
+        outputs = {}
+        for cell in table:
+            generalized = strategy.apply(cell)
+            table[cell] = outputs.setdefault(generalized, generalized)
+        out = out.replace_column(rule.attribute, map(table.__getitem__, column))
+    return out
+
+
+_AGE_ZIP = Schema((Attribute("Age", AttributeRole.QUASI_IDENTIFIER, Kind.INTEGER),
+                   Attribute("ZIP", AttributeRole.QUASI_IDENTIFIER, Kind.TEXT)))
+# Few widths, origins and letters, so that raw cells share keys and
+# generalized cells equal the outputs built from raw ones.
+_WIDTHS, _ORIGINS = st.sampled_from([1, 5, 10]), st.sampled_from([0, 3])
+_AGE_CELLS = st.one_of(
+    st.integers(-30, 130),
+    st.builds(lambda x, width, origin: NumericBins(width, origin).apply(x),
+              st.integers(-30, 130), _WIDTHS, _ORIGINS),
+    st.just(SUPPRESSED),
+)
+_ZIP_CELLS = st.one_of(
+    st.text("01", min_size=3, max_size=5),
+    st.builds(MaskedText, st.text("01", min_size=1, max_size=2)),
+    st.just(SUPPRESSED),
+)
+_RULES = st.lists(st.one_of(
+    st.builds(lambda width, origin: GeneralizationRule("Age", NumericBins(width, origin)),
+              _WIDTHS, _ORIGINS),
+    st.builds(lambda keep: GeneralizationRule("ZIP", TextPrefix(keep)), st.integers(0, 3)),
+    st.sampled_from([GeneralizationRule(name, SuppressAll()) for name in ("Age", "ZIP")]),
+), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_AGE_CELLS, _ZIP_CELLS), max_size=30), rules=_RULES)
+@example(rows=[(Interval(20, 29), MaskedText("01")), (25, "010"), (22, "011")],
+         rules=[GeneralizationRule("Age", NumericBins(10)),
+                GeneralizationRule("ZIP", TextPrefix(2))])
+def test_generalize_equals_reference_value_and_identity(rows, rules):
+    ds = Dataset.from_records(_AGE_ZIP, rows)
+
+    def run(function):
+        try:
+            return function(ds, rules)
+        except VacuousRule as exc:
+            return str(exc)
+
+    new, old = run(generalize), run(reference_generalize)
+    assert new == old
+    if isinstance(old, str):
+        return
+
+    def identities(out, name):
+        """Per input and output cell, the index of its first identical one."""
+        cells = [*ds.column(name), *out.column(name)]
+        return [next(j for j, c in enumerate(cells) if c is cell) for cell in cells]
+
+    for name in ("Age", "ZIP"):
+        assert identities(new, name) == identities(old, name), name
+
+
+def test_generalize_builds_one_output_per_kept_key(monkeypatch):
+    built = []
+    for strategy in (NumericBins, TextPrefix):
+        def counted(self, cell, apply=strategy.apply):
+            built.append(cell)
+            return apply(self, cell)
+
+        monkeypatch.setattr(strategy, "apply", counted)
+    rows = [(age, f"{zip_:05d}") for age, zip_ in zip(range(20, 50), range(12000, 12300, 10))]
+    out = generalize(Dataset.from_records(_AGE_ZIP, rows),
+                     [GeneralizationRule("Age", NumericBins(10)),
+                      GeneralizationRule("ZIP", TextPrefix(3))])
+    assert built == [20, 30, 40, "12000", "12100", "12200"]
+    assert len(set(map(id, out.column("ZIP")))) == 3
+
+
 _ZIP_DIAGNOSIS = Schema(
     (
         Attribute("ZIP", AttributeRole.QUASI_IDENTIFIER, Kind.TEXT),

@@ -15,7 +15,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from privkit import anonymize, rappor
+from privkit import anonymize, cli, rappor
 from privkit.cli import _write_atomic, main
 from privkit.dataset import Schema, fixture_table1, load_csv, write_csv
 from privkit.rappor import RapporParams
@@ -1317,3 +1317,121 @@ def test_step_lines_go_to_the_stderr_of_their_own_call(monkeypatch, tmp_path, ex
         errs.append(err.getvalue())
     assert errs == ["INFO step 0: add_noise\n",
                     "INFO step 0: suppress\nINFO step 1: rank_swap\n"]
+
+
+# --- the parser, against goldens of the whole-tree parser ----------------------
+
+# Exit code, stdout and stderr of main(argv) for each of these, pinned in
+# cli_goldens.json from the parser that built every command for every call:
+# help and usage errors must read as they did. argparse words them per
+# Python version, so on another version the whole tree's parser, built for
+# every call as it was, is the oracle instead.
+_P = PAPER_PARAMS
+_BITS = ["--bits1", "0,1", "--bits2", "2,3"]
+_LEAVES = {  # each command path, and arguments that run it from the golden directory
+    ("fixtures", "export"): ["--name", "table1", "--output", "t1.csv",
+                             "--schema-output", "t1.schema.json"],
+    ("anonymize",): ["--config", "pipeline.json"],
+    ("metrics",): ["--input", "t1.csv", "--schema", "t1.schema.json", "--qi", "Age,Gender,ZIP",
+                   "--sensitive", "Diagnosis"],
+    ("rappor", "encode"): ["--params", _P, "--value", "flu"],
+    ("rappor", "report"): ["--params", _P, "--value", "flu", "--secret", "s", "--seed", "1"],
+    ("rappor", "epsilon"): ["--params", _P],
+    ("rappor", "simulate"): ["--params", _P, "--clients", "40", "--dist", "dist.json",
+                             "--seed", "3", "--output", "sim.jsonl"],
+    ("rappor", "estimate"): ["--params", _P, "--reports", "reports.jsonl",
+                             "--candidates", "candidates.json"],
+    ("dpcheck",): ["--mode", "prr", "--params", _P, *_BITS],
+    ("smc", "demo"): ["--votes", "1,1,0", "--seed", "7"],
+    ("assoc", "mine"): ["--input", "baskets.json", "--min-support", "0.3"],
+}
+PARSER_CASES = [
+    [], ["-h"], ["--help"], ["nope"], ["--nope"], ["-h", "rappor"], ["--help", "nope"],
+    ["--", "rappor", "epsilon", "--params", _P],
+    *([command, *tail] for command in ("fixtures", "rappor", "smc", "assoc")
+      for tail in ([], ["-h"], ["--help"], ["nope"], ["-h", "epsilon"], ["--nope"])),
+    *([*path, *tail] for path, args in _LEAVES.items()
+      for tail in (["-h"], ["--help"], [], args, [*args, "--nope"], [*args, "extra"])),
+    ["fixtures", "export", "--name", "table2", "--output", "t2.csv"],
+    ["fixtures", "export", "--name", "table3", "--output", "t3.csv"],
+    ["rappor", "epsilon", "--par", _P],
+    ["rappor", "epsilon", "-h", "--params", _P],
+    ["rappor", "--help", "epsilon"],
+    ["rappor", "estimate", "--params", _P, "--reports", "missing.jsonl",
+     "--candidates", "candidates.json"],
+    ["rappor", "simulate", "--params", _P, "--clients", "-1", "--dist", "dist.json",
+     "--seed", "3", "--output", "sim.jsonl"],
+    ["dpcheck", "--mode", "bad", "--params", _P, *_BITS],
+    ["dpcheck", "--mode=bad", "--params", _P, *_BITS],
+    ["dpcheck", "--mode=report", "--params", _P, *_BITS],
+    ["smc", "demo", "--votes", "1,0", "--seed", "x"],
+    ["smc", "demo", "--votes", "1,1,0", "--seed", "7", "--modulus", "101"],
+    ["assoc", "mine", "--min-support", "0.3"],
+    ["assoc", "mine", "--input", "baskets.json", "--input-csv", "t1.csv"],
+    ["assoc", "mine", "--input-csv", "t1.csv", "--schema", "t1.schema.json",
+     "--min-support", "0.3"],
+]
+PARSER_GOLDENS = os.path.join(os.path.dirname(__file__), "cli_goldens.json")
+
+
+def make_golden_dir(path):
+    """The inputs that the ``_LEAVES`` arguments read, written into ``path``."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "export", "--name", "table1", "--output", str(path / "t1.csv"),
+                     "--schema-output", str(path / "t1.schema.json")]) == 0
+        (path / "pipeline.json").write_text(json.dumps({
+            "input": "t1.csv", "schema": "t1.schema.json", "output": "anon.csv",
+            "steps": [{"op": "suppress", "attributes": ["Name"]},
+                      {"op": "rank_swap", "attribute": "Age", "p": 2, "seed": 4}]}))
+        (path / "dist.json").write_text(json.dumps({"flu": 0.75, "cold": 0.25}))
+        (path / "candidates.json").write_text(json.dumps(["flu", "cold", "mumps"]))
+        (path / "baskets.json").write_text(json.dumps([["a", "b"], ["a"], ["b", "c"]]))
+        assert main(["rappor", "simulate", "--params", _P, "--clients", "40",
+                     "--dist", str(path / "dist.json"), "--seed", "3",
+                     "--output", str(path / "reports.jsonl")]) == 0
+
+
+def run_case(argv, path):
+    """(exit code, stdout, stderr) of ``main(argv)`` run in ``path``, with
+    ``path`` written as ``<dir>`` and help wrapped at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # help exits the process, as argparse does
+            code = exc.code
+    return [code, *(s.getvalue().replace(str(path), "<dir>") for s in (out, err))]
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    make_golden_dir(path)
+    return path
+
+
+def _goldens():
+    with open(PARSER_GOLDENS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_parser_goldens_cover_the_cases():
+    goldens = _goldens()
+    assert [case["argv"] for case in goldens["cases"]] == PARSER_CASES
+    assert len({" ".join(argv) for argv in PARSER_CASES}) == len(PARSER_CASES)
+
+
+@pytest.mark.parametrize("index", range(len(PARSER_CASES)),
+                         ids=lambda i: " ".join(PARSER_CASES[i]) or "no arguments")
+def test_parser_reads_as_the_goldens(golden_dir, monkeypatch, index):
+    goldens = _goldens()
+    case = goldens["cases"][index]
+    monkeypatch.chdir(golden_dir)
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = [case["code"], case["stdout"], case["stderr"]]
+    if sys.version_info[:2] != tuple(goldens["python"]):
+        with monkeypatch.context() as whole_tree:
+            build = cli._build_parser
+            whole_tree.setattr(cli, "_build_parser", lambda argv: build([]))
+            expected = run_case(case["argv"], golden_dir)
+    assert run_case(case["argv"], golden_dir) == expected

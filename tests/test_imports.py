@@ -142,41 +142,114 @@ import types
 result = [result, sorted(name for name, module in sys.modules.items()
                          if name.split(".")[0] == "privkit" and type(module) is types.ModuleType)]
 """
-_CLI = ["privkit", "privkit.cli", "privkit.errors"]
+_CLI = ["privkit", "privkit._cli_common", "privkit.cli", "privkit.errors"]
 # every module with a value class executes the base class's module
 _VALUES = sorted([*_CLI, "privkit._value"])
-_RAPPOR = sorted([*_VALUES, "privkit.rappor"])
-_TABLE = sorted([*_VALUES, "privkit.dataset", "privkit.anonymize"])
-
-
-@pytest.mark.parametrize("argv,executed", [
+_RAPPOR = sorted([*_VALUES, "privkit._cli_rappor", "privkit.rappor"])
+_DATASET = sorted([*_VALUES, "privkit._cli_table", "privkit.dataset"])
+_TABLE = sorted([*_DATASET, "privkit.anonymize"])
+_EXECUTED_CASES = [
     (["rappor", "epsilon", "--params", PAPER_PARAMS], _RAPPOR),
     (["rappor", "encode", "--params", PAPER_PARAMS, "--value", "flu"], _RAPPOR),
     (["rappor", "report", "--params", PAPER_PARAMS, "--value", "flu", "--secret", "s",
       "--seed", "1"], _RAPPOR),
     (["rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "40", "--dist",
-      "dist.json", "--seed", "3", "--output", "again.jsonl"], _RAPPOR),
+      "dist.json", "--seed", "3", "--output", "again.jsonl"],
+     sorted([*_RAPPOR, "privkit._rappor_batch"])),
     (["rappor", "estimate", "--params", PAPER_PARAMS, "--reports", "reports.jsonl",
-      "--candidates", "candidates.json"], _RAPPOR),
+      "--candidates", "candidates.json"], sorted([*_RAPPOR, "privkit._rappor_server"])),
     (["dpcheck", "--mode=report", "--params", PAPER_PARAMS, "--bits1", "0,1",
       "--bits2", "2,3"], sorted([*_RAPPOR, "privkit.dpcheck"])),
     (["anonymize", "--config", "pipeline.json"], _TABLE),
     (["metrics", "--input", "t1.csv", "--schema", "t1.schema.json", "--qi", "Age,Gender,ZIP",
       "--sensitive", "Diagnosis"], _TABLE),
     (["fixtures", "export", "--name", "table2", "--output", "t2.csv"], _TABLE),
-    (["fixtures", "export", "--name", "table1", "--output", "t1.again.csv"],
-     sorted([*_VALUES, "privkit.dataset"])),
+    (["fixtures", "export", "--name", "table1", "--output", "t1.again.csv"], _DATASET),
     (["assoc", "mine", "--input", "baskets.json", "--min-support", "0.3"],
-     sorted([*_VALUES, "privkit.assoc"])),
+     sorted([*_VALUES, "privkit._cli_assoc", "privkit.assoc"])),
     (["assoc", "mine", "--input-csv", "t1.csv", "--schema", "t1.schema.json",
-      "--min-support", "0.3"], sorted([*_VALUES, "privkit.assoc", "privkit.dataset"])),
-    (["smc", "demo", "--votes", "1,1,0", "--seed", "7"], sorted([*_VALUES, "privkit.smc"])),
-], ids=["rappor epsilon", "rappor encode", "rappor report", "rappor simulate",
-        "rappor estimate", "dpcheck", "anonymize", "metrics", "fixtures export table2",
-        "fixtures export table1", "assoc mine", "assoc mine --input-csv", "smc demo"])
+      "--min-support", "0.3"],
+     sorted([*_VALUES, "privkit._cli_assoc", "privkit.assoc", "privkit.dataset"])),
+    (["smc", "demo", "--votes", "1,1,0", "--seed", "7"],
+     sorted([*_VALUES, "privkit._cli_smc", "privkit.smc"])),
+]
+_EXECUTED_IDS = ["rappor epsilon", "rappor encode", "rappor report", "rappor simulate",
+                 "rappor estimate", "dpcheck", "anonymize", "metrics", "fixtures export table2",
+                 "fixtures export table1", "assoc mine", "assoc mine --input-csv", "smc demo"]
+
+
+@pytest.mark.parametrize("argv,executed", _EXECUTED_CASES, ids=_EXECUTED_IDS)
 def test_cli_calls_execute_only_the_modules_they_use(workdir, argv, executed):
     setup = _RUN_MAIN.format(argv=argv) + _EXECUTED
     assert probe(setup, workdir)["result"] == [0, executed]
+
+
+# The handler module of each command's family, privkit._cli_<family>.
+_FAMILY = {"fixtures": "table", "anonymize": "table", "metrics": "table", "rappor": "rappor",
+           "dpcheck": "rappor", "smc": "smc", "assoc": "assoc"}
+_STARTUP = """
+import types
+executed = [name for name, module in sys.modules.items()
+            if name.startswith("privkit._") and type(module) is types.ModuleType]
+result = [result, sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules),
+          sorted(m for m in executed
+                 if m.startswith("privkit._cli_") and m != "privkit._cli_common"),
+          sorted(m for m in executed if m.startswith("privkit._rappor_"))]
+"""
+
+
+@pytest.mark.parametrize("argv,executed", _EXECUTED_CASES, ids=_EXECUTED_IDS)
+def test_cli_calls_start_only_their_own_code(workdir, argv, executed):
+    # None of these loads numpy; hashlib would load OpenSSL.
+    result, hashlib, handlers, rappor_parts = probe(_RUN_MAIN.format(argv=argv) + _STARTUP,
+                                                    workdir)["result"]
+    assert (result, hashlib, handlers) == (0, [], [f"privkit._cli_{_FAMILY[argv[0]]}"])
+    if argv[:2] == ["rappor", "epsilon"] or argv[0] == "dpcheck":
+        assert rappor_parts == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["rappor", "epsilon", "--params", PAPER_PARAMS],
+    ["rappor", "estimate", "--params", PAPER_PARAMS, "--reports", "reports.jsonl",
+     "--candidates", "candidates.json"],
+    ["dpcheck", "--mode=prr", "--params", PAPER_PARAMS, "--bits1", "0,1", "--bits2", "2,3"],
+    ["metrics", "--input", "t1.csv", "--schema", "t1.schema.json", "--qi", "Age"],
+    ["assoc", "mine", "--input", "baskets.json"],
+    ["smc", "demo", "--votes", "1,1,0", "--seed", "7"],
+    ["rappor", "--help"],
+], ids=_call_id)
+def test_module_entry_point_runs_the_cli_module_once(workdir, argv):
+    # Run as ``python -m`` runs it, the CLI is __main__; a module that imported
+    # privkit.cli would execute cli.py a second time, under that name.
+    setup = f"""\
+import runpy
+sys.argv = ["privkit", *{argv!r}]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("privkit.cli", run_name="__main__")
+    except SystemExit as exc:
+        result = [exc.code, "privkit.cli" in sys.modules]
+"""
+    assert probe(setup, workdir)["result"] == [0, False]
+
+
+def test_rappor_hashes_fall_back_to_hashlib(tmp_path):
+    setup = """\
+import hashlib  # first, so that its blake2b is the builtin module's
+for name in ("_blake2", "_sha2", "_sha256"):
+    sys.modules[name] = None
+import random
+from privkit import rappor
+params = rappor.RapporParams(k=12, h=2, f=0.5, q=0.75, p=0.5)
+bloom = rappor.bloom_encode("chlamydia", params)
+result = [rappor.blake2b is hashlib.blake2b, rappor.sha256 is hashlib.sha256, params.digest(),
+          rappor.bloom_indices("chlamydia", params), rappor.bloom_indices("syphilis", params),
+          rappor.prr(bloom, b"secret-1", "chlamydia", params).bits,
+          rappor.make_report("chlamydia", b"secret-1", params, random.Random(99)).to_hex()]
+"""
+    assert probe(setup, tmp_path)["result"] == [
+        True, True, "7ca3ffe500702ada", [11, 4], [5, 5], [0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0],
+        "ef0c"]
 
 
 def test_assoc_mine_from_json_loads_no_table_or_fraction_modules(workdir):

@@ -194,8 +194,8 @@ def test_digest_computed_once_per_params(monkeypatch):
     params = RapporParams(k=12, h=2, f=0.5, q=0.75, p=0.5)
     first = params.digest()
     calls = []
-    real = rappor.hashlib.sha256
-    monkeypatch.setattr(rappor.hashlib, "sha256", lambda *a: calls.append(a) or real(*a))
+    real = rappor.sha256
+    monkeypatch.setattr(rappor, "sha256", lambda *a: calls.append(a) or real(*a))
     for _ in range(5):
         assert params.digest() == first
     Report((1,) * 12).envelope(params)
@@ -643,6 +643,44 @@ def test_values_must_be_strings(call, message):
     with pytest.raises(InvalidParams) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: prr(bloom_encode("flu", PAPER), None, "flu", PAPER),
+     "client_secret must be bytes, got None"),
+    (lambda: prr(bloom_encode("flu", PAPER), "s", "flu", PAPER),
+     "client_secret must be bytes, got 's'"),
+    (lambda: prr(bloom_encode("flu", PAPER), b"s", 5, PAPER), "value must be a string, got 5"),
+    (lambda: make_report(b"x", b"s", PAPER, random.Random(0)),
+     "value must be a string, got b'x'"),
+    (lambda: make_report([], b"s", PAPER, random.Random(0)), "value must be a string, got []"),
+    (lambda: make_report("flu", 7, PAPER, random.Random(0)),
+     "client_secret must be bytes, got 7"),
+    (lambda: simulate_reports({"a": 1, 5: 2}, PAPER, 1), "value must be a string, got 5"),
+    (lambda: next(simulate_packed({5: 2, "a": 1}, PAPER, 1)), "value must be a string, got 5"),
+    (lambda: simulate_reports({"a": 1}, PAPER, None), "seed must be an integer, got None"),
+    (lambda: next(simulate_packed({"a": 1}, PAPER, 1.5)), "seed must be an integer, got 1.5"),
+    (lambda: simulate_reports({"a": 1}, PAPER, True), "seed must be an integer, got True"),
+    (lambda: simulate_reports({"a": 2**63}, PAPER, 1),
+     f"count of 'a' must be below 2^63, got {2**63}"),
+    (lambda: next(simulate_packed({"a": 10**400}, PAPER, 1)),
+     f"count of 'a' must be below 2^63, got {10**400}"),
+    (lambda: PermanentResponse(None, (0,) * 12), "value must be a string, got None"),
+    (lambda: PermanentResponse(b"flu", (0,) * 12), "value must be a string, got b'flu'"),
+], ids=["prr-secret-none", "prr-secret-str", "prr-value-int", "report-value-bytes",
+        "report-value-list", "report-secret-int", "simulate-int-key", "packed-int-key",
+        "simulate-seed-none", "packed-seed-float", "simulate-seed-bool", "simulate-count-2^63",
+        "packed-count-10^400", "permanent-value-none", "permanent-value-bytes"])
+def test_client_arguments_named_when_rejected(call, message):
+    with pytest.raises(InvalidParams) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_client_secret_may_be_a_bytearray():
+    filt = bloom_encode("chlamydia", PAPER)
+    assert prr(filt, bytearray(b"secret-1"), "chlamydia", PAPER).bits == (
+        0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0)
 
 
 def test_estimate_from_counts_takes_counts_at_both_ends():

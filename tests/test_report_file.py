@@ -17,7 +17,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privkit import rappor
+from privkit import _rappor_server, rappor
 from privkit.cli import main
 from privkit.errors import ConfigError, PrivkitError
 from privkit.rappor import RapporParams, count_report_file, envelope_lines
@@ -146,15 +146,15 @@ def test_block_reader_equals_text_mode_reference(file, lines_per_block, chunk_bi
     params, data = file
     # blocks of about 1 to 5 canonical lines; chunks of the line path shrunk too
     line_size = len(rappor._envelope_template(params)[0]) + 2 * ((params.k + 7) // 8) + 3
-    old_block, old_chunk = rappor._BLOCK_BYTES, rappor._CHUNK_BITS
-    rappor._BLOCK_BYTES, rappor._CHUNK_BITS = lines_per_block * line_size, chunk_bits
+    old_block, old_chunk = _rappor_server._BLOCK_BYTES, rappor._CHUNK_BITS
+    _rappor_server._BLOCK_BYTES, rappor._CHUNK_BITS = lines_per_block * line_size, chunk_bits
     try:
         new, reference = both(data, params)
         assert new == reference
-        rappor._BLOCK_BYTES = lines_per_block  # blocks shorter than a line
+        _rappor_server._BLOCK_BYTES = lines_per_block  # blocks shorter than a line
         assert both(data, params)[0] == reference
     finally:
-        rappor._BLOCK_BYTES, rappor._CHUNK_BITS = old_block, old_chunk
+        _rappor_server._BLOCK_BYTES, rappor._CHUNK_BITS = old_block, old_chunk
 
 
 @pytest.mark.parametrize("k", [1, 4, 8, 12, 13, 16, 64, 256])
@@ -167,8 +167,8 @@ def test_written_reports_counted_by_column(k, block, monkeypatch):
     bits = rng.integers(0, 2, size=(300, k), dtype=np.uint8)
     packed = np.packbits(bits, axis=1, bitorder="little")
     data = b"".join(envelope_lines([packed[:100].tobytes(), packed[100:].tobytes()], params))
-    monkeypatch.setattr(rappor, "_BLOCK_BYTES", block)
-    monkeypatch.setattr(rappor, "_count_lines", None)  # no block takes the line path
+    monkeypatch.setattr(_rappor_server, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(_rappor_server, "_count_lines", None)  # no block takes the line path
     assert count_report_file(io.BytesIO(data), params) == (bits.sum(axis=0).tolist(), 300)
 
 
@@ -190,7 +190,7 @@ def test_padding_bit_in_a_canonical_block_named_by_the_line_path(monkeypatch):
     params = RapporParams(k=12, h=2, f=0.5, q=0.75, p=0.5)
     lines = list(envelope_lines([bytes([0xFF, 0x0F]) * 6], params))[0].splitlines(keepends=True)
     lines[4] = lines[4].replace(b'"ff0f"', b'"ff1f"')
-    monkeypatch.setattr(rappor, "_BLOCK_BYTES", 2 * len(lines[0]))
+    monkeypatch.setattr(_rappor_server, "_BLOCK_BYTES", 2 * len(lines[0]))
     new, reference = both(b"".join(lines), params)
     assert new == reference == (rappor.ReportFormatError, "padding bits beyond k must be zero")
 
@@ -263,7 +263,7 @@ def broken(data, sep, name):
 @pytest.mark.parametrize("block", [1 << 18, 60 * 7 + 13], ids=["one block", "blocks of 7 lines"])
 @pytest.mark.parametrize("style", list(line_end_styles(b"\n")))
 def test_estimate_stdout_across_line_end_styles(reports, capsys, monkeypatch, style, block):
-    monkeypatch.setattr(rappor, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(_rappor_server, "_BLOCK_BYTES", block)
     data = line_end_styles(reports)[style]
     assert estimate(data, capsys) == (0, ESTIMATE_SHA256, "")
 
@@ -273,7 +273,7 @@ def test_estimate_stdout_across_line_end_styles(reports, capsys, monkeypatch, st
 @pytest.mark.parametrize("name", list(ERRORS))
 def test_estimate_error_in_a_later_block_names_the_same_line(reports, capsys, monkeypatch,
                                                              name, style, sep, block):
-    monkeypatch.setattr(rappor, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(_rappor_server, "_BLOCK_BYTES", block)
     data = broken(line_end_styles(reports)[style], sep, name)
     code, _, err = estimate(data, capsys)
     assert (code, err) == (2, ERRORS[name])
