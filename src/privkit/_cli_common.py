@@ -83,6 +83,9 @@ def _comma_names(text: str) -> list[str]:
     names = [n for n in text.split(",") if n]
     if not names:
         raise UsageError(f"expected a comma-separated name list, got {text!r}")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"name {name!r} is given twice in {text!r}")
     return names
 
 

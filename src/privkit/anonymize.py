@@ -267,7 +267,14 @@ def equivalence_classes(dataset: Dataset, qi: Sequence[str]) -> Partition:
     """Group records by exact equality of the quasi-identifier tuple.
 
     Classes appear in order of first appearance, members in record order.
+    ``qi`` is a collection of attribute names; a str is not read as one.
     """
+    try:
+        if isinstance(qi, str):
+            raise TypeError
+        qi = tuple(qi)
+    except TypeError:
+        raise ValueError(f"qi must be a collection of attribute names, got {qi!r}") from None
     if not qi:
         raise EmptyQiList("quasi-identifier list is empty")
     order: dict[tuple, list[int]] = {}

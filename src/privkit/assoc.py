@@ -96,7 +96,10 @@ class Rule(Frozen):
 
 def support_count(transactions: TransactionSet, itemset: Iterable[str]) -> int:
     """Number of transactions containing every item of the itemset."""
-    wanted = frozenset(itemset)
+    return _count(transactions, _itemset(itemset, "itemset"))
+
+
+def _count(transactions: TransactionSet, wanted: ItemSet) -> int:
     stray = wanted - transactions.items
     if stray:
         raise UnknownItem(f"items {sorted(stray)} outside universe")
@@ -109,25 +112,26 @@ def support_count(transactions: TransactionSet, itemset: Iterable[str]) -> int:
 
 def support(transactions: TransactionSet, itemset: Iterable[str]) -> float:
     """Fraction of transactions containing the itemset; 1.0 when it is empty."""
+    wanted = _itemset(itemset, "itemset")
     if not len(transactions):
         return 0.0
-    return support_count(transactions, itemset) / len(transactions)
+    return _count(transactions, wanted) / len(transactions)
 
 
 def certainty(
     transactions: TransactionSet, antecedent: Iterable[str], consequent: Iterable[str]
 ) -> float:
     """P(consequent | antecedent) as the ratio of support counts."""
-    a = frozenset(antecedent)
-    b = frozenset(consequent)
+    a = _itemset(antecedent, "antecedent")
+    b = _itemset(consequent, "consequent")
     if a & b:
         raise DisjointnessViolation(
             f"antecedent and consequent share {sorted(a & b)}"
         )
-    count_a = support_count(transactions, a)
+    count_a = _count(transactions, a)
     if count_a == 0:
         raise ZeroSupportAntecedent(f"{sorted(a)} occurs in no transaction")
-    return support_count(transactions, a | b) / count_a
+    return _count(transactions, a | b) / count_a
 
 
 def solid_rules(
@@ -156,6 +160,10 @@ def solid_rules(
     which orders distinct ratios with denominators of at most n strictly and
     equal ones equally.
     """
+    for name, threshold in (("min_support", min_support), ("min_certainty", min_certainty)):
+        # a str has no __float__; a bool has one, but is no threshold
+        if isinstance(threshold, bool) or not hasattr(threshold, "__float__"):
+            raise BadThreshold(f"{name} must be a number, got {threshold!r}")
     if not 0.0 < min_support <= 1.0 or not 0.0 < min_certainty <= 1.0:
         raise BadThreshold(
             f"thresholds must be in (0, 1], got support={min_support}, "
@@ -250,16 +258,26 @@ def _exact(name: str, threshold) -> tuple[int, int]:
     return (numerator * 10**scale, 1) if scale >= 0 else (numerator, 10**-scale)
 
 
-def _itemset(items: Iterable[str]) -> ItemSet:
+def _itemset(items: Iterable[str], name: str = "") -> ItemSet:
     """The items as a set. Each must be a string, and a string is not read as
     the set of its characters; a ValueError, which the CLI reports as a data
-    error, names what is wrong."""
+    error, names what is wrong. ``name`` is the argument the items were
+    given as: it starts each message, and a value that is not a collection
+    raises the same ValueError. Without it, as for the baskets of
+    ``from_iterables``, such a value raises the TypeError of iterating it."""
+    prefix = f"{name}: " if name else ""
     if isinstance(items, str):
-        raise ValueError(f"expected a collection of item strings, got the string {items!r}")
-    items = tuple(items)
+        raise ValueError(f"{prefix}expected a collection of item strings, "
+                         f"got the string {items!r}")
+    try:
+        items = tuple(items)
+    except TypeError:
+        if not name:
+            raise
+        raise ValueError(f"{prefix}expected a collection of item strings, got {items!r}") from None
     for item in items:
         if not isinstance(item, str):
-            raise ValueError(f"item {item!r} is not a string")
+            raise ValueError(f"{prefix}item {item!r} is not a string")
     return frozenset(items)
 
 

@@ -6,15 +6,25 @@ subcommand takes an explicit ``--seed``, so identical invocations produce
 byte-identical output. Output files are written to a temp file and renamed,
 never left half-written; an output that is not a regular file, such as a
 FIFO, is written in place.
+
+``main()`` returns the exit code and never ends the process, so a caller
+can run it in process. ``python -m privkit.cli`` and the installed
+``privkit`` script end the process after it through ``_exit``: as when the
+interpreter finalizes, the exit handlers registered with ``atexit`` run and
+then stdout and stderr are flushed, but no module is torn down. Where that
+cannot be done as the interpreter would do it, the interpreter finalizes
+as usual.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import importlib
 import json
+import os
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 # _write_atomic is the CLI's writer of output files, tested as this module's.
 from ._cli_common import _lazy, _write_atomic  # noqa: F401
@@ -145,7 +155,9 @@ def _build_parser(argv: Sequence[str]) -> _Parser:
     A level that argv names nothing of (no argument, an option such as
     ``-h``, or an unknown name) gets all of its commands, so that help and
     every usage error read as the whole tree's."""
-    parser = _Parser(prog="privkit", description=__doc__)
+    # --help shows the first two paragraphs of the module docstring, the
+    # ones about using the command
+    parser = _Parser(prog="privkit", description="\n\n".join(__doc__.split("\n\n")[:2]))
     _add_commands(parser, "command", _COMMANDS, argv, "_cmd")
     return parser
 
@@ -173,5 +185,35 @@ def _add_commands(parser: _Parser, dest: str, commands: dict, argv: Sequence[str
         command.set_defaults(handler=(family, f"{handler}_{name}"))
 
 
+def run() -> NoReturn:
+    """The installed ``privkit`` script: ``main()``, then ``_exit``."""
+    _exit(main())
+
+
+def _exit(code: int) -> NoReturn:
+    """End the process with ``code`` as finalizing the interpreter would end
+    it, without tearing its modules down: run the ``atexit`` handlers (which
+    also clears them), flush stdout and stderr, then ``os._exit``. A flush
+    that fails, or ``python -i``, falls back to ``sys.exit``, and the
+    interpreter reports and exits as it always has."""
+    if not sys.flags.inspect:
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                # the interpreter skips a stream that is None (its fd was
+                # closed at start-up) or closed
+                if stream is not None and not stream.closed:
+                    stream.flush()
+        except Exception:
+            pass  # finalizing flushes again and reports the error as it always has
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
+    # runpy.run_module runs this block in a namespace of its own, in a
+    # process that belongs to its host: end only a process this module runs
+    if vars(sys.modules["__main__"]) is globals():
+        run()
     sys.exit(main())

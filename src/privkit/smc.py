@@ -84,9 +84,21 @@ def lagrange_at(
     """Interpolate through the points and evaluate at target, mod modulus.
 
     Exact whenever the underlying polynomial has degree < len(points).
+    The modulus must be prime, and the target and each point's x and y
+    integers.
     """
+    _check_modulus(modulus)
+    if not _is_int(target):
+        raise ValueError(f"target must be an integer, got {target!r}")
+    try:
+        points = [(x, y) for x, y in points]
+    except (TypeError, ValueError):
+        raise ValueError(f"points must be a collection of (x, y) pairs, got {points!r}") from None
     if not points:
         raise ValueError("need at least one interpolation point")
+    for x, y in points:
+        if not _is_int(x) or not _is_int(y):
+            raise ValueError(f"points must hold integers, got x={x!r}, y={y!r}")
     xs = [x % modulus for x, _ in points]
     if len(set(xs)) != len(xs):
         raise DuplicateX(f"interpolation points share an x coordinate: {xs}")
@@ -127,16 +139,12 @@ def secret_sum_transcript(
     n = len(votes)
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
-    if isinstance(modulus, bool) or not isinstance(modulus, int):
-        raise BadModulus(f"modulus must be an integer, got {modulus!r}")
-    if not is_prime(modulus):
-        raise BadModulus(f"{modulus} is not prime")
+    _check_modulus(modulus)
     if modulus <= n:
         # party p's point p is 0 mod p, where each polynomial evaluates to
         # its vote; with more parties than p, two points also coincide
         raise BadModulus(f"modulus {modulus} must exceed the number of parties {n}")
-    if any(isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < modulus
-           for v in votes):
+    if any(not _is_int(v) or not 0 <= v < modulus for v in votes):
         raise ValueError("votes must be integers in [0, modulus)")
     if sum(votes) >= modulus:
         raise BadModulus(
@@ -150,6 +158,17 @@ def secret_sum_transcript(
     points = [(j + 1, aggregated[j]) for j in range(n)]
     total = lagrange_at(points, 0, modulus)
     return SecretSumTranscript(modulus, tuple(votes), shares, aggregated, total)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_modulus(modulus) -> None:
+    if not _is_int(modulus):
+        raise BadModulus(f"modulus must be an integer, got {modulus!r}")
+    if not is_prime(modulus):
+        raise BadModulus(f"{modulus} is not prime")
 
 
 def _share_table(

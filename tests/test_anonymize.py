@@ -369,6 +369,25 @@ def test_equivalence_classes_edge_cases():
         equivalence_classes(single, [])
     with pytest.raises(UnknownAttribute):
         equivalence_classes(single, ["Nope"])
+    assert equivalence_classes(same, iter(["Age"])).sizes() == (3,)
+
+
+@pytest.mark.parametrize("metric", [
+    lambda ds, qi: k_anonymity(ds, qi),
+    lambda ds, qi: l_diversity(ds, qi, "Diagnosis"),
+    lambda ds, qi: equivalence_classes(ds, qi),
+], ids=["k_anonymity", "l_diversity", "equivalence_classes"])
+@pytest.mark.parametrize("qi,message", [
+    ("Age", "qi must be a collection of attribute names, got 'Age'"),
+    (5, "qi must be a collection of attribute names, got 5"),
+    (None, "qi must be a collection of attribute names, got None"),
+], ids=["str", "int", "none"])
+def test_qi_that_is_not_a_collection_of_names_is_named(metric, qi, message):
+    # at the parent a str was read as its characters (no attribute named
+    # 'A'), and an int raised a bare TypeError
+    with pytest.raises(ValueError) as info:
+        metric(fixture_table1(), qi)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_k_anonymity_values():

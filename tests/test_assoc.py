@@ -167,6 +167,52 @@ def test_universe_enforced_at_construction():
         TransactionSet.from_iterables([{"a", "b"}], items={"a"})
 
 
+PAIR = TransactionSet.from_iterables([["a", "b"], ["a"]])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: support(PAIR, "ab"),
+     "itemset: expected a collection of item strings, got the string 'ab'"),
+    (lambda: support(PAIR, 5), "itemset: expected a collection of item strings, got 5"),
+    (lambda: support(TransactionSet.from_iterables([]), "ab"),
+     "itemset: expected a collection of item strings, got the string 'ab'"),
+    (lambda: support_count(PAIR, "ab"),
+     "itemset: expected a collection of item strings, got the string 'ab'"),
+    (lambda: support_count(PAIR, None), "itemset: expected a collection of item strings, got None"),
+    (lambda: support_count(PAIR, ["a", 1]), "itemset: item 1 is not a string"),
+    (lambda: certainty(PAIR, "a", ["b"]),
+     "antecedent: expected a collection of item strings, got the string 'a'"),
+    (lambda: certainty(PAIR, ["a"], 5), "consequent: expected a collection of item strings, got 5"),
+], ids=["support-str", "support-int", "support-no-transactions", "count-str", "count-none",
+        "count-int-item", "certainty-str", "certainty-int"])
+def test_itemset_arguments_named_when_rejected(call, message):
+    # at the parent a str read as its characters (support(PAIR, "ab") was 0.5)
+    # and an int raised a bare TypeError
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("min_support,min_certainty,message", [
+    (None, 0.5, "min_support must be a number, got None"),
+    ("0.5", 0.5, "min_support must be a number, got '0.5'"),
+    (0.5, None, "min_certainty must be a number, got None"),
+    (0.5, "0.5", "min_certainty must be a number, got '0.5'"),
+    (0.5, 1j, "min_certainty must be a number, got 1j"),
+], ids=["none-support", "str-support", "none-certainty", "str-certainty", "complex-certainty"])
+def test_thresholds_that_are_not_numbers_named_before_their_range(min_support, min_certainty,
+                                                                   message):
+    with pytest.raises(BadThreshold) as info:
+        solid_rules(PAIR, min_support, min_certainty)
+    assert str(info.value) == message
+
+
+def test_thresholds_of_any_number_type_are_taken():
+    expected = solid_rules(PAIR, 0.5, 0.5)
+    for number in (Fraction(1, 2), Decimal("0.5"), np.float64(0.5)):
+        assert solid_rules(PAIR, number, number) == expected
+
+
 @pytest.mark.parametrize("transactions,items,message", [
     (["ab", "ab", "b"], None, "expected a collection of item strings, got the string 'ab'"),
     ([["a"]], "ab", "expected a collection of item strings, got the string 'ab'"),

@@ -833,6 +833,19 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, rappor_inputs, export_fixt
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("names,twice", [("Age,Age", "Age"), ("Age,ZIP,Gender,ZIP", "ZIP")])
+def test_name_lists_reject_a_repeated_name(capsys, export_fixture, names, twice):
+    # at the parent metrics exited 0 with the column twice in every class key
+    csv_path, schema_path = export_fixture("table1")
+    table = ("--input-csv", str(csv_path), "--schema", str(schema_path))
+    for argv in (("metrics", "--input", str(csv_path), "--schema", str(schema_path),
+                  "--qi", names),
+                 ("assoc", "mine", *table, "--include-qi", names)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"usage error: name {twice!r} is given twice "
+                                           f"in {names!r}\n")
+
+
 def test_list_arguments_that_do_not_parse_exit_1(capsys, export_fixture):
     csv_path, schema_path = export_fixture("table1")
     code, out, err = run(capsys, "metrics", "--input", str(csv_path), "--schema",

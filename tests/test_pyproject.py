@@ -62,3 +62,18 @@ def test_third_party_test_imports_are_declared():
     imported = set().union(*map(_imported_packages, (ROOT / "tests").glob("*.py")))
     third_party = imported - set(sys.stdlib_module_names) - local
     assert third_party - declared == set()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_installed_script_resolves_to_a_function_of_the_cli():
+    # the script ends the process as ``python -m privkit.cli`` does, so it
+    # names the function that runs main() and then the exit helper
+    import tomllib
+
+    import privkit.cli
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    module, _, name = project["scripts"]["privkit"].partition(":")
+    assert module == "privkit.cli"
+    assert callable(getattr(privkit.cli, name))
+    assert getattr(privkit.cli, name) is not privkit.cli.main

@@ -95,6 +95,28 @@ def test_lagrange_duplicate_x():
         lagrange_at([(1, 2), (1, 3)], 0, P)
 
 
+@pytest.mark.parametrize("points,target,modulus,error,message", [
+    ([(1, 2)], 0, 0, BadModulus, "0 is not prime"),
+    ([(1, 2)], 0, 1.5, BadModulus, "modulus must be an integer, got 1.5"),
+    ([(1, 2)], 0, 15, BadModulus, "15 is not prime"),
+    ([(1, 2)], 0, True, BadModulus, "modulus must be an integer, got True"),
+    ([(1, 2)], None, P, ValueError, "target must be an integer, got None"),
+    ([(1, 2)], 0.5, P, ValueError, "target must be an integer, got 0.5"),
+    ([(None, 2)], 0, P, ValueError, "points must hold integers, got x=None, y=2"),
+    ([(1, 2), (3, "4")], 0, P, ValueError, "points must hold integers, got x=3, y='4'"),
+    (5, 0, P, ValueError, "points must be a collection of (x, y) pairs, got 5"),
+    (None, 0, P, ValueError, "points must be a collection of (x, y) pairs, got None"),
+    ([(1, 2, 3)], 0, P, ValueError, "points must be a collection of (x, y) pairs, got [(1, 2, 3)]"),
+], ids=["modulus-0", "modulus-float", "modulus-composite", "modulus-bool", "target-none",
+        "target-float", "x-none", "y-str", "points-int", "points-none", "points-triple"])
+def test_lagrange_arguments_named_when_rejected(points, target, modulus, error, message):
+    # at the parent: ZeroDivisionError, pow()'s TypeError, a wrong value for a
+    # composite modulus, and bare TypeErrors
+    with pytest.raises(error) as info:
+        lagrange_at(points, target, modulus)
+    assert type(info.value) is error and str(info.value) == message
+
+
 @given(
     st.integers(0, 10006),
     st.lists(st.integers(0, 10006), min_size=0, max_size=4),
