@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from ._value import Frozen
@@ -493,65 +493,242 @@ def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
     the point farthest from the centroid and keep the rest as the last
     group; with fewer, they form one group.
 
-    The unassigned points are kept compacted: their record indices in
-    ascending order, and one contiguous float64 array per axis, filtered
-    after each group. The k nearest come from ``np.partition`` at the k-th
-    distance; only the rows at or below it are sorted. The arithmetic is
-    fixed so that the grouping is exactly reproducible, not merely close:
+    The arithmetic is fixed so that the grouping is exactly reproducible,
+    not merely close:
 
     * a squared distance adds the axes' squared differences one axis at a
-      time, from the first axis to the last, and squares with C ``pow``
-      (``np.float_power``), as Python's ``**`` does; ``t * t`` and
-      ``np.sum`` can round differently;
+      time, from the first axis to the last, and squares with C ``pow``, as
+      Python's ``**`` does (past the float range, where ``**`` raises, the
+      square is inf); ``t * t`` and ``sum`` can round differently;
     * each centroid coordinate is the left-to-right sum of the unassigned
       points' values, in record order, divided by their count;
     * ties in distance go to the lowest record index, both for the
       farthest point and for the k-1 nearest ones.
 
-    Coordinates must be finite. Returns the groups as lists of record
-    indices (plain ints), each sorted, the last one holding the leftovers.
-    """
-    import numpy as np
+    Each search measures only the points that can win it, and still gives
+    exactly what measuring every unassigned point would:
 
-    n = len(coords)
-    points = np.array(coords, dtype=np.float64).reshape(n, len(coords[0]) if n else 0)
-    axes = list(np.ascontiguousarray(points.T))
-    rows = np.arange(n)  # the record index of each unassigned point
+    * the k nearest: the points are sorted once along their widest axis and
+      scanned outward from the centre. That axis's squared difference is a
+      lower bound of the float squared distance, exactly, because adding
+      non-negative floats never lowers a sum. So the scan stops once it is
+      strictly above the (k-1)-th smallest distance so far, candidates
+      compared as (distance, record index). Before the full distance, the
+      squared differences on the next two widest axes are checked the same
+      way;
+    * the farthest point: the points are kept in descending order of their
+      distance to an anchor a, a past centroid, and the scan stops where
+      the triangle inequality |x-c| <= |x-a| + |a-c| puts every later point
+      below the farthest so far. The bound holds for real numbers; the
+      relative margin ``_MARGIN`` covers the rounding of float distances
+      many times over. There is no pruning while the largest squared
+      distance is outside ``_BAND``, where underflow or overflow breaks
+      relative error bounds;
+    * the centroid: exact integer sums of the unassigned coordinates give
+      the true mean S/m. The left-to-right float centroid lies within
+      gamma(m-1) * sum|x| / m of it on each axis (plus the rounding of the
+      division), so the farthest point is searched around S/m with that
+      slack. Only when the points that can win within the slack are not
+      all one coordinate tuple is the centroid summed left to right.
+
+    ``k`` must be an int (not a bool), at least 1, and ``coords`` points of
+    one length with finite coordinates; anything else raises TypeError
+    (``k``) or ValueError. Returns the groups as lists of record indices
+    (plain ints), each sorted, the last one holding the leftovers.
+    """
+    _check_int("k", k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    points = _checked_points(coords)
+    n = len(points)
+    dims = len(points[0]) if n else 0
+    if not dims:  # every point is at distance 0 from every other: record order
+        cut = max(n // k - 1, 0) * k
+        groups = [list(range(i, i + k)) for i in range(0, cut, k)]
+        return groups + [list(range(cut, n))] if cut < n else groups
+    axes = list(zip(*points))  # each axis's values, in record order
+    fixed = [tuple(map(_fixed_point, p)) for p in points]
+    sums = [sum(column) for column in zip(*fixed)]
+    abs_sums = [sum(map(abs, column)) for column in zip(*fixed)]
+    alive = bytearray(b"\x01") * n
+    m = n
     groups: list[list[int]] = []
 
-    def dist2(centre):
-        if not axes:  # zero-length points are all at distance 0
-            return np.zeros(len(rows))
-        d = np.float_power(axes[0] - centre[0], 2.0)
-        for column, c in zip(axes[1:], centre[1:]):
-            d += np.float_power(column - c, 2.0)
-        return d
+    # the k-nearest scan: the points sorted along the widest axis, record
+    # order among equal values, as a doubly linked list of the unassigned;
+    # positions 0 and n + 1 are sentinels at -inf and +inf. The next two
+    # widest axes are checked, one squared difference each, before the
+    # full distance.
+    widest = sorted(range(dims), key=lambda j: max(axes[j]) - min(axes[j]), reverse=True)
+    axis, check1, check2 = (widest * 3)[:3]
+    order = sorted(range(n), key=axes[axis].__getitem__)
+    key = [-math.inf, *map(axes[axis].__getitem__, order), math.inf]
+    rec = [-1, *order, -1]
+    pos = [0] * n
+    for p, i in enumerate(order, 1):
+        pos[i] = p
+    nxt = [*range(1, n + 2), n + 1]
+    prv = [0, *range(n + 1)]
 
-    def take(d, at):
-        """Group row ``at`` with the k-1 other rows nearest it by d, drop
-        them from the unassigned rows, and return the mask of those left."""
-        nonlocal rows, axes
-        d[at] = -1.0  # the centre first, ahead of other rows at distance 0 from it
-        near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
-        near = near[np.argsort(d[near], kind="stable")[:k]]
-        groups.append(sorted(rows[near].tolist()))
-        rest = np.ones(len(d), dtype=bool)
-        rest[near] = False
-        rows, axes = rows[rest], [column[rest] for column in axes]
-        return rest
+    # the farthest-point scan: the unassigned points by ascending distance
+    # to the anchor, scanned from the far end, rebuilt around the current
+    # centroid whenever half of the points it held are assigned
+    anchor: tuple[float, ...] = ()
+    ring: list[tuple[float, int]] = []
+    ring_size = 0
 
-    while len(rows) >= 2 * k:
-        centroid = [np.cumsum(column)[-1] / len(rows) for column in axes]
-        at = int(np.argmax(dist2(centroid)))  # argmax: first of equal maxima
-        d = dist2([column[at] for column in axes])
-        d = d[take(d, at)]
-        if len(rows) < 2 * k:  # they form the last group
+    def reanchor(centre):
+        nonlocal anchor, ring, ring_size
+        anchor = centre
+        ring = sorted((math.sqrt(_dist2(points[i], centre)), i)
+                      for i in compress(range(n), alive))
+        ring_size = len(ring)
+
+    def farthest(centre, slack):
+        """The unassigned points that can be the farthest from a point
+        within ``slack`` of ``centre``, as (squared distance to ``centre``,
+        record index)."""
+        while not alive[ring[-1][1]]:
+            ring.pop()
+        gap = math.sqrt(_dist2(anchor, centre))
+        stop = limit = -math.inf
+        found = []
+        for r, i in reversed(ring):
+            if r < limit:  # r + gap < stop, so every later point is nearer
+                break
+            if alive[i]:
+                d = _dist2(points[i], centre)
+                if d >= stop * stop or stop <= 0:
+                    found.append((d, i))
+                    if _BAND[0] <= d <= _BAND[1]:
+                        bound = (math.sqrt(d) * (1 - _MARGIN) - 2 * slack) / (1 + _MARGIN)
+                        if bound > stop:
+                            stop, limit = bound, bound - gap
+        return [(d, i) for d, i in found if d >= stop * stop or stop <= 0]
+
+    def farthest_index(centre):
+        found = farthest(centre, 0.0)
+        top = max(d for d, _ in found)
+        return min(i for d, i in found if d == top)
+
+    def nearest(at):
+        """The k-1 unassigned points nearest point ``at``, as (squared
+        distance, record index) in ascending order."""
+        centre = points[at]
+        c, c1, c2 = centre[axis], centre[check1], centre[check2]
+        near: list[tuple[float, int]] = []
+        kth = math.inf
+        p = pos[at]
+        lo, hi = prv[p], nxt[p]
+        while True:
+            below, above = c - key[lo], key[hi] - c
+            if below < above or (below == above and lo):
+                q, t, lo = lo, below, prv[lo]
+            else:
+                q, t, hi = hi, above, nxt[hi]
+            i = rec[q]
+            if i < 0 or t ** 2.0 > kth:
+                return near
+            x = points[i]
+            if (x[check1] - c1) ** 2.0 > kth or (x[check2] - c2) ** 2.0 > kth:
+                continue
+            d = _dist2(x, centre)
+            if len(near) < k - 1:
+                insort(near, (d, i))
+            elif (d, i) < near[-1]:
+                near.pop()
+                insort(near, (d, i))
+            else:
+                continue
+            if len(near) == k - 1:
+                kth = near[-1][0]
+
+    def take(at):
+        """Group point ``at`` with the k-1 unassigned points nearest it,
+        and unassign them."""
+        nonlocal m
+        if k == 1:
+            near = []
+        else:
+            try:
+                near = nearest(at)
+            except OverflowError:  # a square past the float range: measure every point
+                centre = points[at]
+                near = sorted((_dist2(points[i], centre), i)
+                              for i in compress(range(n), alive) if i != at)[: k - 1]
+        group = sorted([at, *(i for _, i in near)])
+        for i in group:
+            alive[i] = 0
+            p = pos[i]
+            nxt[prv[p]], prv[nxt[p]] = nxt[p], prv[p]
+            for j, v in enumerate(fixed[i]):
+                sums[j] -= v
+                abs_sums[j] -= abs(v)
+        m -= len(group)
+        groups.append(group)
+
+    while m >= 2 * k:
+        scale = m << _FIXED_BITS
+        centre = tuple(s / scale for s in sums)
+        if 2 * m <= ring_size or not ring:
+            reanchor(centre)
+        if max(abs_sums).bit_length() > _FIXED_BITS + 1020:  # the float sum may overflow
+            slack = math.inf
+        else:
+            slack = (m + 4) * _ULP * sum(a / scale for a in abs_sums) + dims * _TINY
+        near = [i for _, i in farthest(centre, slack)]
+        if all(points[i] == points[near[0]] for i in near):
+            at = min(near)
+        else:  # the rounding of the centroid decides: sum it as the spec does
+            at = farthest_index(tuple(reduce(operator.add, compress(a, alive)) / m for a in axes))
+        take(at)
+        if m < 2 * k:  # they form the last group
             break
-        at = int(np.argmax(d))  # farthest from the first centre
-        take(dist2([column[at] for column in axes]), at)
-    if len(rows):
-        groups.append(rows.tolist())
+        take(farthest_index(points[at]))
+    if m:
+        groups.append(list(compress(range(n), alive)))
     return groups
+
+
+_MARGIN = 1e-9  # relative; rounding moves a float distance by about 1e-15
+_BAND = (1e-150, 1e150)  # squared distances whose relative rounding error is bounded
+_FIXED_BITS = 1074  # every finite float times 2**1074 is an integer
+_ULP = 2.0 ** -52
+_TINY = 2.0 ** -1072  # covers the rounding of a subnormal centroid coordinate
+
+
+def _checked_points(coords: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
+    """The points as tuples of floats, all of one length and finite."""
+    points = [tuple(map(float, p)) for p in coords]
+    if points:
+        dims = len(points[0])
+        for j, p in enumerate(points):
+            if len(p) != dims:
+                raise ValueError(
+                    f"coords must be points of one length: point {j} has {len(p)} "
+                    f"coordinates, point 0 has {dims}"
+                )
+        if not all(map(math.isfinite, chain.from_iterable(points))):
+            j, p = next((j, p) for j, p in enumerate(points) if not all(map(math.isfinite, p)))
+            raise ValueError(f"coords must be finite: point {j} is {p!r}")
+    return points
+
+
+def _fixed_point(x: float) -> int:
+    """x * 2**1074, exactly."""
+    num, den = x.as_integer_ratio()
+    return num << (_FIXED_BITS + 1 - den.bit_length())
+
+
+def _dist2(p: Sequence[float], c: Sequence[float]) -> float:
+    """The squared distance as ``mdav_groups`` specifies it."""
+    d = 0.0
+    for x, y in zip(p, c):
+        try:
+            d += (x - y) ** 2.0
+        except OverflowError:
+            d = math.inf
+    return d
 
 
 _ONE_HOT = 0.5 ** 0.5  # two distinct text values sit at distance exactly 1

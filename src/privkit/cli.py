@@ -186,8 +186,13 @@ def _add_commands(parser: _Parser, dest: str, commands: dict, argv: Sequence[str
 
 
 def run() -> NoReturn:
-    """The installed ``privkit`` script: ``main()``, then ``_exit``."""
-    _exit(main())
+    """The installed ``privkit`` script: ``main()``, then ``_exit``, also
+    after the ``SystemExit`` that argparse raises once it has printed help."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's parser.exit, an int status
+        code = exc.code
+    _exit(code)
 
 
 def _exit(code: int) -> NoReturn:

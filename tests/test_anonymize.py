@@ -1004,6 +1004,162 @@ def test_mdav_groups_hold_at_least_k(k):
             assert groups == parent_mdav_groups(coords, k)
 
 
+def numpy_mdav_groups(coords, k):
+    """The numpy MDAV this module replaced, verbatim."""
+    import numpy as np
+
+    n = len(coords)
+    points = np.array(coords, dtype=np.float64).reshape(n, len(coords[0]) if n else 0)
+    axes = list(np.ascontiguousarray(points.T))
+    rows = np.arange(n)  # the record index of each unassigned point
+    groups: list[list[int]] = []
+
+    def dist2(centre):
+        if not axes:  # zero-length points are all at distance 0
+            return np.zeros(len(rows))
+        d = np.float_power(axes[0] - centre[0], 2.0)
+        for column, c in zip(axes[1:], centre[1:]):
+            d += np.float_power(column - c, 2.0)
+        return d
+
+    def take(d, at):
+        """Group row ``at`` with the k-1 other rows nearest it by d, drop
+        them from the unassigned rows, and return the mask of those left."""
+        nonlocal rows, axes
+        d[at] = -1.0  # the centre first, ahead of other rows at distance 0 from it
+        near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
+        near = near[np.argsort(d[near], kind="stable")[:k]]
+        groups.append(sorted(rows[near].tolist()))
+        rest = np.ones(len(d), dtype=bool)
+        rest[near] = False
+        rows, axes = rows[rest], [column[rest] for column in axes]
+        return rest
+
+    while len(rows) >= 2 * k:
+        centroid = [np.cumsum(column)[-1] / len(rows) for column in axes]
+        at = int(np.argmax(dist2(centroid)))  # argmax: first of equal maxima
+        d = dist2([column[at] for column in axes])
+        d = d[take(d, at)]
+        if len(rows) < 2 * k:  # they form the last group
+            break
+        at = int(np.argmax(d))  # farthest from the first centre
+        take(dist2([column[at] for column in axes]), at)
+    if len(rows):
+        groups.append(rows.tolist())
+    return groups
+
+
+# the benchmark's diagnoses with their relative frequencies
+_DIAGNOSES = {"Asthma": 8, "Cancer": 4, "Diabetes": 9, "Flu": 12, "Gastritis": 5,
+              "Incontinence": 3, "Migraine": 7, "No illness": 30}
+
+
+def patient_coordinates(n, attributes, seed):
+    """MDAV coordinates of a table shaped as the benchmark's: uniform ages,
+    log-normal incomes, distinct weights, two genders and eight diagnoses
+    of unequal frequency. All five attributes give 3 + 2 + 8 = 13 axes."""
+    rng = random.Random(seed)
+    schema = Schema(tuple(
+        Attribute(name, AttributeRole.QUASI_IDENTIFIER, kind)
+        for name, kind in (("Age", Kind.INTEGER), ("Income", Kind.INTEGER),
+                           ("Weight", Kind.INTEGER), ("Gender", Kind.TEXT),
+                           ("Diagnosis", Kind.TEXT))))
+    rows = [(rng.randint(18, 90), int(rng.lognormvariate(10.5, 0.5)), weight,
+             rng.choice(["Female", "Male"]),
+             rng.choices(list(_DIAGNOSES), list(_DIAGNOSES.values()))[0])
+            for weight in rng.sample(range(40_000, 130_000), n)]
+    return anonymize._mixed_coordinates(Dataset.from_records(schema, rows), attributes)
+
+
+def _pool_points(n, pool, seed):
+    rng = random.Random(seed)
+    return [rng.choice(pool) for _ in range(n)]
+
+
+def _gauss_points(n, dims, scale, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.gauss(0, 1) * scale for _ in range(dims)) for _ in range(n)]
+
+
+_AT_SIZE = {
+    "benchmark 2007 x 2": lambda: (patient_coordinates(2007, ["Age", "Income"], 4242), 5),
+    "2007 x 13": lambda: (patient_coordinates(
+        2007, ["Age", "Income", "Weight", "Gender", "Diagnosis"], 7), 5),
+    "5003 x 2": lambda: (patient_coordinates(5003, ["Age", "Income"], 11), 4),
+    # 3000 records on 40 distinct points: most distances tie, many at 0
+    "clustered duplicates": lambda: (_pool_points(3000, _gauss_points(40, 2, 1.0, 1), 2), 5),
+    # integer and decimal grids: exact distance ties, and centroids that round
+    "integer grid": lambda: (_pool_points(
+        2000, [(float(x), float(y)) for x in range(-6, 7) for y in range(-4, 5)], 3), 5),
+    "decimal grid": lambda: (_pool_points(
+        1500, [(x / 10, y / 10, z / 10) for x in range(-3, 4) for y in range(0, 12, 3)
+               for z in (1, 7)], 4), 3),
+    # squared distances of about 1e-320 are subnormal, most of them 0
+    "near 1e-160": lambda: (_gauss_points(1500, 3, 1e-160, 5), 5),
+    "near 1e150": lambda: (_gauss_points(1500, 3, 1e150, 6), 5),
+}
+
+
+@pytest.mark.parametrize("case", _AT_SIZE.values(), ids=_AT_SIZE.keys())
+def test_mdav_groups_equal_numpy_reference_at_size(case):
+    coords, k = case()
+    assert mdav_groups(coords, k) == numpy_mdav_groups(coords, k)
+
+
+def test_mdav_groups_equal_numpy_reference_past_the_float_range():
+    # squares of about 1e400 overflow: C's pow gives inf where ** raises
+    np = pytest.importorskip("numpy")
+    coords = _gauss_points(300, 2, 1e200, 8) + [(1e308, -1e308), (-1e308, 1e308)]
+    with np.errstate(over="ignore"):
+        expected = numpy_mdav_groups(coords, 3)
+    assert mdav_groups(coords, 3) == expected
+
+
+def test_mdav_groups_scan_every_point_tied_for_farthest():
+    # Seven records tie as farthest from the first centre, 174.75. Their
+    # distance to the anchor plus the anchor's distance to that centre
+    # rounds below their distance to it, so without the margin the scan
+    # would stop after the first of them it meets: the highest index.
+    coords = [(174.75,)] * 2 + [(0.0,)] * 7
+    groups = mdav_groups(coords, 2)
+    assert groups == numpy_mdav_groups(coords, 2) == [[0, 1], [2, 3], [4, 5], [6, 7, 8]]
+
+
+@pytest.mark.parametrize("k,error,message", [
+    (0, ValueError, "k must be >= 1, got 0"),
+    (-1, ValueError, "k must be >= 1, got -1"),
+    (True, TypeError, "k must be an integer, got True"),
+    (2.0, TypeError, "k must be an integer, got 2.0"),
+    ("2", TypeError, "k must be an integer, got '2'"),
+])
+def test_mdav_groups_rejects_a_group_size_that_is_not_a_positive_int(k, error, message):
+    with pytest.raises(error) as info:
+        mdav_groups([(1.0,), (2.0,), (3.0,), (4.0,)], k)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("coords,message", [
+    ([(1.0, 2.0), (3.0,)],
+     "coords must be points of one length: point 1 has 1 coordinates, point 0 has 2"),
+    ([(1.0,), (2.0,), (3.0, 4.0)],
+     "coords must be points of one length: point 2 has 2 coordinates, point 0 has 1"),
+    ([(1.0,), (math.nan,), (3.0,), (4.0,)], "coords must be finite: point 1 is (nan,)"),
+    ([(0.0, 1.0), (2.0, -math.inf)], "coords must be finite: point 1 is (2.0, -inf)"),
+    ([(math.inf, 0.0), (2.0, 1.0)], "coords must be finite: point 0 is (inf, 0.0)"),
+])
+def test_mdav_groups_rejects_ragged_or_non_finite_points(coords, message):
+    with pytest.raises(ValueError) as info:
+        mdav_groups(coords, 2)
+    assert str(info.value) == message
+
+
+def test_mdav_groups_of_size_one_are_single_points():
+    coords = [(float(x),) for x in (5, 1, 4, 1, 3)]
+    groups = mdav_groups(coords, 1)
+    assert groups == numpy_mdav_groups(coords, 1)
+    assert sorted(map(tuple, groups)) == [(0,), (1,), (2,), (3,), (4,)]
+
+
 def test_multivariate_too_small():
     with pytest.raises(DatasetTooSmall):
         microaggregate_multivariate(ages_dataset([1]), "Age", 2)

@@ -1,7 +1,6 @@
-"""numpy is imported only by the calls that compute with it (multivariate
-microaggregation), and logging, dataclasses and fractions by none of them.
-``import privkit`` loads no module, and a name taken from the package loads
-only its own module.
+"""No call imports numpy, logging, dataclasses or fractions, multivariate
+microaggregation included. ``import privkit`` loads no module, and a name
+taken from the package loads only its own module.
 
 Each case runs in a fresh interpreter, because the test process itself has
 numpy and every privkit module loaded long before any of these run.
@@ -40,6 +39,12 @@ def probe(setup, cwd):
                           capture_output=True, text=True, cwd=cwd, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_probe_sees_numpy_and_inspect_once_loaded(tmp_path):
+    # the positive control of the probes below: numpy imports inspect
+    setup = 'import numpy; result = "inspect" in sys.modules'
+    assert probe(setup, tmp_path) == {"result": True, "numpy": True}
 
 
 @pytest.mark.parametrize("setup", [
@@ -104,8 +109,8 @@ _CALLS = [
       "--bits1", "0,1", "--bits2", "2,3"], False),
     (["rappor", "simulate", "--params", PAPER_PARAMS, "--clients", "40", "--dist",
       "dist.json", "--seed", "3", "--output", "again.jsonl"], False),
-    # the call that computes with numpy does load it, so the probe can see it
-    (["anonymize", "--config", "mdav.json"], True),
+    pytest.param(["anonymize", "--config", "mdav.json"], False,
+                 id="anonymize --config mdav.json-False"),
 ]
 
 
@@ -132,6 +137,32 @@ def test_cli_calls_load_no_dataclasses_or_fractions(workdir, argv, loads_numpy):
     setup = _RUN_MAIN.format(argv=argv) + _STDLIB
     expected = ["inspect"] if loads_numpy else []  # numpy imports inspect
     assert probe(setup, workdir)["result"] == [0, expected]
+
+
+def test_cli_calls_and_mdav_run_with_numpy_blocked(workdir, monkeypatch):
+    # A fresh interpreter in which ``import numpy`` fails gives what this
+    # process, which has numpy loaded, gives: each call's exit code, stdout
+    # and stderr, the MDAV call's output file, and the library's MDAV.
+    argvs = [getattr(call, "values", call)[0] for call in _CALLS]  # some are pytest.param
+    setup = f"""\
+outputs = []
+for argv in {argvs!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    outputs.append([code, out.getvalue(), err.getvalue()])
+with open("mdav.csv", encoding="utf-8") as fh:
+    mdav_csv = fh.read()
+from privkit import fixture_table1, microaggregate_multivariate
+table = microaggregate_multivariate(fixture_table1(), ["Age", "Gender", "ZIP"], 3)
+result = [outputs, mdav_csv, list(table.column("Age"))]
+"""
+    here = {}
+    monkeypatch.chdir(workdir)
+    exec("import contextlib, io\nfrom privkit.cli import main\n" + setup, here)
+    blocked = probe('sys.modules["numpy"] = None\nfrom privkit.cli import main\n' + setup,
+                    workdir)
+    assert blocked["result"] == here["result"]
 
 
 # The privkit modules whose code has run: cli.py puts every module into
