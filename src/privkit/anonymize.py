@@ -19,13 +19,22 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from bisect import bisect_right, insort
 from functools import reduce
 from itertools import accumulate, chain, compress
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
+from ._partition import (  # noqa: F401 (exported here: see privkit._EXPORTS)
+    EquivalenceClass,
+    Partition,
+    equivalence_classes,
+    k_anonymity,
+    l_diversity,
+)
 from ._value import Frozen
 from .dataset import (
+    _KIND_TYPES,
     GENERALIZED,
     SUPPRESSED,
     Cell,
@@ -36,13 +45,12 @@ from .dataset import (
     Schema,
     Suppressed,
     _check_int,
+    _name_tuple,
     check_cell_types,
 )
 from .errors import (
     BadGrouping,
     DatasetTooSmall,
-    EmptyDataset,
-    EmptyQiList,
     InvalidSpec,
     KindMismatch,
     TooManySwaps,
@@ -124,24 +132,6 @@ class GeneralizationRule(Frozen):
     strategy: Strategy
 
 
-class EquivalenceClass(Frozen):
-    """Records agreeing on every quasi-identifier value."""
-
-    key: tuple[Cell, ...]
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-class Partition(Frozen):
-    classes: tuple[EquivalenceClass, ...]
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(c.size for c in self.classes)
-
-
 class NoiseSpec(Frozen):
     """Zero-mean discrete noise: mapping from integer delta to probability.
 
@@ -169,19 +159,31 @@ class NoiseSpec(Frozen):
         if abs(mean) > _PROB_TOL:
             raise InvalidSpec(f"expected delta is {mean}, must be 0")
         object.__setattr__(self, "probabilities", probs)
-        # the sampling table: fields are frozen, so it is built once per object
-        deltas = tuple(sorted(probs))
-        object.__setattr__(self, "_deltas", deltas)
+        # The sampling table (fields are frozen, so it is built once per
+        # object): the draw r gives _deltas[bisect_right(_cumulative, r)].
+        # The largest delta is repeated for a draw past the float total,
+        # which can fall short of 1. The deltas are exact ints, so a raw
+        # int plus one is an exact int.
+        deltas = sorted(probs)
         object.__setattr__(self, "_cumulative", tuple(accumulate(probs[d] for d in deltas)))
+        object.__setattr__(self, "_deltas", tuple(map(operator.index, deltas + deltas[-1:])))
 
     def __reduce__(self):  # pickle rebuilds the table rather than store it
         return type(self), (self.probabilities,)
 
     @classmethod
     def symmetric(cls, max_delta: int) -> "NoiseSpec":
-        """Uniform over +-1..+-max_delta; symmetric(2) is 25% each on -2,-1,+1,+2."""
+        """Uniform over +-1..+-max_delta; symmetric(2) is 25% each on -2,-1,+1,+2.
+
+        ``max_delta`` must be an int (not a bool), else TypeError, and at
+        most ``sys.maxsize // 2``, so that the 2 * max_delta deltas can be
+        counted at all; a larger one raises InvalidSpec before any table
+        is built."""
+        _check_int("max_delta", max_delta)
         if max_delta < 1:
             raise InvalidSpec("max_delta must be >= 1")
+        if max_delta > sys.maxsize // 2:
+            raise InvalidSpec(f"max_delta must be <= {sys.maxsize // 2}")
         deltas = [d for d in range(-max_delta, max_delta + 1) if d != 0]
         return cls({d: 1.0 / len(deltas) for d in deltas})
 
@@ -191,8 +193,7 @@ class NoiseSpec(Frozen):
     def sample(self, rng: random.Random) -> int:
         """The first delta, in ascending order, whose cumulative probability
         exceeds ``rng.random()``; the largest delta if none does."""
-        i = bisect_right(self._cumulative, rng.random())
-        return self._deltas[min(i, len(self._deltas) - 1)]
+        return self._deltas[bisect_right(self._cumulative, rng.random())]
 
     def stddev(self) -> float:
         """Square root of the expected squared delta, summed left to right."""
@@ -200,7 +201,10 @@ class NoiseSpec(Frozen):
 
 
 def suppress(dataset: Dataset, attributes: Sequence[str]) -> Dataset:
-    """Replace every value of the named columns with SUPPRESSED."""
+    """Replace every value of the named columns with SUPPRESSED.
+    ``attributes`` is a collection of attribute names; a str or bytes is
+    not read as one."""
+    attributes = _name_tuple("attributes", attributes)
     return generalize(dataset, [GeneralizationRule(a, SuppressAll()) for a in attributes])
 
 
@@ -218,6 +222,11 @@ def generalize(dataset: Dataset, rules: Sequence[GeneralizationRule]) -> Dataset
     equal values. Equal outputs are one object, so ages 20 to 29 give one
     ``Interval(20, 29)``, which a later grouping by cell hashes once and
     compares by identity.
+
+    Only the distinct outputs are type-checked, as a strategy may be any
+    object with ``kind``, ``key`` and ``apply``: one of the wrong type for
+    the column's kind raises KindMismatch naming the first record that
+    holds it.
     """
     out = dataset
     for rule in rules:
@@ -225,7 +234,7 @@ def generalize(dataset: Dataset, rules: Sequence[GeneralizationRule]) -> Dataset
         check_rule_kind(dataset.schema, rule)
         column = out.column(rule.attribute)
         if isinstance(strategy, SuppressAll):  # it reads no cell
-            out = out.replace_column(rule.attribute, [SUPPRESSED] * len(column))
+            out = out._with_column(rule.attribute, (SUPPRESSED,) * len(column))
             continue
         table = dict.fromkeys(column)
         if isinstance(strategy, TextPrefix):
@@ -243,7 +252,11 @@ def generalize(dataset: Dataset, rules: Sequence[GeneralizationRule]) -> Dataset
                 generalized = strategy.apply(cell)
                 by_key[key] = outputs.setdefault(generalized, generalized)
             table[cell] = by_key[key]
-        out = out.replace_column(rule.attribute, map(table.__getitem__, column))
+        cells = tuple(map(table.__getitem__, column))
+        allowed, what = _KIND_TYPES[dataset.schema.attribute(rule.attribute).kind]
+        if not allowed.issuperset(map(type, outputs)):  # each value of table is a key of it
+            check_cell_types(rule.attribute, cells, allowed, what)
+        out = out._with_column(rule.attribute, cells)
     return out
 
 
@@ -263,68 +276,15 @@ def check_integer_attribute(schema: Schema, attribute: str) -> None:
         raise KindMismatch(f"{attribute!r} is not an integer attribute")
 
 
-def equivalence_classes(dataset: Dataset, qi: Sequence[str]) -> Partition:
-    """Group records by exact equality of the quasi-identifier tuple.
-
-    Classes appear in order of first appearance, members in record order.
-    ``qi`` is a collection of attribute names; a str is not read as one.
-    """
-    try:
-        if isinstance(qi, str):
-            raise TypeError
-        qi = tuple(qi)
-    except TypeError:
-        raise ValueError(f"qi must be a collection of attribute names, got {qi!r}") from None
-    if not qi:
-        raise EmptyQiList("quasi-identifier list is empty")
-    order: dict[tuple, list[int]] = {}
-    for recno, key in enumerate(zip(*(dataset.column(n) for n in qi))):
-        order.setdefault(key, []).append(recno)
-    return Partition(
-        tuple(EquivalenceClass(key, tuple(members)) for key, members in order.items())
-    )
-
-
-def k_anonymity(
-    dataset: Dataset, qi: Sequence[str], partition: Optional[Partition] = None
-) -> int:
-    """Minimum equivalence-class size over the quasi-identifier partition.
-
-    ``partition``, if given, must be ``equivalence_classes(dataset, qi)``;
-    it saves building that partition again.
-    """
-    if not len(dataset):
-        raise EmptyDataset("k-anonymity of an empty dataset is undefined")
-    if partition is None:
-        partition = equivalence_classes(dataset, qi)
-    return min(partition.sizes())
-
-
-def l_diversity(
-    dataset: Dataset,
-    qi: Sequence[str],
-    sensitive: str,
-    partition: Optional[Partition] = None,
-) -> int:
-    """Minimum count of distinct sensitive values over equivalence classes.
-
-    ``partition`` is as for ``k_anonymity``.
-    """
-    if not len(dataset):
-        raise EmptyDataset("l-diversity of an empty dataset is undefined")
-    column = dataset.column(sensitive)
-    if partition is None:
-        partition = equivalence_classes(dataset, qi)
-    return min(len({column[m] for m in cls.members}) for cls in partition.classes)
-
-
 def add_noise(
     dataset: Dataset, attribute: str, spec: NoiseSpec, rng: random.Random
 ) -> Dataset:
-    """Independently shift each value of an integer column by a sampled delta."""
+    """Independently shift each value of an integer column by a sampled
+    delta, drawn for each record in order as ``spec.sample(rng)`` draws it."""
     column = _integer_column(dataset, attribute)
-    return dataset.replace_column(
-        attribute, [c + spec.sample(rng) for c in column]
+    deltas, cumulative, draw = spec._deltas, spec._cumulative, rng.random
+    return dataset._with_column(
+        attribute, tuple([c + deltas[bisect_right(cumulative, draw())] for c in column])
     )
 
 
@@ -348,7 +308,7 @@ def swap_values(
     for j in range(n_swaps):
         a, b = chosen[2 * j], chosen[2 * j + 1]
         column[a], column[b] = column[b], column[a]
-    return dataset.replace_column(attribute, column)
+    return dataset._with_column(attribute, tuple(column))
 
 
 def rank_swap(
@@ -385,7 +345,7 @@ def rank_swap(
     out = list(column)
     for rank, recno in enumerate(order):
         out[recno] = values[rank]
-    return dataset.replace_column(attribute, out)
+    return dataset._with_column(attribute, tuple(out))
 
 
 def aggregate_groups(
@@ -434,7 +394,7 @@ def _group_means(
             mean = _round_half_away(sum(map(column.__getitem__, g)), len(g))
             for i in g:
                 column[i] = mean
-        out = out.replace_column(name, column)
+        out = out._with_column(name, tuple(column))  # each mean is an int
     return out
 
 

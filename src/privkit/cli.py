@@ -33,8 +33,9 @@ from .errors import PrivkitError, UsageError
 OUTPUT_VERSION = 1
 
 # Every library module is in sys.modules from this import on, and executed
-# only when a handler first uses it (see _lazy).
-for _module in ("anonymize", "assoc", "dataset", "dpcheck", "rappor", "smc"):
+# only when a handler first uses it (see _lazy). So is _partition, whose
+# functions metrics calls directly and bench/tracing.py wraps.
+for _module in ("_partition", "anonymize", "assoc", "dataset", "dpcheck", "rappor", "smc"):
     _lazy(_module)
 
 
@@ -93,7 +94,7 @@ _COMMANDS = {
             ("--schema-output", {}),
         ]),
     }),
-    "anonymize": ("run a transform pipeline from JSON config", "table", [
+    "anonymize": ("run a transform pipeline from JSON config", "anonymize", [
         ("--config", _REQUIRED),
     ]),
     "metrics": ("k-anonymity / l-diversity of a CSV", "table", [

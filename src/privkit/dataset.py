@@ -12,18 +12,25 @@ plus three generalized forms produced by anonymization transforms:
 A ``Dataset`` holds only these cells, and only those of its attribute's
 kind: ``int``, ``Interval`` or ``Suppressed`` under INTEGER, ``str``,
 ``MaskedText`` or ``Suppressed`` under TEXT, each type exactly (no bool, no
-subclass). It checks them when it is built, so ``write_csv`` writes every
-dataset as a file that ``load_csv`` reads back equal, or raises for the two
-cells no file holds: TooManyDigits, naming the cell, for an int past the
-interpreter's digit limit, and ValueError for text with a lone surrogate.
-The one exception is raw text that itself ends in ``*``: it is
-indistinguishable from a mask and is read back as one, so such values are
-outside the supported input domain.
+subclass). So ``write_csv`` writes every dataset as a file that
+``load_csv`` reads back equal, or raises for the two cells no file holds:
+TooManyDigits, naming the cell, for an int past the interpreter's digit
+limit, and ValueError for text with a lone surrogate. The one exception is
+raw text that itself ends in ``*``: it is indistinguishable from a mask and
+is read back as one, so such values are outside the supported input domain.
+
+The builders that take cells from a caller check them: ``Dataset(...)``,
+``Dataset.from_records`` and ``Dataset.replace_column``. The code that
+makes its own cells builds through ``Dataset._trusted`` and does not check
+them again, because it fixed their types as it made them: ``load_csv``
+parses every cell into one of its kind's types, and the anonymize
+transforms write SUPPRESSED, integer sums and means, or the column's own
+cells in another order. ``generalize`` checks what its strategies return,
+since a caller may pass any strategy.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import enum
 import io
@@ -67,6 +74,20 @@ def _check_int(name: str, value) -> None:
     p=True is no window."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _name_tuple(argument: str, names) -> tuple:
+    """``names``, a collection of attribute names, as a tuple; ValueError
+    naming ``argument`` for a str or bytes, whose letters or byte values
+    would be read as names, and for anything that is not iterable."""
+    try:
+        if isinstance(names, (str, bytes)):
+            raise TypeError
+        return tuple(names)
+    except TypeError:
+        raise ValueError(
+            f"{argument} must be a collection of attribute names, got {names!r}"
+        ) from None
 
 
 class Interval(Frozen):
@@ -234,7 +255,10 @@ class Dataset(Frozen):
     (see the module docstring); any other cell, a bool or a str subclass
     included, raises KindMismatch naming the record, the attribute and the
     cell. So the table in memory is the table ``write_csv`` releases, up to
-    raw text ending in ``*``, which reads back as a mask.
+    raw text ending in ``*``, which reads back as a mask. The constructor,
+    ``from_records`` and ``replace_column`` check the cells they are given;
+    ``_trusted`` and ``_with_column`` are for privkit's own code, whose
+    cells are of their kind's types by construction.
 
     Transforms never mutate; they return new datasets, which share every
     column they do not replace. ``from_records`` builds a dataset from rows,
@@ -275,17 +299,30 @@ class Dataset(Frozen):
     def column(self, name: str) -> tuple[Cell, ...]:
         return self.columns[self.schema.index(name)]
 
+    @classmethod
+    def _trusted(cls, schema: Schema, columns: tuple[tuple[Cell, ...], ...]) -> "Dataset":
+        """A dataset whose columns its caller has shown valid: one tuple per
+        attribute, all of one length, each cell of its attribute's kind."""
+        dataset = cls.__new__(cls)
+        object.__setattr__(dataset, "schema", schema)
+        object.__setattr__(dataset, "columns", columns)
+        return dataset
+
     def replace_column(self, name: str, cells: Iterable[Cell]) -> "Dataset":
         """A copy with the named column replaced. Only the new column is
         checked: the ones it shares were checked when ``self`` was built."""
-        idx = self.schema.index(name)
+        kind = self.schema.attribute(name).kind
         cells = tuple(cells)
         if len(cells) != len(self):
             raise ArityError(f"column has {len(cells)} values for {len(self)} records")
-        check_cell_types(name, cells, *_KIND_TYPES[self.schema.attributes[idx].kind])
-        out = copy.copy(self)  # no __post_init__: no second pass over the shared columns
-        object.__setattr__(out, "columns", self.columns[:idx] + (cells,) + self.columns[idx + 1 :])
-        return out
+        check_cell_types(name, cells, *_KIND_TYPES[kind])
+        return self._with_column(name, cells)
+
+    def _with_column(self, name: str, cells: tuple[Cell, ...]) -> "Dataset":
+        """``replace_column`` without its checks: ``cells`` is a tuple of
+        ``len(self)`` cells of the named attribute's kind."""
+        idx = self.schema.index(name)
+        return self._trusted(self.schema, self.columns[:idx] + (cells,) + self.columns[idx + 1 :])
 
 
 def check_cell_types(
@@ -381,7 +418,7 @@ def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
             raise ParseError(f"{where}: {exc}") from exc
     elif header is None:
         raise HeaderMismatch("empty input, expected a header row")
-    return Dataset(schema, tuple(map(tuple, columns)))
+    return Dataset._trusted(schema, tuple(map(tuple, columns)))  # each cell parsed to its kind
 
 
 def _plain_lines(chunk: str, width: int, limit: int) -> Optional[list[str]]:

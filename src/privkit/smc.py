@@ -85,7 +85,9 @@ def lagrange_at(
 
     Exact whenever the underlying polynomial has degree < len(points).
     The modulus must be prime, and the target and each point's x and y
-    integers.
+    integers. Points whose x values, reduced, run a, a+1, ..., as the
+    protocol's 1..n do, take a closed form in O(n) (``_lagrange_run``);
+    any others a loop over every pair of points.
     """
     _check_modulus(modulus)
     if not _is_int(target):
@@ -102,6 +104,8 @@ def lagrange_at(
     xs = [x % modulus for x, _ in points]
     if len(set(xs)) != len(xs):
         raise DuplicateX(f"interpolation points share an x coordinate: {xs}")
+    if xs == list(range(xs[0], xs[0] + len(xs))):
+        return _lagrange_run(xs[0], [y for _, y in points], target, modulus)
     total = 0
     for i, (xi, yi) in enumerate(points):
         num, den = 1, 1
@@ -111,6 +115,33 @@ def lagrange_at(
             num = num * (target - xj) % modulus
             den = den * (xi - xj) % modulus
         total = (total + yi * num * pow(den, modulus - 2, modulus)) % modulus
+    return total
+
+
+def _lagrange_run(a: int, ys: Sequence[int], target: int, modulus: int) -> int:
+    """``lagrange_at`` in O(n) through the points x_i = a + i, i < n, where
+    a + n - 1 < modulus. The denominator of basis i is the product of
+    (i - j) over j != i, which is (-1)**(n-1-i) * i! * (n-1-i)!: one
+    modular inverse, of (n-1)!, gives the inverse of every factorial. Its
+    numerator is the product of (target - x_j) over j != i, a prefix
+    product times a suffix product."""
+    n = len(ys)
+    last = 1  # (n-1)!
+    for i in range(2, n):
+        last = last * i % modulus
+    inverse = [1] * n  # inverse[i] = 1 / i!; each i! is nonzero as i < modulus
+    inverse[-1] = pow(last, modulus - 2, modulus)
+    for i in range(n - 1, 0, -1):
+        inverse[i - 1] = inverse[i] * i % modulus
+    terms = [(target - a - i) % modulus for i in range(n)]
+    suffix = [1] * (n + 1)  # suffix[i] = the product of terms[i:]
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * terms[i] % modulus
+    total, prefix = 0, 1  # prefix: the product of terms[:i]
+    for i, y in enumerate(ys):
+        basis = prefix * suffix[i + 1] % modulus * inverse[i] * inverse[n - 1 - i]
+        total = (total + (-y if (n - 1 - i) % 2 else y) * basis) % modulus
+        prefix = prefix * terms[i] % modulus
     return total
 
 

@@ -1,10 +1,13 @@
 import builtins
+import csv
 import functools
+import io
 import itertools
 import math
 import operator
 import pickle
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -40,6 +43,7 @@ from privkit.dataset import (
     Kind,
     MaskedText,
     Schema,
+    Suppressed,
     fixture_table1,
     load_csv,
     write_csv,
@@ -346,6 +350,26 @@ def test_suppression_replaces_generalized_cells():
     assert out.column("ZIP") == (MaskedText("12"), MaskedText("12"), SUPPRESSED)
 
 
+class _HalfOddAges:
+    """A strategy that is not one of privkit's: an odd age becomes half of
+    itself, a float, which no integer column holds."""
+
+    kind = Kind.INTEGER
+
+    def key(self, x):
+        return x
+
+    def apply(self, x):
+        return x / 2 if x % 2 else Interval(x, x)
+
+
+def test_generalize_rejects_a_strategy_output_of_the_wrong_kind():
+    # ages 44, 22, 39, ...: record 2 is the first odd one
+    with pytest.raises(KindMismatch) as info:
+        generalize(fixture_table1(), [GeneralizationRule("Age", _HalfOddAges())])
+    assert str(info.value) == "record 2 of 'Age' holds 19.5, not a cell of kind integer"
+
+
 # --- partitions and metrics ---------------------------------------------------
 
 def test_equivalence_classes_table3():
@@ -381,12 +405,28 @@ def test_equivalence_classes_edge_cases():
     ("Age", "qi must be a collection of attribute names, got 'Age'"),
     (5, "qi must be a collection of attribute names, got 5"),
     (None, "qi must be a collection of attribute names, got None"),
-], ids=["str", "int", "none"])
+    (b"Age", "qi must be a collection of attribute names, got b'Age'"),
+], ids=["str", "int", "none", "bytes"])
 def test_qi_that_is_not_a_collection_of_names_is_named(metric, qi, message):
-    # at the parent a str was read as its characters (no attribute named
-    # 'A'), and an int raised a bare TypeError
+    # a str was once read as its characters (no attribute named 'A'), bytes
+    # as their values (no attribute named 65), and an int raised a bare
+    # TypeError
     with pytest.raises(ValueError) as info:
         metric(fixture_table1(), qi)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("attributes,message", [
+    ("Name", "attributes must be a collection of attribute names, got 'Name'"),
+    (b"Name", "attributes must be a collection of attribute names, got b'Name'"),
+    (5, "attributes must be a collection of attribute names, got 5"),
+    (None, "attributes must be a collection of attribute names, got None"),
+], ids=["str", "bytes", "int", "none"])
+def test_suppress_attributes_that_are_not_a_collection_of_names_are_named(attributes, message):
+    # a str was once read as its letters (no attribute named 'N'), and bytes
+    # as their values
+    with pytest.raises(ValueError) as info:
+        suppress(fixture_table1(), attributes)
     assert type(info.value) is ValueError and str(info.value) == message
 
 
@@ -445,6 +485,26 @@ def test_noise_spec_validation():
         NoiseSpec.symmetric(0)
     sym = NoiseSpec.symmetric(2)
     assert sym.probabilities == {-2: 0.25, -1: 0.25, 1: 0.25, 2: 0.25}
+
+
+# Only values past the size guard are large: a value it lets through builds
+# a table of 2 * max_delta deltas.
+@pytest.mark.parametrize("max_delta,error,message", [
+    (None, TypeError, "max_delta must be an integer, got None"),
+    ("x", TypeError, "max_delta must be an integer, got 'x'"),
+    (1.5, TypeError, "max_delta must be an integer, got 1.5"),
+    (math.nan, TypeError, "max_delta must be an integer, got nan"),
+    (True, TypeError, "max_delta must be an integer, got True"),
+    (-1, InvalidSpec, "max_delta must be >= 1"),
+    (sys.maxsize // 2 + 1, InvalidSpec, f"max_delta must be <= {sys.maxsize // 2}"),
+    (10**400, InvalidSpec, f"max_delta must be <= {sys.maxsize // 2}"),
+], ids=["none", "str", "float", "nan", "bool", "negative", "past-the-guard", "10**400"])
+def test_symmetric_max_delta_rejected_at_the_boundary(max_delta, error, message):
+    # None and "x" once raised a bare '<' not supported, 1.5 and NaN a
+    # TypeError about range(), True was 1, and 10**400 exhausted memory
+    with pytest.raises(error) as info:
+        NoiseSpec.symmetric(max_delta)
+    assert type(info.value) is error and str(info.value) == message
 
 
 @pytest.mark.parametrize("probs,error,message", [
@@ -1215,3 +1275,83 @@ def test_transforms_leave_other_columns_alone(ages, seed):
     ]
     for out in transformed:
         assert out.column("Tag") == ds.column("Tag")
+
+
+# The exact cell types of each kind, written out here rather than taken
+# from privkit: a Dataset holds no other cell.
+_EXACT_TYPES = {
+    Kind.INTEGER: (int, Interval, Suppressed),
+    Kind.TEXT: (str, MaskedText, Suppressed),
+}
+
+
+def cells_not_of_their_kind(dataset):
+    """Each (attribute, cell) whose cell is not exactly of a type its kind allows."""
+    bad = []
+    for attr, column in zip(dataset.schema.attributes, dataset.columns):
+        allowed = _EXACT_TYPES[attr.kind]
+        for c in column:
+            if type(c) not in allowed:
+                bad.append((attr.name, c))
+    return bad
+
+
+_TYPES_SCHEMA = Schema((
+    Attribute("Name", AttributeRole.EXPLICIT_IDENTIFIER, Kind.TEXT),
+    Attribute("Age", AttributeRole.QUASI_IDENTIFIER, Kind.INTEGER),
+    Attribute("ZIP", AttributeRole.QUASI_IDENTIFIER, Kind.TEXT),
+    Attribute("Income", AttributeRole.SENSITIVE, Kind.INTEGER),
+))
+_INTEGER_TEXTS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(0, 99).map(lambda n: f"+{n}"),
+    st.just("*"),
+    st.tuples(st.integers(-99, 99), st.integers(0, 99)).map(lambda t: f"{t[0]}-{t[0] + t[1]}"),
+)
+
+
+@given(st.lists(st.tuples(st.text("ab *1\u00e9", max_size=4), _INTEGER_TEXTS,
+                          st.text("ab,\"*\n\r1", max_size=4), _INTEGER_TEXTS), max_size=30),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_load_csv_builds_only_exact_cell_types(rows, quoted):
+    # plain rows take the split-at-commas path; quoting every field (the
+    # ZIP cells may hold commas, quotes and line ends) takes csv.reader's
+    if not quoted:
+        rows = [(a, b, c.translate({ord(ch): None for ch in ',"\n\r'}), d)
+                for a, b, c, d in rows]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n",
+                        quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL)
+    writer.writerows([_TYPES_SCHEMA.names, *rows])
+    dataset = load_csv(text.getvalue().encode("utf-8"), _TYPES_SCHEMA)
+    assert len(dataset) == len(rows) and cells_not_of_their_kind(dataset) == []
+
+
+@given(st.lists(st.tuples(st.text("ab *1", min_size=2, max_size=4), st.integers(-50, 50),
+                          st.text("ab *1", min_size=2, max_size=4), st.integers(0, 10**6)),
+                min_size=2, max_size=30),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_transforms_build_only_exact_cell_types(rows, seed):
+    # read from CSV as the CLI reads it: a raw text ending in "*" is a mask
+    dataset = load_csv(write_csv(Dataset.from_records(_TYPES_SCHEMA, rows)), _TYPES_SCHEMA)
+    rng = random.Random(seed)
+    binned = generalize(dataset, [GeneralizationRule("Age", NumericBins(7, 3)),
+                                  GeneralizationRule("ZIP", TextPrefix(1)),
+                                  GeneralizationRule("Name", SuppressAll())])
+    outputs = [
+        dataset,
+        suppress(dataset, ["Name", "Age"]),
+        binned,
+        generalize(binned, [GeneralizationRule("Age", NumericBins(20)),
+                            GeneralizationRule("ZIP", TextPrefix(0))]),
+        add_noise(dataset, "Income", NoiseSpec.symmetric(3), rng),
+        swap_values(binned, "ZIP", len(rows) // 2, rng),
+        rank_swap(dataset, "Age", 2, rng),
+        microaggregate_univariate(dataset, "Income", 2),
+        microaggregate_multivariate(dataset, ["Age", "ZIP", "Income"], 2),
+        aggregate_groups(dataset, ["Age", "ZIP", "Income"], [range(len(rows))]),
+    ]
+    for out in outputs:
+        assert cells_not_of_their_kind(out) == []

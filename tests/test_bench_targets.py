@@ -4,7 +4,7 @@
 function, or a method in its class's own ``__dict__``. This test resolves
 the entries the same way, so a rename under ``src/`` fails here rather than
 in a traced benchmark run, or as a per-layer metric that reads zero.
-A second test runs the tracer itself on two CLI calls in a fresh interpreter.
+Two more tests run the tracer itself on CLI calls in a fresh interpreter.
 """
 
 import importlib
@@ -59,3 +59,35 @@ def test_traced_cli_calls_in_a_fresh_interpreter(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0]
     assert result["calls"]["smc.transcript"] == 1 and result["calls"]["cli.main"] == 2
+
+
+# The table is exported inside the traced block: a table command run before
+# it would put the partition module into sys.modules ahead of the tracer's
+# snapshot of the privkit modules, which ``import privkit.cli`` must do.
+_TRACED_METRICS = """\
+import contextlib, io, json
+import privkit.cli
+import tracing
+tracer = tracing.Tracer()
+with tracer.patched(), contextlib.redirect_stdout(io.StringIO()):
+    codes = [privkit.cli.main(["fixtures", "export", "--name", "table1", "--output", "t1.csv",
+                               "--schema-output", "t1.schema.json"]),
+             privkit.cli.main(["metrics", "--input", "t1.csv", "--schema", "t1.schema.json",
+                               "--qi", "Age,Gender,ZIP", "--sensitive", "Diagnosis"])]
+print(json.dumps({"codes": codes, "calls": tracer.summarize()["calls"]}))
+"""
+
+
+def test_traced_metrics_call_counts_its_partition_spans(tmp_path):
+    # metrics runs the partition code without the transforms' module, which
+    # re-exports it; the tracer must still find and wrap it
+    path = os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "bench")])
+    proc = subprocess.run([sys.executable, "-c", _TRACED_METRICS], capture_output=True,
+                          text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    calls = result["calls"]
+    assert result["codes"] == [0, 0]
+    assert (calls.get("anonymize.equivalence_classes"), calls.get("anonymize.l_diversity"),
+            calls.get("anonymize.k_anonymity")) == (1, 1, 1)

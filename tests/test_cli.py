@@ -15,7 +15,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from privkit import anonymize, cli, rappor
+from privkit import _partition, anonymize, cli, rappor
 from privkit.cli import _write_atomic, main
 from privkit.dataset import Schema, fixture_table1, load_csv, write_csv
 from privkit.rappor import RapporParams
@@ -108,14 +108,15 @@ def test_metrics_on_generalized_fixture(capsys, export_fixture):
 
 
 def test_metrics_partitions_once(capsys, monkeypatch, export_fixture):
+    # metrics runs the partition module, not anonymize, which re-exports it
     calls = []
-    equivalence_classes = anonymize.equivalence_classes
+    equivalence_classes = _partition.equivalence_classes
 
     def counted(*args):
         calls.append(args)
         return equivalence_classes(*args)
 
-    monkeypatch.setattr(anonymize, "equivalence_classes", counted)
+    monkeypatch.setattr(_partition, "equivalence_classes", counted)
     csv_path, schema_path = export_fixture("table2")
     out = run_json(
         capsys, "metrics", "--input", str(csv_path), "--schema", str(schema_path),

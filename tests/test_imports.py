@@ -178,7 +178,11 @@ _CLI = ["privkit", "privkit._cli_common", "privkit.cli", "privkit.errors"]
 _VALUES = sorted([*_CLI, "privkit._value"])
 _RAPPOR = sorted([*_VALUES, "privkit._cli_rappor", "privkit.rappor"])
 _DATASET = sorted([*_VALUES, "privkit._cli_table", "privkit.dataset"])
-_TABLE = sorted([*_DATASET, "privkit.anonymize"])
+# metrics runs the partition code alone; anonymize imports it as well
+_METRICS = sorted([*_DATASET, "privkit._partition"])
+_TABLE = sorted([*_METRICS, "privkit.anonymize"])
+_ANONYMIZE = sorted([*_VALUES, "privkit._cli_anonymize", "privkit._partition", "privkit.anonymize",
+                     "privkit.dataset"])
 _EXECUTED_CASES = [
     (["rappor", "epsilon", "--params", PAPER_PARAMS], _RAPPOR),
     (["rappor", "encode", "--params", PAPER_PARAMS, "--value", "flu"], _RAPPOR),
@@ -191,9 +195,9 @@ _EXECUTED_CASES = [
       "--candidates", "candidates.json"], sorted([*_RAPPOR, "privkit._rappor_server"])),
     (["dpcheck", "--mode=report", "--params", PAPER_PARAMS, "--bits1", "0,1",
       "--bits2", "2,3"], sorted([*_RAPPOR, "privkit.dpcheck"])),
-    (["anonymize", "--config", "pipeline.json"], _TABLE),
+    (["anonymize", "--config", "pipeline.json"], _ANONYMIZE),
     (["metrics", "--input", "t1.csv", "--schema", "t1.schema.json", "--qi", "Age,Gender,ZIP",
-      "--sensitive", "Diagnosis"], _TABLE),
+      "--sensitive", "Diagnosis"], _METRICS),
     (["fixtures", "export", "--name", "table2", "--output", "t2.csv"], _TABLE),
     (["fixtures", "export", "--name", "table1", "--output", "t1.again.csv"], _DATASET),
     (["assoc", "mine", "--input", "baskets.json", "--min-support", "0.3"],
@@ -216,7 +220,7 @@ def test_cli_calls_execute_only_the_modules_they_use(workdir, argv, executed):
 
 
 # The handler module of each command's family, privkit._cli_<family>.
-_FAMILY = {"fixtures": "table", "anonymize": "table", "metrics": "table", "rappor": "rappor",
+_FAMILY = {"fixtures": "table", "anonymize": "anonymize", "metrics": "table", "rappor": "rappor",
            "dpcheck": "rappor", "smc": "smc", "assoc": "assoc"}
 _STARTUP = """
 import types

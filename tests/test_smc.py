@@ -4,7 +4,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from privkit import smc
 from privkit.errors import BadModulus, DuplicateX
@@ -138,6 +138,45 @@ def test_lagrange_interpolation_round_trip(secret, higher, target, data):
     )
     points = [(x, evaluate(coeffs, x, prime)) for x in xs]
     assert lagrange_at(points, target, prime) == evaluate(coeffs, target, prime)
+
+
+def _quadratic_lagrange(points, target, modulus):
+    """lagrange_at's O(n^2) loop over every pair of points, verbatim, as it
+    ran for every input before runs of consecutive x took a closed form."""
+    total = 0
+    for i, (xi, yi) in enumerate(points):
+        num, den = 1, 1
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            num = num * (target - xj) % modulus
+            den = den * (xi - xj) % modulus
+        total = (total + yi * num * pow(den, modulus - 2, modulus)) % modulus
+    return total
+
+
+_PRIMES = [2, 3, 5, 7, 11, 97, 65537, DEFAULT_MODULUS, 2**61 - 1, 2**127 - 1]
+
+
+@given(st.sampled_from(_PRIMES), st.integers(-10**6, 10**6), st.integers(-10**40, 10**40),
+       st.booleans(), st.data())
+@example(DEFAULT_MODULUS, 1, 0, False, None)  # the secret sum of 120 parties
+@example(7, 5, 0, False, None)  # 5..11 reduce to 5, 6, 0..4: no run
+@example(7, -7, 3, False, None)  # -7..-1 reduce to 0..6: the whole field
+@example(2**127 - 1, -3, -1, False, None)  # a run through 0 from negative x
+@settings(max_examples=200, deadline=None)
+def test_lagrange_at_equals_the_quadratic_loop(modulus, offset, target, reverse, data):
+    if data is None:  # an explicit example: 120 points, or as many as the field holds
+        n, ys = min(modulus, 120), [(7 * i * i + 3) % modulus for i in range(120)]
+    else:
+        n = data.draw(st.integers(1, min(modulus, 60)), label="n")
+        ys = data.draw(st.lists(st.integers(-10**40, 10**40), min_size=n, max_size=n),
+                       label="ys")
+    points = [(offset + i, y) for i, y in zip(range(n), ys)]
+    if reverse:  # not ascending: the loop
+        points.reverse()
+    assume(len({x % modulus for x, _ in points}) == n)
+    assert lagrange_at(points, target, modulus) == _quadratic_lagrange(points, target, modulus)
 
 
 def test_vaccination_vote_many_seeds():
