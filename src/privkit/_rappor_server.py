@@ -61,12 +61,15 @@ def estimate_from_counts(
     in [0, n], as some set of n reports gives; anything else raises
     InvalidParams naming the value and, for a count, its bit. ``n`` below 1
     or a number of counts other than k raises LengthMismatch. ``candidates``
-    is a collection of strings: a bare string, or a candidate that is not a
-    string, raises InvalidParams naming it.
+    is a collection of strings: a bare string or bytes, anything not
+    iterable, or a candidate that is not a string, raises InvalidParams
+    naming it.
     """
     if isinstance(candidates, str):
         raise InvalidParams(
             f"expected a collection of candidate strings, got the string {candidates!r}")
+    if isinstance(candidates, bytes) or not isinstance(candidates, Iterable):
+        raise InvalidParams(f"expected a collection of candidate strings, got {candidates!r}")
     if isinstance(n, bool) or not isinstance(n, int):
         raise InvalidParams(f"number of reports must be an int, got {n!r}")
     if n < 1:

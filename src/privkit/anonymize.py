@@ -359,8 +359,10 @@ def aggregate_groups(
     iterable of integer indices (ints, or objects ``operator.index``
     takes, such as numpy integers), each index in exactly one group. Any
     other grouping raises BadGrouping. Text attributes among
-    ``attributes`` are left unchanged; they only steer grouping.
+    ``attributes`` are left unchanged; they only steer grouping. A str,
+    bytes or non-iterable ``attributes`` raises ValueError.
     """
+    attributes = _name_tuple("attributes", attributes)
     try:
         groups = iter(groups)
     except TypeError as exc:
@@ -425,9 +427,11 @@ def microaggregate_multivariate(
     group of the k records nearest r (r included) and one of the k nearest s.
     Fewer than 2k leftovers form the last group. Integer attributes are then
     replaced by rounded group means. ``k`` must be an int (not a bool):
-    anything else raises TypeError.
+    anything else raises TypeError. ``attributes`` must be a collection of
+    attribute names: a str, bytes or non-iterable raises ValueError.
     """
     _check_group_size(dataset, k)
+    attributes = _name_tuple("attributes", attributes)
     coords = _mixed_coordinates(dataset, attributes)
     groups = mdav_groups(coords, k)
     return aggregate_groups(dataset, attributes, groups)

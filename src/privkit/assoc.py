@@ -51,7 +51,11 @@ class TransactionSet(Frozen):
         items: Optional[Iterable[str]] = None,
     ) -> "TransactionSet":
         """Each transaction, and ``items`` if given, is a collection of item
-        strings; ``items`` defaults to the union of the transactions."""
+        strings; ``items`` defaults to the union of the transactions. A str,
+        bytes or non-iterable ``transactions`` raises ValueError naming it."""
+        if isinstance(transactions, (str, bytes)) or not isinstance(transactions, Iterable):
+            raise ValueError(
+                f"transactions: expected a collection of baskets, got {transactions!r}")
         raw = tuple(transactions)
         txs = union = None
         # Lists and tuples can be read again, so a failed pass can be rerun;

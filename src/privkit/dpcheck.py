@@ -9,6 +9,17 @@ at the enumeration cap. A distribution given as raw log-probabilities is
 checked when it is built; one built from its k bit probabilities is checked
 through those k factors, and its 2^k outcomes are valid by construction.
 
+Between two such product distributions, ``exact_epsilon`` returns the float
+that enumerating every outcome gives, but computes it over only the outcomes
+that can attain it: those whose differing bits all take the value that
+pushes the log-ratio up, or all the value that pushes it down. Any other
+outcome's exact log-ratio lies inside by at least the smallest per-bit gap
+g, while rounding moves each enumerated value by at most about
+2 * (k + 1) * 2**-53 times the terms' magnitude, so the shortcut runs only
+when g exceeds 1e-9 of that magnitude. With a zero-mass bit, a smaller gap,
+or a distribution given as raw log-probabilities, all 2^k outcomes are
+enumerated.
+
 The cap is 2^20 outcomes; larger filters are rejected rather than
 approximated, because an approximate oracle cannot arbitrate closed forms.
 """
@@ -17,8 +28,9 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import repeat
-from typing import Sequence
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 from .errors import FilterTooLarge, SpaceMismatch
 from .rappor import BloomFilter, RapporParams, lemma1
@@ -35,15 +47,32 @@ def check_enumerable(k: int) -> None:
 class MechanismDistribution:
     """Exact distribution over all 2^k outcome bit patterns.
 
-    Outcome ``o`` is the integer whose bit i equals output bit i. Stored as
-    a tuple of log-probabilities; exactly-zero mass is -inf. NaN and +inf
-    are rejected, and so is a total other than 1.
+    Outcome ``o`` is the integer whose bit i equals output bit i.
+    ``log_probs`` is a tuple of its 2^k log-probabilities; exactly-zero mass
+    is -inf. NaN and +inf are rejected, and so is a total other than 1.
+
+    A distribution built by ``product_of_bits`` keeps its k bit terms and
+    builds ``log_probs`` only when it is first read, so ``exact_epsilon``
+    between two such distributions can search only the outcomes that can
+    attain its maximum, without the 2^k tuple (its docstring says when it
+    must enumerate them all).
     """
 
+    # The (ln P(bit = 0), ln P(bit = 1)) term pair of each bit, when the
+    # distribution is a product of independent bits; else None.
+    _terms: tuple[tuple[float, float], ...] | None = None
+
     def __init__(self, k: int, log_probs: Sequence[float]):
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError(f"k must be an integer, got {k!r}")
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        if isinstance(log_probs, (str, bytes)) or not hasattr(log_probs, "__iter__"):
+            raise ValueError(f"log_probs must be a sequence of floats, got {log_probs!r}")
         log_probs = tuple(map(float, log_probs))
-        if k < 0 or len(log_probs) != 1 << k:
-            raise SpaceMismatch(f"log_probs has {len(log_probs)} entries, expected 2^{k}")
+        n = len(log_probs)
+        if n.bit_length() != k + 1 or n != 1 << k:  # the first test keeps a huge k from shifting
+            raise SpaceMismatch(f"log_probs has {n} entries, expected 2^{k}")
         # The checks and the sum iterate in C: 2^k entries, k up to 20.
         if math.inf in log_probs or any(map(math.isnan, log_probs)):
             raise ValueError("log-probabilities must be finite or -inf")
@@ -57,6 +86,12 @@ class MechanismDistribution:
             raise ValueError(f"probabilities sum to exp({total}), not 1")
         self.k = k
         self.log_probs = log_probs
+
+    @cached_property
+    def log_probs(self) -> tuple[float, ...]:
+        # Reached only by a product_of_bits distribution: __init__ sets the
+        # attribute, which shadows this descriptor.
+        return tuple(_fold(self._terms))
 
     def prob(self, outcome: int) -> float:
         return math.exp(self.log_probs[outcome])
@@ -79,30 +114,39 @@ class MechanismDistribution:
         - Each outcome adds k rounded terms, so the total's error is about
           k*eps*(1+H) for the distribution's entropy H in nats, far below
           ``__init__``'s tolerance of 1e-9.
+
+        The distribution keeps the k term pairs; ``log_probs`` folds them
+        when it is first read.
         """
+        if isinstance(p_one, (str, bytes)) or not hasattr(p_one, "__len__"):
+            raise ValueError(f"p_one must be a sequence of probabilities, got {p_one!r}")
         k = len(p_one)
         check_enumerable(k)
         for i, p in enumerate(p_one):
             try:
-                valid = 0.0 <= p <= 1.0  # False for NaN
+                valid = 0.0 <= p <= 1.0 and not isinstance(p, bool)  # False for NaN
             except TypeError:
                 valid = False
             if not valid:
                 raise ValueError(f"probability of bit {i} must be in [0, 1], got {p!r}")
-        log_probs = [0.0]
-        for p in p_one:
-            lo = math.log(1.0 - p) if p < 1.0 else -math.inf
-            hi = math.log(p) if p > 0.0 else -math.inf
-            log_probs = [x + lo for x in log_probs] + [x + hi for x in log_probs]
-        return cls._trusted(k, tuple(log_probs))
-
-    @classmethod
-    def _trusted(cls, k: int, log_probs: tuple[float, ...]) -> "MechanismDistribution":
-        """A distribution whose log-probabilities its caller has shown valid."""
         dist = cls.__new__(cls)
         dist.k = k
-        dist.log_probs = log_probs
+        dist._terms = tuple(
+            (math.log(1.0 - p) if p < 1.0 else -math.inf, math.log(p) if p > 0.0 else -math.inf)
+            for p in p_one
+        )
         return dist
+
+
+def _fold(terms: Sequence[Sequence[float]]) -> list[float]:
+    """Each outcome's log-probability: its bits' terms summed left to right,
+    bit 0 first, from 0.0. Bit i offers the terms in ``terms[i]``: both of a
+    (lo, hi) pair, doubling the outcomes with bit i clear then set, or one
+    term, pinning the bit."""
+    log_probs = [0.0]
+    for choices in terms:
+        log_probs = [x + t for t in choices for x in log_probs]
+    return log_probs
 
 
 def prr_distribution(
@@ -137,13 +181,72 @@ def exact_epsilon(
     Outcomes with zero mass on both sides are ignored; an outcome with zero
     mass on exactly one side makes every finite bound fail, reported as
     +infinity.
+
+    The result is the float that enumerating all 2^k outcomes gives, bit for
+    bit. When both distributions come from ``product_of_bits`` it is found
+    among only the outcomes that can attain it (``_attaining_outcomes``);
+    otherwise, or when that search cannot be shown exact, all 2^k outcomes
+    are enumerated.
     """
     if d1.k != d2.k:
         raise SpaceMismatch(f"outcome spaces differ: k={d1.k} vs k={d2.k}")
+    folds = None
+    if d1._terms is not None and d2._terms is not None:
+        folds = _attaining_outcomes(d1._terms, d2._terms)
+    if folds is None:
+        folds = ((d1.log_probs, d2.log_probs),)
     # Skipping equal pairs skips zero mass on both sides (-inf - -inf is NaN);
     # zero mass on one side gives abs(-inf - x) = inf.
     return max(
-        (abs(a - b) for a, b in zip(d1.log_probs, d2.log_probs) if a != b), default=0.0
+        (abs(a - b) for l1, l2 in folds for a, b in zip(l1, l2) if a != b), default=0.0
+    )
+
+
+# The smallest gap, relative to the terms' magnitude, that lets
+# _attaining_outcomes skip outcomes. Rounding moves each enumerated
+# difference by at most about 2 * (k + 1) * 2**-53 of that magnitude, below
+# 5e-15 for k <= 20, so 1e-9 leaves a factor of 10^5 to spare.
+_MARGIN = 1e-9
+
+
+def _attaining_outcomes(
+    terms1: Sequence[tuple[float, float]], terms2: Sequence[tuple[float, float]]
+) -> Iterable[tuple[list[float], list[float]]] | None:
+    """The outcomes of two product distributions that can attain the largest
+    rounded |L1(o) - L2(o)|, as pairs of log-probability lists in matching
+    outcome order; None when that set cannot be shown to hold it.
+
+    Let V be the bits whose term pairs differ and d_i(b) = t1_i(b) - t2_i(b),
+    as exact reals. The exact difference D(o) is the sum of d_i(o_i) over V,
+    so it is largest (D+) only where every V-bit takes the argmax of its d_i,
+    and smallest (D-) only on the opposite pattern. Every other outcome lies
+    at least g = min over V of |d_i(0) - d_i(1)| inside [D-, D+], while each
+    rounded fold and difference is within about 2 * (k + 1) * 2**-53 * (T1 +
+    T2) of the exact value, where T sums each bit's larger |term|. So when g
+    is above ``_MARGIN * (T1 + T2)`` no other outcome can reach the largest
+    rounded |L1 - L2|, which is then the largest over the two patterns. Each
+    pattern's outcomes fold the pinned terms at their own positions, so every
+    value is the one full enumeration computes.
+
+    A -inf term (zero mass), or a g that is too small, returns None.
+    """
+    differing = [i for i, pair in enumerate(terms1) if pair != terms2[i]]
+    if not differing:
+        return ()  # every outcome has equal log-probabilities on both sides
+    if -math.inf in chain.from_iterable(terms1 + terms2):
+        return None
+    scale = math.fsum(-min(pair) for pair in terms1 + terms2)
+    high = {}  # bit -> the value that maximizes d_i
+    for i in differing:
+        (lo1, hi1), (lo2, hi2) = terms1[i], terms2[i]
+        gap = math.fsum((lo1, -lo2, -hi1, hi2))  # d_i(0) - d_i(1), correctly rounded
+        if not abs(gap) > _MARGIN * scale:
+            return None
+        high[i] = 0 if gap > 0 else 1
+    return (
+        tuple(_fold([(pair[high[i] ^ flip],) if i in high else pair
+                     for i, pair in enumerate(terms)]) for terms in (terms1, terms2))
+        for flip in (0, 1)
     )
 
 

@@ -37,6 +37,7 @@ import functools
 import importlib
 import json
 import math
+import operator
 import random
 import struct
 from typing import Iterable, Mapping, Sequence, Union
@@ -118,11 +119,11 @@ class RapporParams(Frozen):
             if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
                 kind = "an integer" if integer else "a number"
                 raise InvalidParams(f"{name} must be {kind}, got {value!r}")
-        try:  # stored as floats, so params equal in value have one digest
-            for name in ("f", "q", "p"):
+        for name in ("f", "q", "p"):  # stored as floats, so params equal in value have one digest
+            try:
                 object.__setattr__(self, name, float(getattr(self, name)))
-        except OverflowError as exc:
-            raise InvalidParams(f"bad params field: {exc}") from exc
+            except OverflowError as exc:
+                raise InvalidParams(f"{name} must be in [0, 1], got an {exc}") from None
         if not 1 <= self.k <= 2**35:
             raise InvalidParams(f"filter size must be in [1, 2^35], got {self.k}")
         if not 1 <= self.h <= min(self.k, 2**32 - 1):
@@ -173,6 +174,13 @@ class RapporParams(Frozen):
         return cls(**fields, hash_seed=obj.get("hash_seed", 0))
 
 
+def _check_width(k) -> None:
+    """Raise InvalidParams naming a bit-vector width ``k`` that is not an
+    int (a bool is not) of at least 0."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise InvalidParams(f"k must be a non-negative integer, got {k!r}")
+
+
 def _check_bits(self) -> None:
     """The ``__post_init__`` of the bit vectors below: store ``bits`` as a
     tuple, and raise InvalidParams naming the first bit that does not equal
@@ -192,8 +200,19 @@ class BloomFilter(Frozen):
 
     @classmethod
     def from_indices(cls, k: int, indices: Iterable[int]) -> "BloomFilter":
+        """The k-bit filter with the bits at ``indices`` set. ``k`` must be an
+        int (not a bool) of at least 0, and ``indices`` a collection of
+        integers (objects ``operator.index`` takes) in [0, k); anything else
+        raises InvalidParams or LengthMismatch naming it."""
+        _check_width(k)
+        if isinstance(indices, (str, bytes)) or not isinstance(indices, Iterable):
+            raise InvalidParams(f"indices must be a collection of bit indices, got {indices!r}")
         bits = [0] * k
         for i in indices:
+            try:
+                i = operator.index(i)
+            except TypeError:
+                raise InvalidParams(f"bit index must be an integer, got {i!r}") from None
             if not 0 <= i < k:
                 raise LengthMismatch(f"bit index {i} outside filter of size {k}")
             bits[i] = 1
@@ -234,6 +253,9 @@ class Report(Frozen):
 
     @classmethod
     def from_hex(cls, text: str, k: int) -> "Report":
+        """The k-bit report whose ``to_hex`` is ``text``. ``k`` must be an int
+        (not a bool) of at least 0: anything else raises InvalidParams."""
+        _check_width(k)
         return cls(_unpack_bits(_report_bytes(text, k), k))
 
     def envelope(self, params: RapporParams) -> dict:
@@ -308,7 +330,7 @@ def bloom_encode(
     values: Union[str, Iterable[str]], params: RapporParams
 ) -> BloomFilter:
     """Hash one value (reporting) or several (membership demos) onto a filter."""
-    if isinstance(values, str) or not isinstance(values, Iterable):
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
         values = [values]  # bloom_indices names a value that is not a str
     indices: set[int] = set()
     for v in values:

@@ -21,6 +21,7 @@ is the reference the table is tested against.
 from __future__ import annotations
 
 import random
+from collections.abc import Collection
 from typing import Sequence
 
 from ._value import Frozen
@@ -167,6 +168,8 @@ def secret_sum_transcript(
     Shares are drawn from ``rng`` when given (for reproducible runs), else
     from the operating system's cryptographic source.
     """
+    if isinstance(votes, (str, bytes)) or not isinstance(votes, Collection):
+        raise ValueError(f"votes must be a collection of integers, got {votes!r}")
     n = len(votes)
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
@@ -199,7 +202,7 @@ def _check_modulus(modulus) -> None:
     if not _is_int(modulus):
         raise BadModulus(f"modulus must be an integer, got {modulus!r}")
     if not is_prime(modulus):
-        raise BadModulus(f"{modulus} is not prime")
+        raise BadModulus(f"modulus {modulus} is not prime")
 
 
 def _share_table(

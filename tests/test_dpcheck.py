@@ -1,9 +1,10 @@
+import itertools
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from privkit.dpcheck import (
     ENUMERATION_CAP,
@@ -328,3 +329,149 @@ def test_product_of_bits_names_the_bad_factor(p_one, message):
     with pytest.raises(ValueError) as info:
         MechanismDistribution.product_of_bits(p_one)
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: MechanismDistribution(0, "0"), "log_probs must be a sequence of floats, got '0'"),
+    (lambda: MechanismDistribution(0, b"0"), "log_probs must be a sequence of floats, got b'0'"),
+    (lambda: MechanismDistribution(0, None), "log_probs must be a sequence of floats, got None"),
+    (lambda: MechanismDistribution.product_of_bits("1"),
+     "p_one must be a sequence of probabilities, got '1'"),
+    (lambda: MechanismDistribution.product_of_bits(b"\x01"),
+     "p_one must be a sequence of probabilities, got b'\\x01'"),
+    (lambda: MechanismDistribution.product_of_bits(None),
+     "p_one must be a sequence of probabilities, got None"),
+    (lambda: MechanismDistribution.product_of_bits([True]),
+     "probability of bit 0 must be in [0, 1], got True"),
+    (lambda: MechanismDistribution(-1, [0.0]), "k must be >= 0, got -1"),
+], ids=["log-probs-str", "log-probs-bytes", "log-probs-none", "p-one-str", "p-one-bytes",
+        "p-one-none", "p-bool", "k-negative"])
+def test_distribution_arguments_named_when_rejected(call, message):
+    # a str or bytes was once read as its characters: "0" as the point mass
+    # (0.0,), and "1" as the factor '1' of bit 0
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("k", [None, 1.5, "1", True])
+def test_distribution_k_of_the_wrong_type_is_named(k):
+    with pytest.raises(TypeError) as info:
+        MechanismDistribution(k, [0.0])
+    assert str(info.value) == f"k must be an integer, got {k!r}"
+
+
+def test_distribution_k_far_past_the_length_allocates_nothing():
+    # 1 << k is not computed for a k that no tuple length can match
+    with pytest.raises(SpaceMismatch, match=r"^log_probs has 1 entries, expected 2\^10{40}$"):
+        MechanismDistribution(10**40, [0.0])
+
+
+def folded_log_probs(p_one):
+    """Every outcome's log-probability, folded bit by bit, bit 0 first: the
+    full enumeration, written here."""
+    log_probs = []
+    for outcome in range(1 << len(p_one)):
+        folded = 0.0
+        for i, p in enumerate(p_one):
+            folded += bit_term(p, outcome >> i & 1)
+        log_probs.append(folded)
+    return log_probs
+
+
+def assert_full_enumeration(p1, p2):
+    """exact_epsilon of the two products has the bits of both oracles, each
+    of which enumerates every outcome of the folds above."""
+    d1, d2 = map(MechanismDistribution.product_of_bits, (p1, p2))
+    eps = exact_epsilon(d1, d2)
+    l1, l2 = folded_log_probs(p1), folded_log_probs(p2)
+    k = len(p1)
+    assert eps.hex() == exact_epsilon(MechanismDistribution(k, l1),
+                                      MechanismDistribution(k, l2)).hex()
+    assert eps.hex() == numpy_exact_epsilon(np.array(l1), np.array(l2)).hex()
+
+
+def pairs_of(k, draw_p2):
+    return st.lists(probabilities, min_size=k, max_size=k).flatmap(
+        lambda p1: st.tuples(st.just(p1), st.tuples(*(draw_p2(p) for p in p1))))
+
+
+def neighbour(p):
+    """p, a float 1 to 3 ulps from it (so the per-bit gap is tiny and only the
+    full enumeration is exact), or an unrelated probability."""
+    return st.one_of(st.just(p), probabilities, st.tuples(
+        st.integers(1, 3), st.sampled_from([0.0, 1.0])).map(lambda nw: nextafter_n(p, *nw)))
+
+
+def nextafter_n(p, n, toward):
+    for _ in range(n):
+        p = math.nextafter(p, toward)
+    return p
+
+
+@given(st.integers(0, 12).flatmap(lambda k: st.tuples(
+    st.lists(grid, min_size=k, max_size=k), st.lists(grid, min_size=k, max_size=k))))
+def test_exact_epsilon_of_grid_products_is_the_full_enumeration(pair):
+    assert_full_enumeration(*pair)
+
+
+@given(st.integers(1, 10).flatmap(lambda k: pairs_of(k, neighbour)))
+@example(([0.07665163703845079, 0.3125, 0.8907681278553053, 0.4577692590412453, 0.875],
+          [0.07665163703845078, 0.31249999999999994, 0.8907681278553052, 0.45776925904124516,
+           0.8750000000000002]))
+def test_exact_epsilon_of_neighbouring_products_is_the_full_enumeration(pair):
+    # the example: the two patterns alone give 0x1.0p-49, every outcome 0x1.4p-49,
+    # so only the gap check sends it to the full enumeration
+    assert_full_enumeration(*pair)
+
+
+@given(st.integers(0, 8).flatmap(lambda k: st.tuples(
+    st.lists(edge_probabilities, min_size=k, max_size=k),
+    st.lists(edge_probabilities, min_size=k, max_size=k))))
+def test_exact_epsilon_of_edge_products_is_the_full_enumeration(pair):
+    assert_full_enumeration(*pair)
+
+
+@pytest.mark.parametrize("distribution", [prr_distribution, report_distribution])
+def test_every_pair_of_h2_filters_at_k8_is_the_full_enumeration(distribution):
+    filters = [BloomFilter.from_indices(8, pair) for pair in itertools.combinations(range(8), 2)]
+    folds = {f.bits: np.array(folded_log_probs(factors(distribution, f))) for f in filters}
+    for f1 in filters:
+        for f2 in filters:
+            d1, d2 = distribution(f1, PAPER), distribution(f2, PAPER)
+            eps = exact_epsilon(d1, d2)
+            # no factor is 0 or 1, so both take the short search
+            assert "log_probs" not in vars(d1) and "log_probs" not in vars(d2)
+            assert eps.hex() == numpy_exact_epsilon(folds[f1.bits], folds[f2.bits]).hex()
+
+
+def factors(distribution, bloom):
+    f = PAPER.f
+    q_star, p_star = lemma1(PAPER)
+    if distribution is prr_distribution:
+        return [f / 2.0 + (1.0 - f) * b for b in bloom.bits]
+    return [q_star if b else p_star for b in bloom.bits]
+
+
+def test_short_search_leaves_log_probs_unbuilt_until_read():
+    params = params_with(16)
+    d1 = report_distribution(BloomFilter.from_indices(16, [0, 13]), params)
+    d2 = report_distribution(BloomFilter.from_indices(16, [2, 7]), params)
+    eps = exact_epsilon(d1, d2)
+    assert "log_probs" not in vars(d1) and "log_probs" not in vars(d2)
+    assert eps == pytest.approx(epsilon_one(params), abs=1e-9)
+    # reading it builds the tuple the full fold gives, once
+    assert isinstance(d1.log_probs, tuple) and d1.log_probs is d1.log_probs
+    assert "log_probs" in vars(d1)
+    assert exact_epsilon(MechanismDistribution(16, d1.log_probs),
+                         MechanismDistribution(16, d2.log_probs)).hex() == eps.hex()
+
+
+def test_zero_mass_and_raw_distributions_enumerate_every_outcome():
+    zero = MechanismDistribution.product_of_bits([0.0, 0.5])
+    half = MechanismDistribution.product_of_bits([0.25, 0.5])
+    assert exact_epsilon(zero, half) == math.inf
+    assert "log_probs" in vars(zero)  # a -inf term: the full enumeration ran
+    raw = MechanismDistribution(2, half.log_probs)
+    other = MechanismDistribution.product_of_bits([0.5, 0.5])
+    assert exact_epsilon(raw, other).hex() == exact_epsilon(half, other).hex()

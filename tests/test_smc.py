@@ -96,9 +96,9 @@ def test_lagrange_duplicate_x():
 
 
 @pytest.mark.parametrize("points,target,modulus,error,message", [
-    ([(1, 2)], 0, 0, BadModulus, "0 is not prime"),
+    ([(1, 2)], 0, 0, BadModulus, "modulus 0 is not prime"),
     ([(1, 2)], 0, 1.5, BadModulus, "modulus must be an integer, got 1.5"),
-    ([(1, 2)], 0, 15, BadModulus, "15 is not prime"),
+    ([(1, 2)], 0, 15, BadModulus, "modulus 15 is not prime"),
     ([(1, 2)], 0, True, BadModulus, "modulus must be an integer, got True"),
     ([(1, 2)], None, P, ValueError, "target must be an integer, got None"),
     ([(1, 2)], 0.5, P, ValueError, "target must be an integer, got 0.5"),
@@ -359,3 +359,15 @@ def test_share_table_lanes_hold_the_largest_sums(n, modulus):
     polys = [[modulus - 1] * n] * n
     expected = tuple(evaluate(polys[0], x, modulus) for x in range(1, n + 1))
     assert smc._share_table(polys, modulus) == (expected,) * n
+
+
+@pytest.mark.parametrize("votes", [None, 5, "12", b"\x01\x02", iter([1, 2])],
+                         ids=["none", "int", "str", "bytes", "iterator"])
+@pytest.mark.parametrize("run", [secret_sum_transcript, run_secret_sum])
+def test_votes_that_are_not_a_collection_are_named(run, votes):
+    # None and 5 once raised a bare "object of type 'NoneType' has no len()",
+    # and bytes were read as their byte values
+    with pytest.raises(ValueError) as info:
+        run(votes)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"votes must be a collection of integers, got {votes!r}"
