@@ -21,6 +21,7 @@ from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Mapping
 
 from . import rappor
+from ._value import _check_int, _is_int, _is_number
 from .errors import InvalidParams
 from .rappor import (
     _MASK64,
@@ -51,10 +52,10 @@ def allocate_counts(
     repeats owners in int64 and ``client_secret`` packs each client index as
     an unsigned 64-bit integer. Anything else raises ``InvalidParams``.
     """
-    if isinstance(clients, bool) or not isinstance(clients, int) or not 0 <= clients < 2**63:
+    if not _is_int(clients) or not 0 <= clients < 2**63:
         raise InvalidParams(f"clients must be an integer in [0, 2^63), got {clients!r}")
     for share in distribution.values():
-        if isinstance(share, bool) or not isinstance(share, (int, float)) or not 0 <= share <= 1:
+        if not _is_number(share) or not 0 <= share <= 1:
             raise InvalidParams(f"distribution share {share!r} is not a number in [0, 1]")
     total = sum(distribution.values())
     if not math.isclose(total, 1.0, abs_tol=1e-9):
@@ -107,14 +108,13 @@ def simulate_packed(
     for v in counts:  # before sorting, which a key of another type would fail
         _check_value(v)
     values = sorted(counts)
-    for v in values:  # bool is an int subclass in Python
+    for v in values:
         count = counts[v]
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        if not _is_int(count) or count < 0:
             raise InvalidParams(f"count of {v!r} must be a non-negative integer, got {count!r}")
         if count >= 2**63:
             raise InvalidParams(f"count of {v!r} must be below 2^63, got {count!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise InvalidParams(f"seed must be an integer, got {seed!r}")
+    _check_int("seed", seed, InvalidParams)
     # looked up on the module, where the benchmark's tracer replaces it
     blooms = [bytes(rappor.bloom_encode(v, params).bits) + bytes(stride - k) for v in values]
     messages = [_prr_messages(v, params) for v in values]

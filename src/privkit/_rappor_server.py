@@ -20,6 +20,7 @@ import operator
 import re
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
+from ._value import _is_collection, _is_int
 from .errors import ConfigError, DegenerateParams, InvalidParams, LengthMismatch
 from .rappor import (
     RapporParams,
@@ -68,16 +69,16 @@ def estimate_from_counts(
     if isinstance(candidates, str):
         raise InvalidParams(
             f"expected a collection of candidate strings, got the string {candidates!r}")
-    if isinstance(candidates, bytes) or not isinstance(candidates, Iterable):
+    if not _is_collection(candidates):
         raise InvalidParams(f"expected a collection of candidate strings, got {candidates!r}")
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_int(n):
         raise InvalidParams(f"number of reports must be an int, got {n!r}")
     if n < 1:
         raise LengthMismatch("need at least one report")
     if len(counts) != params.k:
         raise LengthMismatch(f"{len(counts)} bit counts, params say {params.k}")
     for i, c in enumerate(counts):
-        if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c <= n:
+        if not _is_int(c) or not 0 <= c <= n:
             raise InvalidParams(f"count of bit {i} must be an int in [0, {n}], got {c!r}")
     q_star, p_star = lemma1(params)
     denom = q_star - p_star

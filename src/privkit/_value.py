@@ -5,12 +5,52 @@ decorator does, imports ``inspect`` (and with it ``ast``, ``dis`` and
 ``tokenize``) and ``exec``s code for every class: a cost every CLI call paid
 at start-up. ``Frozen`` gives the API's value classes the same construction,
 repr, equality, hash and immutability without either.
+
+The argument rules that many modules share are written here once: an int
+that is not a bool (``_is_int``, ``_check_int``, ``_index``), a number that
+is not a bool (``_is_number``), and a collection that is not a bare str or
+bytes (``_is_collection``). Each caller keeps its own exception class and
+message.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from typing import Callable
+
+
+def _is_int(value) -> bool:
+    """An int, but not a bool: bool is an int subclass in Python, and True
+    is no count, size or seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_collection(value) -> bool:
+    """Iterable, but not a bare str or bytes, whose characters or byte
+    values would be read as the items."""
+    return isinstance(value, Iterable) and not isinstance(value, (str, bytes))
+
+
+def _check_int(name: str, value, error: type[Exception] = TypeError) -> None:
+    """Raise ``error`` with the message ``<name> must be an integer, got
+    <value!r>`` unless value is an int and not a bool: a bound of 2.5 writes
+    a cell that no CSV reads back, and p=True is no window."""
+    if not _is_int(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _index(value) -> int:
+    """``operator.index(value)``, which takes numpy integers too, except that
+    a bool raises TypeError as a float does: True is no index or bound."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool, not an integer")
+    return operator.index(value)
 
 
 class Frozen:

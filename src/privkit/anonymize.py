@@ -32,7 +32,7 @@ from ._partition import (  # noqa: F401 (exported here: see privkit._EXPORTS)
     k_anonymity,
     l_diversity,
 )
-from ._value import Frozen
+from ._value import Frozen, _check_int, _index, _is_int, _is_number
 from .dataset import (
     _KIND_TYPES,
     GENERALIZED,
@@ -44,7 +44,6 @@ from .dataset import (
     MaskedText,
     Schema,
     Suppressed,
-    _check_int,
     _name_tuple,
     check_cell_types,
 )
@@ -77,14 +76,14 @@ class NumericBins(Frozen):
     def key(self, x: Cell) -> Cell:
         """What ``apply(x)`` depends on: the low end of an integer's bin, and
         any other cell itself."""
-        if isinstance(x, int) and not isinstance(x, bool):
+        if _is_int(x):
             return self.origin + self.width * ((x - self.origin) // self.width)
         return x
 
     def apply(self, x: Cell) -> Cell:
         if isinstance(x, GENERALIZED):
             return x
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not _is_int(x):
             raise KindMismatch(f"cannot bin non-integer cell {x!r}")
         lo = self.key(x)
         return Interval(lo, lo + self.width - 1)
@@ -145,9 +144,9 @@ class NoiseSpec(Frozen):
         if not probs:
             raise InvalidSpec("noise spec must contain at least one delta")
         for delta, prob in probs.items():
-            if not isinstance(delta, int) or isinstance(delta, bool):
+            if not _is_int(delta):
                 raise InvalidSpec(f"delta {delta!r} is not an integer")
-            if isinstance(prob, bool) or not isinstance(prob, (int, float)):
+            if not _is_number(prob):
                 raise InvalidSpec(f"probability of delta {delta} must be a number, got {prob!r}")
             probs[delta] = prob = float(prob)  # OverflowError past the float range
             if not prob >= 0:  # false for NaN as well
@@ -357,8 +356,8 @@ def aggregate_groups(
 
     ``groups`` must partition the record indices: each group a non-empty
     iterable of integer indices (ints, or objects ``operator.index``
-    takes, such as numpy integers), each index in exactly one group. Any
-    other grouping raises BadGrouping. Text attributes among
+    takes, such as numpy integers, but not bools), each index in exactly
+    one group. Any other grouping raises BadGrouping. Text attributes among
     ``attributes`` are left unchanged; they only steer grouping. A str,
     bytes or non-iterable ``attributes`` raises ValueError.
     """
@@ -370,7 +369,7 @@ def aggregate_groups(
     group_list = []
     for j, g in enumerate(groups):
         try:
-            group = tuple(map(operator.index, g))
+            group = tuple(map(_index, g))
         except TypeError as exc:
             raise BadGrouping(f"group {j} is not a sequence of integer indices: {exc}") from exc
         if not group:
@@ -422,13 +421,12 @@ def microaggregate_multivariate(
 ) -> Dataset:
     """Maximum-distance-to-average grouping over several attributes at once.
 
-    While at least 2k records remain: take the record r farthest from the
-    centroid of the remainder and the record s farthest from r, then form one
-    group of the k records nearest r (r included) and one of the k nearest s.
-    Fewer than 2k leftovers form the last group. Integer attributes are then
-    replaced by rounded group means. ``k`` must be an int (not a bool):
-    anything else raises TypeError. ``attributes`` must be a collection of
-    attribute names: a str, bytes or non-iterable raises ValueError.
+    The records are grouped by ``mdav_groups`` over their coordinates (see
+    ``_mixed_coordinates``), whose docstring gives the loop and its last
+    groups. Integer attributes are then replaced by rounded group means.
+    ``k`` must be an int (not a bool): anything else raises TypeError.
+    ``attributes`` must be a collection of attribute names: a str, bytes or
+    non-iterable raises ValueError.
     """
     _check_group_size(dataset, k)
     attributes = _name_tuple("attributes", attributes)

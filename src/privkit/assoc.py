@@ -15,13 +15,11 @@ wobble; rules are ordered by integer keys too. The float ``support`` and
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import privkit  # loaded already; privkit.dataset loads only if an annotation is resolved
-from ._value import Frozen
+from ._value import Frozen, _index, _is_collection
 from .errors import (
     BadThreshold,
     DisjointnessViolation,
@@ -52,25 +50,13 @@ class TransactionSet(Frozen):
     ) -> "TransactionSet":
         """Each transaction, and ``items`` if given, is a collection of item
         strings; ``items`` defaults to the union of the transactions. A str,
-        bytes or non-iterable ``transactions`` raises ValueError naming it."""
-        if isinstance(transactions, (str, bytes)) or not isinstance(transactions, Iterable):
+        bytes or non-iterable ``transactions`` raises ValueError naming it, and
+        so does a basket, or ``items``, that is not a collection of strings."""
+        if not _is_collection(transactions):
             raise ValueError(
                 f"transactions: expected a collection of baskets, got {transactions!r}")
-        raw = tuple(transactions)
-        txs = union = None
-        # Lists and tuples can be read again, so a failed pass can be rerun;
-        # the pass checks types at C level, each distinct item's once.
-        if all(map(isinstance, raw, repeat((list, tuple)))):
-            try:
-                txs = tuple(map(frozenset, raw))
-                union = frozenset().union(*txs)
-            except TypeError:  # an item that is not hashable
-                txs = None
-        if txs is None or not all(map(isinstance, union, repeat(str))):
-            # _itemset, basket by basket, raises naming the first bad basket or item
-            txs = tuple(map(_itemset, raw))
-            union = frozenset().union(*txs)
-        return cls(txs, _itemset(items) if items is not None else union)
+        txs = tuple(map(_itemset, transactions))
+        return cls(txs, _itemset(items) if items is not None else frozenset().union(*txs))
 
     def __len__(self):
         return len(self.transactions)
@@ -174,7 +160,7 @@ def solid_rules(
             f"certainty={min_certainty}"
         )
     try:
-        max_itemset = operator.index(max_itemset)
+        max_itemset = _index(max_itemset)
     except TypeError:
         raise BadThreshold(f"max_itemset must be an integer, got {max_itemset!r}") from None
     if max_itemset < 2:
@@ -265,10 +251,9 @@ def _exact(name: str, threshold) -> tuple[int, int]:
 def _itemset(items: Iterable[str], name: str = "") -> ItemSet:
     """The items as a set. Each must be a string, and a string is not read as
     the set of its characters; a ValueError, which the CLI reports as a data
-    error, names what is wrong. ``name`` is the argument the items were
-    given as: it starts each message, and a value that is not a collection
-    raises the same ValueError. Without it, as for the baskets of
-    ``from_iterables``, such a value raises the TypeError of iterating it."""
+    error, names what is wrong, a value that is not a collection included.
+    ``name`` is the argument the items were given as: it starts each
+    message."""
     prefix = f"{name}: " if name else ""
     if isinstance(items, str):
         raise ValueError(f"{prefix}expected a collection of item strings, "
@@ -276,8 +261,6 @@ def _itemset(items: Iterable[str], name: str = "") -> ItemSet:
     try:
         items = tuple(items)
     except TypeError:
-        if not name:
-            raise
         raise ValueError(f"{prefix}expected a collection of item strings, got {items!r}") from None
     for item in items:
         if not isinstance(item, str):

@@ -40,7 +40,7 @@ import sys
 from itertools import repeat
 from typing import IO, Iterable, Optional, Sequence, Union
 
-from ._value import Frozen
+from ._value import Frozen, _check_int, _is_collection
 from .errors import (
     ArityError,
     HeaderMismatch,
@@ -65,15 +65,6 @@ class Kind(enum.Enum):
 
     TEXT = "text"
     INTEGER = "integer"
-
-
-def _check_int(name: str, value) -> None:
-    """Raise TypeError unless value is an int and not a bool. Interval
-    bounds, rule fields and the integer arguments of the transforms go
-    through it: a bound of 2.5 writes a cell that no CSV reads back, and
-    p=True is no window."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _name_tuple(argument: str, names) -> tuple:
@@ -195,13 +186,21 @@ class Attribute(Frozen):
 
 
 class Schema(Frozen):
-    """Ordered attribute list; names are unique."""
+    """Ordered attribute list; names are unique. ``attributes`` is a
+    collection of ``Attribute`` objects: anything else raises TypeError
+    naming it."""
 
     attributes: tuple[Attribute, ...]
 
     def __post_init__(self):
+        if not _is_collection(self.attributes):
+            raise TypeError(f"attributes must be a collection of Attribute objects, "
+                            f"got {self.attributes!r}")
         # a list would leave the schema unhashable, an iterator empty
         object.__setattr__(self, "attributes", tuple(self.attributes))
+        for a in self.attributes:
+            if not isinstance(a, Attribute):
+                raise TypeError(f"attributes must hold Attribute objects, got {a!r}")
         names = [a.name for a in self.attributes]
         if not names:
             raise ValueError("schema has no attributes")
@@ -339,6 +338,9 @@ def check_cell_types(
 def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
     """Parse UTF-8 CSV whose header matches the schema names in order.
 
+    ``source`` is the file's bytes or a binary file to read them from; a
+    path, a text file or anything else raises TypeError naming it.
+
     Lines may end in LF, CRLF or a lone CR. A line end inside a quoted
     field is kept in the cell; a bare CR in an unquoted field ends the
     row. Integer cells are ASCII digits with an optional sign. Rejects the
@@ -361,10 +363,9 @@ def load_csv(source: Union[bytes, IO[bytes]], schema: Schema) -> Dataset:
     block with a bad cell is parsed again row by row, so the error names
     the first bad cell in file order, as it would cell by cell.
     """
-    if isinstance(source, bytes):
-        data = source
-    else:
-        data = source.read()
+    data = source.read() if hasattr(source, "read") else source
+    if not isinstance(data, bytes):
+        raise TypeError(f"source must be bytes or a binary file, got {source!r}")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

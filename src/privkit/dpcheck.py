@@ -32,6 +32,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
+from ._value import _check_int
 from .errors import FilterTooLarge, SpaceMismatch
 from .rappor import BloomFilter, RapporParams, lemma1
 
@@ -63,8 +64,7 @@ class MechanismDistribution:
     _terms: tuple[tuple[float, float], ...] | None = None
 
     def __init__(self, k: int, log_probs: Sequence[float]):
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise TypeError(f"k must be an integer, got {k!r}")
+        _check_int("k", k)
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         if isinstance(log_probs, (str, bytes)) or not hasattr(log_probs, "__iter__"):

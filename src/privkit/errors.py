@@ -4,10 +4,16 @@ Most validation errors raised by the library derive from PrivkitError.
 Some range checks in ``anonymize``, ``assoc``, ``dataset``, ``dpcheck`` and
 ``smc`` raise a plain ValueError instead, so callers (including the CLI) that
 separate data/validation failures from bugs catch both. The field type
-checks of ``Attribute``, ``Interval``, ``MaskedText`` and the generalization
-strategies raise TypeError; the CLI reports them through the schema or
-pipeline step that named them. A ``Dataset`` cell of the wrong type for its
-attribute's kind raises KindMismatch when the dataset is built.
+checks of ``Attribute``, ``Schema``, ``Interval``, ``MaskedText`` and the
+generalization strategies, and ``load_csv``'s check of its source, raise
+TypeError; the CLI reports them through the schema or pipeline step that
+named them. A ``Dataset`` cell of the wrong type for its attribute's kind
+raises KindMismatch when the dataset is built.
+
+Which values an argument takes is decided by the rules in ``_value.py``: an
+int that is not a bool, a number that is not a bool, a collection that is
+not a bare str or bytes. Each module raises its own class from this list
+(or ValueError or TypeError) with a message that names the argument.
 """
 
 
@@ -138,7 +144,7 @@ class ZeroSupportAntecedent(PrivkitError):
 
 class BadThreshold(PrivkitError):
     """Mining threshold or enumeration bound is out of range, or is not a
-    number (a bool threshold, a fractional bound)."""
+    number (a bool threshold, a fractional or bool bound)."""
 
 
 # --- cli --------------------------------------------------------------------

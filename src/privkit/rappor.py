@@ -37,12 +37,11 @@ import functools
 import importlib
 import json
 import math
-import operator
 import random
 import struct
 from typing import Iterable, Mapping, Sequence, Union
 
-from ._value import Frozen
+from ._value import Frozen, _index, _is_collection, _is_int, _is_number
 from .errors import DomainError, InvalidParams, LengthMismatch, ReportFormatError
 
 # The builtin hash modules, as random.py takes its sha512: importing hashlib
@@ -116,7 +115,7 @@ class RapporParams(Frozen):
         for name in ("k", "h", "f", "q", "p", "hash_seed"):
             value = getattr(self, name)
             integer = name in ("k", "h", "hash_seed")
-            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            if not (_is_int(value) if integer else _is_number(value)):
                 kind = "an integer" if integer else "a number"
                 raise InvalidParams(f"{name} must be {kind}, got {value!r}")
         for name in ("f", "q", "p"):  # stored as floats, so params equal in value have one digest
@@ -177,7 +176,7 @@ class RapporParams(Frozen):
 def _check_width(k) -> None:
     """Raise InvalidParams naming a bit-vector width ``k`` that is not an
     int (a bool is not) of at least 0."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+    if not _is_int(k) or k < 0:
         raise InvalidParams(f"k must be a non-negative integer, got {k!r}")
 
 
@@ -202,15 +201,15 @@ class BloomFilter(Frozen):
     def from_indices(cls, k: int, indices: Iterable[int]) -> "BloomFilter":
         """The k-bit filter with the bits at ``indices`` set. ``k`` must be an
         int (not a bool) of at least 0, and ``indices`` a collection of
-        integers (objects ``operator.index`` takes) in [0, k); anything else
-        raises InvalidParams or LengthMismatch naming it."""
+        integers (objects ``operator.index`` takes, but not bools) in [0, k);
+        anything else raises InvalidParams or LengthMismatch naming it."""
         _check_width(k)
-        if isinstance(indices, (str, bytes)) or not isinstance(indices, Iterable):
+        if not _is_collection(indices):
             raise InvalidParams(f"indices must be a collection of bit indices, got {indices!r}")
         bits = [0] * k
         for i in indices:
             try:
-                i = operator.index(i)
+                i = _index(i)
             except TypeError:
                 raise InvalidParams(f"bit index must be an integer, got {i!r}") from None
             if not 0 <= i < k:
@@ -330,7 +329,7 @@ def bloom_encode(
     values: Union[str, Iterable[str]], params: RapporParams
 ) -> BloomFilter:
     """Hash one value (reporting) or several (membership demos) onto a filter."""
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+    if not _is_collection(values):
         values = [values]  # bloom_indices names a value that is not a str
     indices: set[int] = set()
     for v in values:
@@ -439,11 +438,12 @@ def make_report(
 def epsilon_infinity(params: RapporParams) -> float:
     """Longitudinal privacy bound of the permanent response: 2h ln((1-f/2)/(f/2)).
 
-    Raises ``DomainError`` unless 0 < f < 1, and also when f is so small
+    At f = 1 the permanent response ignores the value, and the bound is 0.0.
+    Raises ``DomainError`` unless 0 < f <= 1, and also when f is so small
     that f/2 underflows to 0 or the ratio overflows to infinity.
     """
-    if not 0.0 < params.f < 1.0:
-        raise DomainError(f"bound needs 0 < f < 1, got f={params.f}")
+    if not 0.0 < params.f <= 1.0:
+        raise DomainError(f"bound needs 0 < f <= 1, got f={params.f}")
     half_f = params.f / 2.0
     if half_f == 0.0 or math.isinf(ratio := (1.0 - half_f) / half_f):
         raise DomainError(f"bound is not finite in floating point at f={params.f}")

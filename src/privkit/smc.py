@@ -24,7 +24,7 @@ import random
 from collections.abc import Collection
 from typing import Sequence
 
-from ._value import Frozen
+from ._value import Frozen, _check_int, _is_int
 from .errors import BadModulus, DuplicateX
 
 DEFAULT_MODULUS = 2**31 - 1
@@ -91,8 +91,7 @@ def lagrange_at(
     any others a loop over every pair of points.
     """
     _check_modulus(modulus)
-    if not _is_int(target):
-        raise ValueError(f"target must be an integer, got {target!r}")
+    _check_int("target", target, ValueError)
     try:
         points = [(x, y) for x, y in points]
     except (TypeError, ValueError):
@@ -194,13 +193,8 @@ def secret_sum_transcript(
     return SecretSumTranscript(modulus, tuple(votes), shares, aggregated, total)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_modulus(modulus) -> None:
-    if not _is_int(modulus):
-        raise BadModulus(f"modulus must be an integer, got {modulus!r}")
+    _check_int("modulus", modulus, BadModulus)
     if not is_prime(modulus):
         raise BadModulus(f"modulus {modulus} is not prime")
 

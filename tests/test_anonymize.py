@@ -878,6 +878,18 @@ def test_aggregate_groups_rejects_groups_that_are_not_iterable():
     assert str(info.value) == "groups is not an iterable of groups: 'int' object is not iterable"
 
 
+@pytest.mark.parametrize("groups,message", [
+    ([[True, 0], range(2, 10)], "group 0 is not a sequence of integer indices: "
+                                "True is a bool, not an integer"),
+    ([range(9), [False]], "group 1 is not a sequence of integer indices: "
+                          "False is a bool, not an integer"),
+], ids=["true", "false"])
+def test_aggregate_groups_takes_no_bool_as_an_index(groups, message):
+    with pytest.raises(BadGrouping) as info:
+        aggregate_groups(fixture_table1(), ["Age"], groups)
+    assert str(info.value) == message
+
+
 def test_aggregate_groups_takes_numpy_indices():
     np = pytest.importorskip("numpy")
     groups = [np.array(g) for g in [[0, 6, 4], [7, 9], [1, 8, 5], [2, 3]]]

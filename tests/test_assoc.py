@@ -239,10 +239,14 @@ def test_from_iterables_takes_any_collection_of_strings():
 
 def itemset_reference(items):
     """``assoc._itemset`` as it was when ``from_iterables`` mapped it over
-    every basket, verbatim."""
+    every basket, except that a value that is not a collection raises the
+    ValueError of a str, not the TypeError of iterating it."""
     if isinstance(items, str):
         raise ValueError(f"expected a collection of item strings, got the string {items!r}")
-    items = tuple(items)
+    try:
+        items = tuple(items)
+    except TypeError:
+        raise ValueError(f"expected a collection of item strings, got {items!r}") from None
     for item in items:
         if not isinstance(item, str):
             raise ValueError(f"item {item!r} is not a string")
@@ -254,6 +258,18 @@ def from_iterables_reference(transactions, items=None):
     txs = tuple(map(itemset_reference, transactions))
     return TransactionSet(txs, itemset_reference(items) if items is not None
                           else frozenset().union(*txs))
+
+
+@pytest.mark.parametrize("transactions,items,message", [
+    ([5], None, "expected a collection of item strings, got 5"),
+    ([["a"], None], None, "expected a collection of item strings, got None"),
+    ([["a"]], 5, "expected a collection of item strings, got 5"),
+    ([("a",), iter(["b"]), 2.5], None, "expected a collection of item strings, got 2.5"),
+], ids=["int-basket", "null-basket", "int-items", "float-basket-after-an-iterator"])
+def test_from_iterables_rejects_what_is_not_a_collection(transactions, items, message):
+    with pytest.raises(ValueError) as info:
+        TransactionSet.from_iterables(transactions, items)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 class StrSubclass(str):
@@ -385,6 +401,13 @@ def test_solid_rules_rejects_arguments_that_are_not_numbers(transactions, kwargs
     with pytest.raises(BadThreshold) as info:
         solid_rules(transactions, **kwargs)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("max_itemset", [True, False])
+def test_solid_rules_takes_no_bool_as_max_itemset(max_itemset):
+    with pytest.raises(BadThreshold) as info:
+        solid_rules(BASKET, 0.5, 0.5, max_itemset)
+    assert str(info.value) == f"max_itemset must be an integer, got {max_itemset}"
 
 
 def test_max_itemset_caps_enumeration():

@@ -521,6 +521,15 @@ def test_rappor_epsilon_boundary_is_null(capsys):
     assert out["epsilon_one"] == pytest.approx(2.1972, abs=1e-3)
 
 
+def test_epsilon_infinity_at_f_1_is_the_exact_zero(capsys):
+    # the permanent response ignores the value, so nothing leaks
+    params = '{"k":4,"h":2,"f":1,"p":0.25,"q":0.75}'
+    assert run_json(capsys, "rappor", "epsilon", "--params", params)["epsilon_infinity"] == 0.0
+    out = run_json(capsys, "dpcheck", "--mode", "prr", "--params", params,
+                   "--bits1", "0,1", "--bits2", "2,3")
+    assert out["closed_form"] == out["exact_epsilon"] == 0.0
+
+
 def test_rappor_simulate_then_estimate(capsys, tmp_path):
     dist = tmp_path / "dist.json"
     dist.write_text(json.dumps({"A": 0.5, "B": 0.3, "C": 0.2}))

@@ -267,6 +267,13 @@ def test_bloom_check_length_mismatch():
             BloomFilter.from_indices(8, [index])
 
 
+@pytest.mark.parametrize("index", [True, False])
+def test_from_indices_takes_no_bool_as_an_index(index):
+    with pytest.raises(InvalidParams) as info:
+        BloomFilter.from_indices(4, [index])
+    assert str(info.value) == f"bit index must be an integer, got {index}"
+
+
 _BIT_VECTORS = [BloomFilter, Report, lambda bits: PermanentResponse("v", bits)]
 
 
@@ -489,8 +496,8 @@ def test_epsilon_infinity_worked_example():
 def test_epsilon_infinity_domain():
     with pytest.raises(DomainError):
         epsilon_infinity(RapporParams(k=4, h=1, f=0.0, q=0.75, p=0.5))
-    with pytest.raises(DomainError):
-        epsilon_infinity(RapporParams(k=4, h=1, f=1.0, q=0.75, p=0.5))
+    # f = 1: the permanent response ignores the value, so nothing leaks
+    assert epsilon_infinity(RapporParams(k=4, h=1, f=1.0, q=0.75, p=0.5)) == 0.0
 
 
 def test_epsilon_infinity_cross_checked_by_oracle():
