@@ -5,7 +5,6 @@ written whole."""
 from __future__ import annotations
 
 import importlib.util
-import json
 import os
 import sys
 import tempfile
@@ -59,13 +58,12 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
 
 def _load_json_arg(text: str):
     """Inline JSON, or @path to read it from a file."""
+    from ._value import _loads  # privkit.cli executes no library module on import
+
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-        raise ConfigError(f"not valid JSON: {exc}") from exc
+    return _loads(text, ConfigError, "not valid JSON: ")
 
 
 def _load_dataset(input_path: str, schema_path: str) -> dset.Dataset:

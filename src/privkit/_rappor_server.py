@@ -15,12 +15,11 @@ popcount.
 from __future__ import annotations
 
 import io
-import json
 import operator
 import re
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
-from ._value import _is_collection, _is_int
+from ._value import _is_collection, _is_int, _loads
 from .errors import ConfigError, DegenerateParams, InvalidParams, LengthMismatch
 from .rappor import (
     RapporParams,
@@ -198,10 +197,7 @@ def _count_lines(
                     f"reports line {lineno}: byte 0x{ord(undecodable[0]) - 0xDC00:02x}"
                     " is not valid UTF-8"
                 )
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-                raise ConfigError(f"reports line {lineno}: {exc}") from exc
+            obj = _loads(line, ConfigError, f"reports line {lineno}: ")
             chunk.append(_envelope_bytes(obj, digest, k).hex())
         if len(chunk) == rows:
             n += _add_hex_counts(counts, chunk)

@@ -15,6 +15,7 @@ message.
 
 from __future__ import annotations
 
+import json
 import operator
 from collections.abc import Iterable
 from typing import Callable
@@ -43,6 +44,16 @@ def _check_int(name: str, value, error: type[Exception] = TypeError) -> None:
     a cell that no CSV reads back, and p=True is no window."""
     if not _is_int(value):
         raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _loads(text, error: type[Exception], what: str):
+    """``json.loads(text)``; malformed JSON, or JSON nested too deep to
+    parse, raises ``error`` with the message ``<what><the parser's message>``,
+    so a caller reports it as bad data that names the input."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{what}{exc}") from exc
 
 
 def _index(value) -> int:

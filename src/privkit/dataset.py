@@ -40,7 +40,7 @@ import sys
 from itertools import repeat
 from typing import IO, Iterable, Optional, Sequence, Union
 
-from ._value import Frozen, _check_int, _is_collection
+from ._value import Frozen, _check_int, _is_collection, _loads
 from .errors import (
     ArityError,
     HeaderMismatch,
@@ -231,10 +231,7 @@ class Schema(Frozen):
 
     @classmethod
     def from_json(cls, text: str) -> "Schema":
-        try:
-            raw = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-            raise ParseError(f"schema is not valid JSON: {exc}") from exc
+        raw = _loads(text, ParseError, "schema is not valid JSON: ")
         if not isinstance(raw, list) or not raw:
             raise ParseError("schema JSON must be a non-empty list of attribute objects")
         attrs = []

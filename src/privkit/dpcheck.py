@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from ._value import _check_int
 from .errors import FilterTooLarge, SpaceMismatch
-from .rappor import BloomFilter, RapporParams, lemma1
+from .rappor import BloomFilter, RapporParams, _check_length, lemma1
 
 ENUMERATION_CAP = 20
 
@@ -154,7 +154,7 @@ def prr_distribution(
 ) -> MechanismDistribution:
     """Exact distribution of the permanent response for a given true filter:
     per bit, P(1) = f/2 + (1-f) * b."""
-    _check_size(bloom, params)
+    _check_length("filter", bloom.bits, params, SpaceMismatch)
     f = params.f
     return MechanismDistribution.product_of_bits(
         [f / 2.0 + (1.0 - f) * b for b in bloom.bits]
@@ -166,7 +166,7 @@ def report_distribution(
 ) -> MechanismDistribution:
     """Exact distribution of a sent report for a given true filter: per bit,
     P(1) = q* where the filter bit is set and p* elsewhere."""
-    _check_size(bloom, params)
+    _check_length("filter", bloom.bits, params, SpaceMismatch)
     q_star, p_star = lemma1(params)
     return MechanismDistribution.product_of_bits(
         [q_star if b else p_star for b in bloom.bits]
@@ -248,11 +248,4 @@ def _attaining_outcomes(
                      for i, pair in enumerate(terms)]) for terms in (terms1, terms2))
         for flip in (0, 1)
     )
-
-
-def _check_size(bloom: BloomFilter, params: RapporParams) -> None:
-    if len(bloom.bits) != params.k:
-        raise SpaceMismatch(
-            f"filter has {len(bloom.bits)} bits, params say {params.k}"
-        )
 

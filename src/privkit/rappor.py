@@ -41,7 +41,7 @@ import random
 import struct
 from typing import Iterable, Mapping, Sequence, Union
 
-from ._value import Frozen, _index, _is_collection, _is_int, _is_number
+from ._value import Frozen, _index, _is_collection, _is_int, _is_number, _loads
 from .errors import DomainError, InvalidParams, LengthMismatch, ReportFormatError
 
 # The builtin hash modules, as random.py takes its sha512: importing hashlib
@@ -160,10 +160,7 @@ class RapporParams(Frozen):
     @classmethod
     def from_json(cls, obj: Union[str, Mapping]) -> "RapporParams":
         if isinstance(obj, str):
-            try:
-                obj = json.loads(obj)
-            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-                raise InvalidParams(f"params are not valid JSON: {exc}") from exc
+            obj = _loads(obj, InvalidParams, "params are not valid JSON: ")
         if not isinstance(obj, Mapping):
             raise InvalidParams("params JSON must be an object")
         try:
@@ -178,6 +175,13 @@ def _check_width(k) -> None:
     int (a bool is not) of at least 0."""
     if not _is_int(k) or k < 0:
         raise InvalidParams(f"k must be a non-negative integer, got {k!r}")
+
+
+def _check_length(what: str, bits, params: RapporParams, error=LengthMismatch) -> None:
+    """Raise ``error`` with the message ``<what> has <n> bits, params say
+    <k>`` unless ``bits`` holds ``params.k`` bits."""
+    if len(bits) != params.k:
+        raise error(f"{what} has {len(bits)} bits, params say {params.k}")
 
 
 def _check_bits(self) -> None:
@@ -340,10 +344,7 @@ def bloom_encode(
 def bloom_check(filter: BloomFilter, value: str, params: RapporParams) -> bool:
     """True iff every hashed index of the value is set. May report membership
     for never-inserted values (false positive), never the reverse."""
-    if len(filter.bits) != params.k:
-        raise LengthMismatch(
-            f"filter has {len(filter.bits)} bits, params say {params.k}"
-        )
+    _check_length("filter", filter.bits, params)
     return all(filter.bits[i] for i in bloom_indices(value, params))
 
 
@@ -393,10 +394,7 @@ def prr(
     InvalidParams naming it.
     """
     _check_client(value, client_secret)
-    if len(filter.bits) != params.k:
-        raise LengthMismatch(
-            f"filter has {len(filter.bits)} bits, params say {params.k}"
-        )
+    _check_length("filter", filter.bits, params)
     half_f = params.f / 2.0
     bits = []
     for b, u in zip(filter.bits, _prr_uniforms(client_secret, value, params)):
@@ -414,10 +412,7 @@ def irr(
 ) -> Report:
     """Instantaneous randomized response: fresh per-call randomization with
     P(1) = q where the permanent bit is 1 and P(1) = p where it is 0."""
-    if len(perm.bits) != params.k:
-        raise LengthMismatch(
-            f"permanent response has {len(perm.bits)} bits, params say {params.k}"
-        )
+    _check_length("permanent response", perm.bits, params)
     return Report(
         1 if rng.random() < (params.q if b else params.p) else 0 for b in perm.bits
     )
@@ -492,10 +487,7 @@ def estimate_counts(
     if not reports:
         raise LengthMismatch("need at least one report")
     for r in reports:
-        if len(r.bits) != params.k:
-            raise LengthMismatch(
-                f"report has {len(r.bits)} bits, params say {params.k}"
-            )
+        _check_length("report", r.bits, params)
     # a bit may be True or 1.0 (each equals 1); count(1) keeps each count an int
     counts = [column.count(1) for column in zip(*(r.bits for r in reports))]
     from ._rappor_server import estimate_from_counts

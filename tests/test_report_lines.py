@@ -14,7 +14,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privkit import _rappor_server, rappor
+from privkit import rappor
 from privkit.errors import ConfigError, PrivkitError, ReportFormatError
 from privkit.rappor import RapporParams, Report, count_report_lines, envelope_lines
 
@@ -153,7 +153,7 @@ def test_written_lines_read_without_json(k, monkeypatch):
     chunks = [packed[:100].tobytes(), packed[100:].tobytes()]
     text = b"".join(envelope_lines(chunks, params)).decode("ascii")
     calls = []
-    monkeypatch.setattr(_rappor_server.json, "loads", lambda s, **kw: calls.append(s))
+    monkeypatch.setattr(json, "loads", lambda s, **kw: calls.append(s))
     counts, n = count_report_lines(io.StringIO(text), params)
     assert (counts, n) == (bits.sum(axis=0).tolist(), 300)
     assert calls == []
