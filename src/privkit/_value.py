@@ -8,9 +8,11 @@ repr, equality, hash and immutability without either.
 
 The argument rules that many modules share are written here once: an int
 that is not a bool (``_is_int``, ``_check_int``, ``_index``), a number that
-is not a bool (``_is_number``), and a collection that is not a bare str or
-bytes (``_is_collection``). Each caller keeps its own exception class and
-message.
+is not a bool (``_is_number``), a collection that is not a bare str or
+bytes (``_is_collection``), and JSON that is malformed or nested too deep
+to parse (``_loads``). Each caller keeps its own exception class and
+message. The rule that a bit vector holds ``params.k`` bits is written once
+in ``rappor._check_length``.
 """
 
 from __future__ import annotations

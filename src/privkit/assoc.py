@@ -258,10 +258,9 @@ def _itemset(items: Iterable[str], name: str = "") -> ItemSet:
     if isinstance(items, str):
         raise ValueError(f"{prefix}expected a collection of item strings, "
                          f"got the string {items!r}")
-    try:
-        items = tuple(items)
-    except TypeError:
-        raise ValueError(f"{prefix}expected a collection of item strings, got {items!r}") from None
+    if not _is_collection(items):
+        raise ValueError(f"{prefix}expected a collection of item strings, got {items!r}")
+    items = tuple(items)  # a TypeError raised while iterating is the caller's own
     for item in items:
         if not isinstance(item, str):
             raise ValueError(f"{prefix}item {item!r} is not a string")

@@ -71,14 +71,9 @@ def _name_tuple(argument: str, names) -> tuple:
     """``names``, a collection of attribute names, as a tuple; ValueError
     naming ``argument`` for a str or bytes, whose letters or byte values
     would be read as names, and for anything that is not iterable."""
-    try:
-        if isinstance(names, (str, bytes)):
-            raise TypeError
-        return tuple(names)
-    except TypeError:
-        raise ValueError(
-            f"{argument} must be a collection of attribute names, got {names!r}"
-        ) from None
+    if not _is_collection(names):
+        raise ValueError(f"{argument} must be a collection of attribute names, got {names!r}")
+    return tuple(names)
 
 
 class Interval(Frozen):

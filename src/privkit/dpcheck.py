@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
-from ._value import _check_int
+from ._value import _check_int, _is_collection
 from .errors import FilterTooLarge, SpaceMismatch
-from .rappor import BloomFilter, RapporParams, _check_length, lemma1
+from .rappor import BloomFilter, RapporParams, _check_length, _marginal_terms, _total
 
 ENUMERATION_CAP = 20
 
@@ -52,11 +53,12 @@ class MechanismDistribution:
     ``log_probs`` is a tuple of its 2^k log-probabilities; exactly-zero mass
     is -inf. NaN and +inf are rejected, and so is a total other than 1.
 
-    A distribution built by ``product_of_bits`` keeps its k bit terms and
-    builds ``log_probs`` only when it is first read, so ``exact_epsilon``
-    between two such distributions can search only the outcomes that can
-    attain its maximum, without the 2^k tuple (its docstring says when it
-    must enumerate them all).
+    A product distribution (``product_of_bits``, ``prr_distribution``,
+    ``report_distribution``) keeps its k bit terms and builds ``log_probs``
+    only when it is first read, so ``exact_epsilon`` between two such
+    distributions can search only the outcomes that can attain its maximum,
+    without the 2^k tuple (its docstring says when it must enumerate them
+    all).
     """
 
     # The (ln P(bit = 0), ln P(bit = 1)) term pair of each bit, when the
@@ -67,7 +69,7 @@ class MechanismDistribution:
         _check_int("k", k)
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        if isinstance(log_probs, (str, bytes)) or not hasattr(log_probs, "__iter__"):
+        if not _is_collection(log_probs):
             raise ValueError(f"log_probs must be a sequence of floats, got {log_probs!r}")
         log_probs = tuple(map(float, log_probs))
         n = len(log_probs)
@@ -89,7 +91,7 @@ class MechanismDistribution:
 
     @cached_property
     def log_probs(self) -> tuple[float, ...]:
-        # Reached only by a product_of_bits distribution: __init__ sets the
+        # Reached only by a product distribution: __init__ sets the
         # attribute, which shadows this descriptor.
         return tuple(_fold(self._terms))
 
@@ -129,13 +131,36 @@ class MechanismDistribution:
                 valid = False
             if not valid:
                 raise ValueError(f"probability of bit {i} must be in [0, 1], got {p!r}")
+        return cls._from_terms([(_ln(1.0 - p), _ln(p)) for p in p_one])
+
+    @classmethod
+    def _from_terms(cls, terms: Sequence[tuple[float, float]]) -> "MechanismDistribution":
+        """The product of independent bits whose (ln P(bit = 0), ln P(bit =
+        1)) pairs are ``terms``, unchecked: each caller builds them from
+        checked probabilities."""
         dist = cls.__new__(cls)
-        dist.k = k
-        dist._terms = tuple(
-            (math.log(1.0 - p) if p < 1.0 else -math.inf, math.log(p) if p > 0.0 else -math.inf)
-            for p in p_one
-        )
+        dist.k = len(terms)
+        dist._terms = tuple(terms)
         return dist
+
+
+def _ln(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _ln_total(products: list) -> float:
+    """ln of a sum of products of factors in [0, 1] (``_marginal_terms``):
+    the log of the float sum where that sum is a normal float, so a sum of
+    dyadic factors is taken exactly, and else summed from the factors' logs,
+    where no product loses digits to underflow."""
+    total = _total(products)
+    if total >= sys.float_info.min:
+        return math.log(total)
+    logs = [math.fsum(map(_ln, factors)) for factors in products]
+    top = max(logs)
+    if top == -math.inf:
+        return top
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
 def _fold(terms: Sequence[Sequence[float]]) -> list[float]:
@@ -153,12 +178,9 @@ def prr_distribution(
     bloom: BloomFilter, params: RapporParams
 ) -> MechanismDistribution:
     """Exact distribution of the permanent response for a given true filter:
-    per bit, P(1) = f/2 + (1-f) * b."""
-    _check_length("filter", bloom.bits, params, SpaceMismatch)
-    f = params.f
-    return MechanismDistribution.product_of_bits(
-        [f / 2.0 + (1.0 - f) * b for b in bloom.bits]
-    )
+    per bit, P(1) = 1 - f/2 where the filter bit is set and f/2 elsewhere."""
+    flip, keep = _ln_total([(0.5, params.f)]), math.log(1.0 - params.f / 2.0)
+    return _bitwise(bloom, params, (flip, keep), (keep, flip))
 
 
 def report_distribution(
@@ -166,11 +188,17 @@ def report_distribution(
 ) -> MechanismDistribution:
     """Exact distribution of a sent report for a given true filter: per bit,
     P(1) = q* where the filter bit is set and p* elsewhere."""
+    ln_q, ln_not_q, ln_p, ln_not_p = map(_ln_total, _marginal_terms(params))
+    return _bitwise(bloom, params, (ln_not_q, ln_q), (ln_not_p, ln_p))
+
+
+def _bitwise(bloom: BloomFilter, params: RapporParams, set_terms: tuple[float, float],
+             unset_terms: tuple[float, float]) -> MechanismDistribution:
+    """The product distribution whose bit i has the terms ``set_terms``
+    where bit i of the filter is set and ``unset_terms`` elsewhere."""
     _check_length("filter", bloom.bits, params, SpaceMismatch)
-    q_star, p_star = lemma1(params)
-    return MechanismDistribution.product_of_bits(
-        [q_star if b else p_star for b in bloom.bits]
-    )
+    check_enumerable(params.k)
+    return MechanismDistribution._from_terms([set_terms if b else unset_terms for b in bloom.bits])
 
 
 def exact_epsilon(
@@ -183,10 +211,10 @@ def exact_epsilon(
     +infinity.
 
     The result is the float that enumerating all 2^k outcomes gives, bit for
-    bit. When both distributions come from ``product_of_bits`` it is found
-    among only the outcomes that can attain it (``_attaining_outcomes``);
-    otherwise, or when that search cannot be shown exact, all 2^k outcomes
-    are enumerated.
+    bit. When both are product distributions it is found among only the
+    outcomes that can attain it (``_attaining_outcomes``); otherwise, or
+    when that search cannot be shown exact, all 2^k outcomes are
+    enumerated.
     """
     if d1.k != d2.k:
         raise SpaceMismatch(f"outcome spaces differ: k={d1.k} vs k={d2.k}")

@@ -12,8 +12,11 @@ raises KindMismatch when the dataset is built.
 
 Which values an argument takes is decided by the rules in ``_value.py``: an
 int that is not a bool, a number that is not a bool, a collection that is
-not a bare str or bytes. Each module raises its own class from this list
-(or ValueError or TypeError) with a message that names the argument.
+not a bare str or bytes, and JSON that parses (malformed or too deeply
+nested JSON is a data error naming the input). A filter, permanent response
+or report must hold ``params.k`` bits (``rappor._check_length``). Each
+module raises its own class from this list (or ValueError or TypeError)
+with a message that names the argument.
 """
 
 

@@ -39,6 +39,7 @@ import json
 import math
 import random
 import struct
+import sys
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._value import Frozen, _index, _is_collection, _is_int, _is_number, _loads
@@ -435,12 +436,13 @@ def epsilon_infinity(params: RapporParams) -> float:
 
     At f = 1 the permanent response ignores the value, and the bound is 0.0.
     Raises ``DomainError`` unless 0 < f <= 1, and also when f is so small
-    that f/2 underflows to 0 or the ratio overflows to infinity.
+    that f/2 falls below the normal floats, where it loses digits, or the
+    ratio overflows to infinity.
     """
     if not 0.0 < params.f <= 1.0:
         raise DomainError(f"bound needs 0 < f <= 1, got f={params.f}")
     half_f = params.f / 2.0
-    if half_f == 0.0 or math.isinf(ratio := (1.0 - half_f) / half_f):
+    if half_f < sys.float_info.min or math.isinf(ratio := (1.0 - half_f) / half_f):
         raise DomainError(f"bound is not finite in floating point at f={params.f}")
     return 2.0 * params.h * math.log(ratio)
 
@@ -451,26 +453,42 @@ def lemma1(params: RapporParams) -> tuple[float, float]:
     q* is P(report bit = 1 | true Bloom bit = 1) and p* the same for an unset
     bit, marginalizing over the permanent response.
     """
-    base = 0.5 * params.f * (params.p + params.q)
-    q_star = base + (1.0 - params.f) * params.q
-    p_star = base + (1.0 - params.f) * params.p
+    q_star, _, p_star, _ = map(_total, _marginal_terms(params))
     return q_star, p_star
+
+
+def _marginal_terms(params: RapporParams) -> tuple[list, list, list, list]:
+    """q*, 1 - q*, p* and 1 - p*, each as the products it sums, a product
+    given as its factors in [0, 1]. No term is negative, so no complement
+    cancels as 1 - q* does for a q* near 1: 1 - f, 1 - p and 1 - q are exact
+    from 1/2 up (Sterbenz's lemma) and rounded once, with no cancellation,
+    below."""
+    f, q, p = params.f, params.q, params.p
+    kept, flipped = 1.0 - f, (1.0 - p) + (1.0 - q)
+    return ([(0.5, f, p + q), (kept, q)], [(0.5, f, flipped), (kept, 1.0 - q)],
+            [(0.5, f, p + q), (kept, p)], [(0.5, f, flipped), (kept, 1.0 - p)])
+
+
+def _total(products: list) -> float:
+    return math.fsum(map(math.prod, products))
 
 
 def epsilon_one(params: RapporParams) -> float:
     """Single-report privacy bound: h ln(q*(1-p*) / (p*(1-q*))).
 
+    1 - q* and 1 - p* are summed without cancellation (``_marginal_terms``).
     Raises ``DomainError`` unless both marginals are strictly inside (0, 1),
-    and also when p*(1-q*) underflows to 0 or the ratio overflows to infinity.
+    and also when p*(1-q*) falls below the normal floats, where it loses
+    digits, or the ratio overflows to infinity.
     """
-    q_star, p_star = lemma1(params)
-    if not 0.0 < p_star < 1.0 or not 0.0 < q_star < 1.0:
+    q_star, not_q, p_star, not_p = map(_total, _marginal_terms(params))
+    if min(q_star, not_q, p_star, not_p) <= 0.0:
         raise DomainError(
             f"bound needs marginals strictly inside (0, 1), got "
             f"q*={q_star}, p*={p_star}"
         )
-    denom = p_star * (1.0 - q_star)
-    if denom == 0.0 or math.isinf(ratio := q_star * (1.0 - p_star) / denom):
+    denom = p_star * not_q
+    if denom < sys.float_info.min or math.isinf(ratio := q_star * not_p / denom):
         raise DomainError(
             f"bound is not finite in floating point at q*={q_star}, p*={p_star}"
         )

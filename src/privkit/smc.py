@@ -24,7 +24,7 @@ import random
 from collections.abc import Collection
 from typing import Sequence
 
-from ._value import Frozen, _check_int, _is_int
+from ._value import Frozen, _check_int, _is_collection, _is_int
 from .errors import BadModulus, DuplicateX
 
 DEFAULT_MODULUS = 2**31 - 1
@@ -92,24 +92,27 @@ def lagrange_at(
     """
     _check_modulus(modulus)
     _check_int("target", target, ValueError)
+    # an error raised while iterating a collection is the caller's own; one
+    # unpacking a point, or iterating None, is a point that is not a pair
+    pairs = list(points) if _is_collection(points) else None
     try:
-        points = [(x, y) for x, y in points]
+        pairs = [(x, y) for x, y in pairs]
     except (TypeError, ValueError):
         raise ValueError(f"points must be a collection of (x, y) pairs, got {points!r}") from None
-    if not points:
+    if not pairs:
         raise ValueError("need at least one interpolation point")
-    for x, y in points:
+    for x, y in pairs:
         if not _is_int(x) or not _is_int(y):
             raise ValueError(f"points must hold integers, got x={x!r}, y={y!r}")
-    xs = [x % modulus for x, _ in points]
+    xs = [x % modulus for x, _ in pairs]
     if len(set(xs)) != len(xs):
         raise DuplicateX(f"interpolation points share an x coordinate: {xs}")
     if xs == list(range(xs[0], xs[0] + len(xs))):
-        return _lagrange_run(xs[0], [y for _, y in points], target, modulus)
+        return _lagrange_run(xs[0], [y for _, y in pairs], target, modulus)
     total = 0
-    for i, (xi, yi) in enumerate(points):
+    for i, (xi, yi) in enumerate(pairs):
         num, den = 1, 1
-        for j, (xj, _) in enumerate(points):
+        for j, (xj, _) in enumerate(pairs):
             if j == i:
                 continue
             num = num * (target - xj) % modulus

@@ -931,6 +931,29 @@ def test_dpcheck_modes(capsys):
     assert rep["closed_form"] < out["closed_form"]
 
 
+# ROADMAP's Baseline probe: 1 - P(1) of a set bit was once a subtraction that
+# cancelled, so the exact value drifted from 1e-14 down and read "infinity"
+# from 1e-17
+@pytest.mark.parametrize("f", ["1e-6", "1e-10", "1e-14", "1e-16", "1e-17", "1e-300"])
+def test_dpcheck_prr_is_exact_at_a_small_f(capsys, f):
+    params = f'{{"k":16,"h":2,"f":{f},"p":0.25,"q":0.75}}'
+    out = run_json(capsys, "dpcheck", "--mode", "prr", "--params", params,
+                   "--bits1", "0,1", "--bits2", "2,3")
+    assert out["exact_epsilon"] == pytest.approx(out["closed_form"], rel=1e-12)
+
+
+def test_both_report_epsilons_are_exact_at_a_q_star_near_1(capsys):
+    # 1 - q* is about 1.135e-16; 1.0 - q* read 2^-53 and both gave 73.4736...
+    params = '{"k":16,"h":2,"f":1e-17,"p":0.5,"q":0.9999999999999999}'
+    true_epsilon = 73.42906471761473  # at 60 digits, from f, q and p
+    out = run_json(capsys, "dpcheck", "--mode", "report", "--params", params,
+                   "--bits1", "0,1", "--bits2", "2,3")
+    assert out["exact_epsilon"] == pytest.approx(true_epsilon, rel=1e-12)
+    assert out["closed_form"] == pytest.approx(true_epsilon, rel=1e-12)
+    out = run_json(capsys, "rappor", "epsilon", "--params", params)
+    assert out["epsilon_one"] == pytest.approx(true_epsilon, rel=1e-12)
+
+
 def test_dpcheck_infinite_epsilon(capsys):
     params = '{"k":4,"h":1,"f":0.0,"p":0.5,"q":0.75}'
     out = run_json(capsys, "dpcheck", "--params", params, "--mode", "prr",

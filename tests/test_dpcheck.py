@@ -2,9 +2,10 @@ import itertools
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from privkit.dpcheck import (
     ENUMERATION_CAP,
@@ -13,7 +14,7 @@ from privkit.dpcheck import (
     prr_distribution,
     report_distribution,
 )
-from privkit.errors import FilterTooLarge, SpaceMismatch
+from privkit.errors import DomainError, FilterTooLarge, SpaceMismatch
 from privkit.rappor import BloomFilter, RapporParams, epsilon_infinity, epsilon_one, lemma1
 
 PAPER = RapporParams(k=8, h=2, f=0.5, q=0.75, p=0.5)
@@ -354,6 +355,19 @@ def test_distribution_arguments_named_when_rejected(call, message):
     assert type(info.value) is ValueError and str(info.value) == message
 
 
+def test_distribution_log_probs_iterable_only_on_the_instance_is_named():
+    # the class, not the instance, makes an object iterable: iter(a) fails
+    class A:
+        pass
+
+    a = A()
+    a.__iter__ = lambda: iter([0.0])
+    with pytest.raises(ValueError) as info:
+        MechanismDistribution(0, a)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"log_probs must be a sequence of floats, got {a!r}"
+
+
 @pytest.mark.parametrize("k", [None, 1.5, "1", True])
 def test_distribution_k_of_the_wrong_type_is_named(k):
     with pytest.raises(TypeError) as info:
@@ -475,3 +489,102 @@ def test_zero_mass_and_raw_distributions_enumerate_every_outcome():
     raw = MechanismDistribution(2, half.log_probs)
     other = MechanismDistribution.product_of_bits([0.5, 0.5])
     assert exact_epsilon(raw, other).hex() == exact_epsilon(half, other).hex()
+
+
+# --- exactness at a small f or a q* near 1 ----------------------------------
+#
+# The oracle takes each bit's two probabilities from f, q and p in mpmath at
+# 60 digits, and calls nothing in privkit. The tolerance is 1e-12 of the
+# larger of epsilon and the terms' magnitude: each enumerated outcome adds k
+# rounded terms, so no float enumeration resolves an epsilon far below them
+# (f near 1, or p near q).
+
+def mp_bit_probabilities(mode, f, q, p):
+    """(P(bit = 0), P(bit = 1)) of an output bit, keyed by its Bloom bit."""
+    F, Q, P = map(mpmath.mpf, (f, q, p))  # the floats, exactly
+    keep, flip = 1 - F / 2, F / 2  # P(permanent bit = Bloom bit), and the other
+    if mode == "prr":
+        return {1: (flip, keep), 0: (keep, flip)}
+    # the permanent bit, then the report bit: P(x) = P(s = 1) P(x | 1) + P(s = 0) P(x | 0)
+    return {1: (keep * (1 - Q) + flip * (1 - P), keep * Q + flip * P),
+            0: (flip * (1 - Q) + keep * (1 - P), flip * Q + keep * P)}
+
+
+def mp_epsilon(mode, f, q, p, bits1, bits2):
+    """The true epsilon between the outputs of two filters, as a float, and
+    the terms' magnitude: the sum over bits of the largest |ln P|."""
+    with mpmath.workdps(60):
+        probs = mp_bit_probabilities(mode, f, q, p)
+        top = bottom = magnitude = mpmath.mpf(0)
+        for b1, b2 in zip(bits1, bits2):
+            d = []
+            for x1, x2 in zip(probs[b1], probs[b2]):
+                if (x1 == 0) != (x2 == 0):
+                    return math.inf, math.inf
+                if x1:
+                    d.append(mpmath.log(x1) - mpmath.log(x2))
+            top += max(d)
+            bottom += min(d)
+            magnitude += max(-mpmath.log(x) for x in probs[b1] + probs[b2] if x)
+        return float(max(top, -bottom)), float(magnitude)
+
+
+# f log-uniform from 1 down to the least subnormal; q up to 1 - 2^-53, as a
+# float of [0, 1) or as 1 - 2^-v; p in [0, q]
+small_f = st.floats(0, 1074).map(lambda u: 2.0**-u)
+q_values = st.one_of(st.floats(0, 1 - 2**-53), st.floats(1, 53).map(lambda v: 1 - 2.0**-v))
+
+
+@st.composite
+def mechanisms(draw):
+    f, q = draw(small_f), draw(q_values)
+    return draw(st.sampled_from(["prr", "report"])), f, q, draw(st.floats(0, q))
+
+
+def distribution(mode, bits, params):
+    build = prr_distribution if mode == "prr" else report_distribution
+    return build(BloomFilter(bits), params)
+
+
+def assert_close(value, want, magnitude):
+    assert abs(value - want) <= 1e-12 * max(want, magnitude), (value, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mechanisms(), st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.lists(st.sampled_from([0, 1]), min_size=k, max_size=k),
+    st.lists(st.sampled_from([0, 1]), min_size=k, max_size=k))))
+@example(("prr", 1e-17, 0.75, 0.25), ([1, 1, 0, 0], [0, 0, 1, 1]))
+@example(("prr", 5e-324, 0.75, 0.25), ([1, 1, 0, 0], [0, 0, 1, 1]))
+@example(("report", 5e-324, 0.75, 0.0), ([1, 0], [0, 1]))
+@example(("report", 1e-17, 1 - 2**-53, 0.5), ([1, 0], [0, 1]))
+def test_exact_epsilon_matches_a_60_digit_oracle(mechanism, filters):
+    mode, f, q, p = mechanism
+    bits1, bits2 = filters
+    params = RapporParams(k=len(bits1), h=1, f=f, q=q, p=p)
+    eps = exact_epsilon(distribution(mode, bits1, params), distribution(mode, bits2, params))
+    want, magnitude = mp_epsilon(mode, f, q, p, bits1, bits2)
+    if math.isinf(want):
+        assert eps == math.inf
+    else:
+        assert math.isfinite(eps)  # "infinity" only where one side has zero mass
+        assert_close(eps, want, magnitude)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mechanisms(), st.integers(1, 4))
+@example(("prr", 1e-300, 0.75, 0.25), 2)
+@example(("report", 1e-17, 1 - 2**-53, 0.5), 2)
+def test_closed_forms_match_exact_epsilon_of_disjoint_filters(mechanism, h):
+    # two disjoint h-bit filters attain both closed forms
+    mode, f, q, p = mechanism
+    params = RapporParams(k=2 * h, h=h, f=f, q=q, p=p)
+    bits1, bits2 = [1] * h + [0] * h, [0] * h + [1] * h
+    bound = epsilon_infinity if mode == "prr" else epsilon_one
+    try:
+        closed = bound(params)
+    except DomainError:
+        return  # not finite in floating point
+    eps = exact_epsilon(distribution(mode, bits1, params), distribution(mode, bits2, params))
+    assert math.isfinite(eps)
+    assert_close(closed, eps, mp_epsilon(mode, f, q, p, bits1, bits2)[1])

@@ -571,8 +571,10 @@ def test_bounds_match_a_50_digit_oracle(f, p, gap, h):
     assert epsilon_one(params) == pytest.approx(float(want_one), rel=1e-12)
     # and bit for bit the closed forms written out directly: CLI stdout pins these bits
     qs, ps = lemma1(params)
+    flipped = 0.5 * f * ((1.0 - p) + (1.0 - q))  # 1 - q* and 1 - p* summed without cancelling
+    not_q, not_p = flipped + (1.0 - f) * (1.0 - q), flipped + (1.0 - f) * (1.0 - p)
     assert epsilon_infinity(params) == 2.0 * h * math.log((1.0 - f / 2.0) / (f / 2.0))
-    assert epsilon_one(params) == h * math.log(qs * (1.0 - ps) / (ps * (1.0 - qs)))
+    assert epsilon_one(params) == h * math.log(qs * not_p / (ps * not_q))
 
 
 def test_epsilons_decrease_with_f():
