@@ -9,9 +9,10 @@ repr, equality, hash and immutability without either.
 The argument rules that many modules share are written here once: an int
 that is not a bool (``_is_int``, ``_check_int``, ``_index``), a number that
 is not a bool (``_is_number``), a collection that is not a bare str or
-bytes (``_is_collection``), and JSON that is malformed or nested too deep
-to parse (``_loads``). Each caller keeps its own exception class and
-message. The rule that a bit vector holds ``params.k`` bits is written once
+bytes (``_is_collection``), an ordered vector, a collection that is not a
+set or a mapping either (``_is_vector``), and JSON that is malformed or
+nested too deep to parse (``_loads``). Each caller keeps its own exception
+class and message. The rule that a bit vector holds ``params.k`` bits is written once
 in ``rappor._check_length``.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Set
 from typing import Callable
 
 
@@ -38,6 +39,12 @@ def _is_collection(value) -> bool:
     """Iterable, but not a bare str or bytes, whose characters or byte
     values would be read as the items."""
     return isinstance(value, Iterable) and not isinstance(value, (str, bytes))
+
+
+def _is_vector(value) -> bool:
+    """A collection read in its own order, one item per position: not a set,
+    whose order is arbitrary, nor a mapping, which iterates its keys."""
+    return _is_collection(value) and not isinstance(value, (Set, Mapping))
 
 
 def _check_int(name: str, value, error: type[Exception] = TypeError) -> None:

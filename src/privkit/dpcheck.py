@@ -1,27 +1,20 @@
 """Exact differential-privacy oracle for small bit-vector mechanisms.
 
-The randomized-response stages treat bits independently, so the full output
-distribution over k-bit patterns is a product measure that can be enumerated
-exactly for small k. The tight privacy parameter between two inputs is then
-the largest absolute log-ratio of outcome probabilities, which is what the
-privacy definition bounds. Probabilities live in log space to stay exact-ish
-at the enumeration cap. A distribution given as raw log-probabilities is
-checked when it is built; one built from its k bit probabilities is checked
-through those k factors, and its 2^k outcomes are valid by construction.
+The randomized-response stages treat bits independently, so the output
+distribution over k-bit patterns is a product measure. The tight privacy
+parameter between two inputs is the largest absolute log-ratio of outcome
+probabilities, which is what the privacy definition bounds. Probabilities
+live in log space. A distribution given as raw log-probabilities is checked
+when it is built; one built from its k bit probabilities is checked through
+those k factors, and its 2^k outcomes are valid by construction.
 
-Between two such product distributions, ``exact_epsilon`` returns the float
-that enumerating every outcome gives, but computes it over only the outcomes
-that can attain it: those whose differing bits all take the value that
-pushes the log-ratio up, or all the value that pushes it down. Any other
-outcome's exact log-ratio lies inside by at least the smallest per-bit gap
-g, while rounding moves each enumerated value by at most about
-2 * (k + 1) * 2**-53 times the terms' magnitude, so the shortcut runs only
-when g exceeds 1e-9 of that magnitude. With a zero-mass bit, a smaller gap,
-or a distribution given as raw log-probabilities, all 2^k outcomes are
-enumerated.
+Between two product distributions, ``exact_epsilon`` sums per-bit extremes
+of the bits' log-ratios and builds no outcome; a distribution given as raw
+log-probabilities, on either side, has all 2^k outcomes enumerated.
 
-The cap is 2^20 outcomes; larger filters are rejected rather than
-approximated, because an approximate oracle cannot arbitrate closed forms.
+The cap is 2^20 outcomes, which every distribution can list
+(``log_probs``); larger filters are rejected rather than approximated,
+because an approximate oracle cannot arbitrate closed forms.
 """
 
 from __future__ import annotations
@@ -31,9 +24,9 @@ import operator
 import sys
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from ._value import _check_int, _is_collection
+from ._value import _check_int, _index, _is_vector
 from .errors import FilterTooLarge, SpaceMismatch
 from .rappor import BloomFilter, RapporParams, _check_length, _marginal_terms, _total
 
@@ -51,14 +44,14 @@ class MechanismDistribution:
 
     Outcome ``o`` is the integer whose bit i equals output bit i.
     ``log_probs`` is a tuple of its 2^k log-probabilities; exactly-zero mass
-    is -inf. NaN and +inf are rejected, and so is a total other than 1.
+    is -inf. NaN and +inf are rejected, and so is a total other than 1. It
+    is given as a vector in outcome order (a generator too); a set or a
+    mapping, whose order is not the outcomes', raises ValueError.
 
     A product distribution (``product_of_bits``, ``prr_distribution``,
     ``report_distribution``) keeps its k bit terms and builds ``log_probs``
-    only when it is first read, so ``exact_epsilon`` between two such
-    distributions can search only the outcomes that can attain its maximum,
-    without the 2^k tuple (its docstring says when it must enumerate them
-    all).
+    only when it is first read, which ``exact_epsilon`` between two such
+    distributions never does.
     """
 
     # The (ln P(bit = 0), ln P(bit = 1)) term pair of each bit, when the
@@ -69,7 +62,7 @@ class MechanismDistribution:
         _check_int("k", k)
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        if not _is_collection(log_probs):
+        if not _is_vector(log_probs):
             raise ValueError(f"log_probs must be a sequence of floats, got {log_probs!r}")
         log_probs = tuple(map(float, log_probs))
         n = len(log_probs)
@@ -96,19 +89,30 @@ class MechanismDistribution:
         return tuple(_fold(self._terms))
 
     def prob(self, outcome: int) -> float:
-        return math.exp(self.log_probs[outcome])
+        """P(outcome); an outcome that is no integer raises TypeError, and
+        one outside [0, 2^k) ValueError."""
+        try:
+            index = _index(outcome)
+        except TypeError:
+            raise TypeError(f"outcome must be an integer, got {outcome!r}") from None
+        if not 0 <= index < 1 << self.k:
+            raise ValueError(f"outcome {index} outside [0, 2^{self.k})")
+        return math.exp(self.log_probs[index])
 
     def as_dict(self) -> dict[int, float]:
-        return {o: self.prob(o) for o in range(1 << self.k)}
+        return dict(enumerate(map(math.exp, self.log_probs)))
 
     @classmethod
     def product_of_bits(cls, p_one: Sequence[float]) -> "MechanismDistribution":
         """Joint distribution of independent bits with P(bit i = 1) = p_one[i].
 
-        Each p must satisfy 0 <= p <= 1; any other factor, NaN or a string
-        among them, raises ValueError naming its bit and value. The k factors
-        are the only input, so the 2^k log-probabilities are not checked
-        again: the invariant ``__init__`` checks holds by construction.
+        ``p_one`` is a sized vector read in order: a set or a mapping, whose
+        order is not the bits', a str or bytes, or an object that cannot be
+        iterated raises ValueError naming ``p_one``. Each p must satisfy
+        0 <= p <= 1; any other factor, NaN or a string among them, raises
+        ValueError naming its bit and value. The k factors are the only
+        input, so the 2^k log-probabilities are not checked again: the
+        invariant ``__init__`` checks holds by construction.
 
         - ``lo`` and ``hi`` lie in [-inf, 0], so no sum of them is NaN or +inf.
         - The most likely outcome sums each bit's larger term, which is at
@@ -120,7 +124,7 @@ class MechanismDistribution:
         The distribution keeps the k term pairs; ``log_probs`` folds them
         when it is first read.
         """
-        if isinstance(p_one, (str, bytes)) or not hasattr(p_one, "__len__"):
+        if not (_is_vector(p_one) and hasattr(p_one, "__len__")):
             raise ValueError(f"p_one must be a sequence of probabilities, got {p_one!r}")
         k = len(p_one)
         check_enumerable(k)
@@ -163,14 +167,12 @@ def _ln_total(products: list) -> float:
     return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
-def _fold(terms: Sequence[Sequence[float]]) -> list[float]:
-    """Each outcome's log-probability: its bits' terms summed left to right,
-    bit 0 first, from 0.0. Bit i offers the terms in ``terms[i]``: both of a
-    (lo, hi) pair, doubling the outcomes with bit i clear then set, or one
-    term, pinning the bit."""
+def _fold(terms: Sequence[tuple[float, float]]) -> list[float]:
+    """Each outcome's log-probability, in outcome order: its bits' terms
+    summed left to right, bit 0 first, from 0.0."""
     log_probs = [0.0]
-    for choices in terms:
-        log_probs = [x + t for t in choices for x in log_probs]
+    for pair in terms:
+        log_probs = [x + t for t in pair for x in log_probs]
     return log_probs
 
 
@@ -210,70 +212,29 @@ def exact_epsilon(
     mass on exactly one side makes every finite bound fail, reported as
     +infinity.
 
-    The result is the float that enumerating all 2^k outcomes gives, bit for
-    bit. When both are product distributions it is found among only the
-    outcomes that can attain it (``_attaining_outcomes``); otherwise, or
-    when that search cannot be shown exact, all 2^k outcomes are
-    enumerated.
+    Between two product distributions the log-ratio of an outcome is the sum
+    over bits of d_i(b) = t1_i(b) - t2_i(b), the difference of bit i's terms
+    at its value b, so its largest and smallest values are sums of per-bit
+    extremes (Erlingsson, Pihur & Korolova, CCS 2014, Theorem 1). The result
+    is max(fsum of max_b d_i(b), -fsum of min_b d_i(b)) over the bits whose
+    term pairs differ, with a value that has zero mass on both sides dropped
+    and one with zero mass on one side only giving +infinity; no outcome is
+    built. Each d_i(b) is one rounded difference and fsum rounds once, so
+    the error is a few times 2**-53 of the larger of epsilon and T_V, the
+    sum over the differing bits of their largest |term|; bits whose pairs
+    are equal do not change the result. An epsilon far below T_V (f near 1,
+    p near q) keeps only those digits. A raw distribution on either side
+    has all 2^k outcomes enumerated.
     """
     if d1.k != d2.k:
         raise SpaceMismatch(f"outcome spaces differ: k={d1.k} vs k={d2.k}")
-    folds = None
-    if d1._terms is not None and d2._terms is not None:
-        folds = _attaining_outcomes(d1._terms, d2._terms)
-    if folds is None:
-        folds = ((d1.log_probs, d2.log_probs),)
-    # Skipping equal pairs skips zero mass on both sides (-inf - -inf is NaN);
-    # zero mass on one side gives abs(-inf - x) = inf.
-    return max(
-        (abs(a - b) for l1, l2 in folds for a, b in zip(l1, l2) if a != b), default=0.0
-    )
-
-
-# The smallest gap, relative to the terms' magnitude, that lets
-# _attaining_outcomes skip outcomes. Rounding moves each enumerated
-# difference by at most about 2 * (k + 1) * 2**-53 of that magnitude, below
-# 5e-15 for k <= 20, so 1e-9 leaves a factor of 10^5 to spare.
-_MARGIN = 1e-9
-
-
-def _attaining_outcomes(
-    terms1: Sequence[tuple[float, float]], terms2: Sequence[tuple[float, float]]
-) -> Iterable[tuple[list[float], list[float]]] | None:
-    """The outcomes of two product distributions that can attain the largest
-    rounded |L1(o) - L2(o)|, as pairs of log-probability lists in matching
-    outcome order; None when that set cannot be shown to hold it.
-
-    Let V be the bits whose term pairs differ and d_i(b) = t1_i(b) - t2_i(b),
-    as exact reals. The exact difference D(o) is the sum of d_i(o_i) over V,
-    so it is largest (D+) only where every V-bit takes the argmax of its d_i,
-    and smallest (D-) only on the opposite pattern. Every other outcome lies
-    at least g = min over V of |d_i(0) - d_i(1)| inside [D-, D+], while each
-    rounded fold and difference is within about 2 * (k + 1) * 2**-53 * (T1 +
-    T2) of the exact value, where T sums each bit's larger |term|. So when g
-    is above ``_MARGIN * (T1 + T2)`` no other outcome can reach the largest
-    rounded |L1 - L2|, which is then the largest over the two patterns. Each
-    pattern's outcomes fold the pinned terms at their own positions, so every
-    value is the one full enumeration computes.
-
-    A -inf term (zero mass), or a g that is too small, returns None.
-    """
-    differing = [i for i, pair in enumerate(terms1) if pair != terms2[i]]
-    if not differing:
-        return ()  # every outcome has equal log-probabilities on both sides
-    if -math.inf in chain.from_iterable(terms1 + terms2):
-        return None
-    scale = math.fsum(-min(pair) for pair in terms1 + terms2)
-    high = {}  # bit -> the value that maximizes d_i
-    for i in differing:
-        (lo1, hi1), (lo2, hi2) = terms1[i], terms2[i]
-        gap = math.fsum((lo1, -lo2, -hi1, hi2))  # d_i(0) - d_i(1), correctly rounded
-        if not abs(gap) > _MARGIN * scale:
-            return None
-        high[i] = 0 if gap > 0 else 1
-    return (
-        tuple(_fold([(pair[high[i] ^ flip],) if i in high else pair
-                     for i, pair in enumerate(terms)]) for terms in (terms1, terms2))
-        for flip in (0, 1)
-    )
-
+    if d1._terms is None or d2._terms is None:
+        # Skipping equal pairs skips zero mass on both sides (-inf - -inf is
+        # NaN); zero mass on one side gives abs(-inf - x) = inf.
+        return max((abs(a - b) for a, b in zip(d1.log_probs, d2.log_probs) if a != b),
+                   default=0.0)
+    ratios = [[a - b for a, b in zip(pair1, pair2) if a != -math.inf or b != -math.inf]
+              for pair1, pair2 in zip(d1._terms, d2._terms) if pair1 != pair2]
+    if any(map(math.isinf, chain.from_iterable(ratios))):
+        return math.inf
+    return max(math.fsum(map(max, ratios)), -math.fsum(map(min, ratios)), 0.0)

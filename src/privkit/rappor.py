@@ -556,8 +556,8 @@ def _chunk_rows(k: int) -> int:
 # imported on the first use of one of its names, so that a call compiles
 # only the code it runs.
 _ELSEWHERE = {
-    **dict.fromkeys(("allocate_counts", "client_secret", "envelope_lines", "simulate_packed",
-                     "_Below", "_bound", "_pad_rows"), "_rappor_batch"),
+    **dict.fromkeys(("allocate_counts", "client_secret", "envelope_lines", "simulate_packed"),
+                    "_rappor_batch"),
     **dict.fromkeys(("count_report_file", "count_report_lines", "estimate_from_counts"),
                     "_rappor_server"),
 }

@@ -1,6 +1,7 @@
 """The argument rules that many modules share are written once, in
 ``privkit/_value.py``: an int that is not a bool, a number that is not a
-bool, a collection that is not a bare str or bytes, and JSON that is
+bool, a collection that is not a bare str or bytes, an ordered vector (a
+collection that is not a set or a mapping either), and JSON that is
 malformed or nested too deep (``_loads``). The rule that a bit vector holds
 ``params.k`` bits is written once too, in ``rappor._check_length``.
 
@@ -8,12 +9,14 @@ The AST checks below keep them there. A module other than ``_value.py``
 that tests, in one boolean expression, ``isinstance(..., bool)`` together
 with an ``isinstance`` naming ``int``, or an ``isinstance`` naming ``str``
 or ``bytes`` together with ``isinstance(..., Iterable)`` or ``hasattr(...,
-"__iter__")``, spells a rule again; so does one that calls ``json.loads``
-or catches ``RecursionError``, and an f-string outside ``_check_length``
-that says ``bits, params say``. Rules that differ on purpose are not these
-pairs: a probability that need only compare with floats, a threshold with
-``__float__``, and a sized collection (``Collection`` or ``__len__``) of
-votes or factors.
+"__iter__")``, spells a rule again; so does an ``isinstance`` that names a
+set class (``Set``, ``AbstractSet``, ``set`` or ``frozenset``), one that
+calls ``json.loads`` or catches ``RecursionError``, and an f-string outside
+``_check_length`` that says ``bits, params say``. Rules that differ on
+purpose are not these: a probability that need only compare with floats, a
+threshold with ``__float__``, a sized collection (``Collection`` or
+``__len__``) of votes or factors, and a JSON object that must be a
+``Mapping`` or a ``dict``.
 """
 
 import ast
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 
 import privkit
-from privkit._value import _check_int, _index, _is_collection, _is_int, _is_number
+from privkit._value import _check_int, _index, _is_collection, _is_int, _is_number, _is_vector
 from privkit.anonymize import suppress
 from privkit.assoc import TransactionSet
 from privkit.dataset import fixture_table1
@@ -31,8 +34,10 @@ from privkit.errors import InvalidParams
 from privkit.smc import lagrange_at
 
 SRC = Path(privkit.__file__).resolve().parent
-HELPERS = {"_is_int", "_is_number", "_is_collection", "_check_int", "_index", "_loads"}
+HELPERS = {"_is_int", "_is_number", "_is_collection", "_is_vector", "_check_int", "_index",
+           "_loads"}
 WIDTH_HELPER = "_check_length"
+SET_CLASSES = {"Set", "AbstractSet", "set", "frozenset"}
 
 
 def _names(node) -> set[str]:
@@ -42,9 +47,12 @@ def _names(node) -> set[str]:
 
 
 def spells_a_rule(node) -> bool:
-    """Whether ``node`` spells the int, collection, JSON or width rule."""
+    """Whether ``node`` spells the int, collection, vector, JSON or width
+    rule."""
     if isinstance(node, ast.Call):
-        return _names(node.func) == {"json", "loads"}
+        return _names(node.func) == {"json", "loads"} or (
+            isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+            and len(node.args) == 2 and bool(_names(node.args[1]) & SET_CLASSES))
     if isinstance(node, ast.ExceptHandler):
         return node.type is not None and "RecursionError" in _names(node.type)
     if isinstance(node, ast.JoinedStr):
@@ -96,6 +104,9 @@ def test_the_rule_finder_sees_each_spelling(tmp_path):
         "try: k = 1\n"
         "except (ValueError, RecursionError): pass\n"
         "m = f'{n} bits, params say {k}'\n"
+        "q = isinstance(x, (Set, Mapping))\n"
+        "r = isinstance(x, abc.Mapping) or isinstance(x, abc.Set)\n"
+        "s = _is_collection(x) and not isinstance(x, (dict, set, frozenset))\n"
         # each a different rule, kept where it is
         "f = 0.0 <= x <= 1.0 and not isinstance(x, bool)\n"
         "g = isinstance(x, bool) or not hasattr(x, '__float__')\n"
@@ -103,9 +114,12 @@ def test_the_rule_finder_sees_each_spelling(tmp_path):
         "n = isinstance(x, (str, bytes)) or not hasattr(x, '__len__')\n"
         "o = json.dumps(x)\n"
         "p = f'{n} bit counts, params say {k}'\n"
+        "t = isinstance(x, Mapping)\n"
+        "u = not isinstance(x, dict)\n"
         "def _check_length(what, bits, k):\n"
         "    raise E(f'{what} has {len(bits)} bits, params say {k}')\n")
-    assert rule_spellings(tmp_path) == [f"spelled.py:{line}" for line in (*range(1, 8), 9, 10)]
+    assert rule_spellings(tmp_path) == [
+        f"spelled.py:{line}" for line in (*range(1, 8), 9, 10, 11, 12, 13)]
 
 
 def test_the_rule_helpers_are_defined_only_in_value():
@@ -136,6 +150,23 @@ def test_the_rule_helpers_are_defined_only_in_value():
 def test_each_rule(value, is_int, is_number, is_collection):
     assert (_is_int(value), _is_number(value), _is_collection(value)) == (
         is_int, is_number, is_collection)
+
+
+@pytest.mark.parametrize("value,is_vector", [
+    ([1], True),
+    ((), True),
+    (iter("ab"), True),
+    (np.array([0.5]), True),
+    ({"a": 1}.values(), True),
+    ({0.5}, False),
+    (frozenset(), False),
+    ({"a": 1}, False),
+    ({"a": 1}.keys(), False),
+    ("ab", False),
+    (5, False),
+])
+def test_is_vector(value, is_vector):
+    assert _is_vector(value) is is_vector
 
 
 def test_check_int_raises_the_given_class_naming_the_argument():

@@ -95,6 +95,7 @@ BASKETS = TransactionSet.from_iterables([["a", "b"], ["a", "c"], ["b", "c"]])
 GROUPS = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
 QI = AttributeRole.QUASI_IDENTIFIER
 REPORTS = simulate_reports({"a": 3}, P, 1)
+DISTRIBUTION = MechanismDistribution.product_of_bits([0.25, 0.5])
 
 
 def rng():
@@ -138,10 +139,13 @@ PARAMS = [
     Param("MechanismDistribution.k", lambda v: MechanismDistribution(v, [0.0]), INT + (-1,),
           ("k",)),
     Param("MechanismDistribution.log_probs", lambda v: MechanismDistribution(0, v),
-          (None, 5, "0", b"0", True, [0.0, 0.0], [math.nan], [math.inf], [-1.0]),
+          (None, 5, "0", b"0", True, [0.0, 0.0], [math.nan], [math.inf], [-1.0], {0.0},
+           {0: 0.0}),
           ("log_probs", "log-probabilities", "probabilities")),
     Param("MechanismDistribution.product_of_bits.p_one", MechanismDistribution.product_of_bits,
-          COLLECTION + ("1", b"\x01"), ("p_one",)),
+          COLLECTION + ("1", b"\x01", {0.5}, {0: 0.5}), ("p_one",)),
+    Param("MechanismDistribution.prob.outcome", lambda v: DISTRIBUTION.prob(v),
+          INT + (-1, -4, 4, HUGE), ("outcome",)),
     Param("MechanismDistribution.product_of_bits.p",
           lambda v: MechanismDistribution.product_of_bits([v]),
           NUMBER + (-1, 1.5, math.nan, math.inf, HUGE), ("probability of bit 0",)),

@@ -301,7 +301,13 @@ def test_bit_identical_to_numpy_where_logs_agree(p_ones):
     l1, l2 = map(numpy_product_of_bits, p_ones)
     assert [x.hex() for x in d1.log_probs] == [float(x).hex() for x in l1]
     assert [x.hex() for x in d2.log_probs] == [float(x).hex() for x in l2]
-    assert exact_epsilon(d1, d2).hex() == numpy_exact_epsilon(l1, l2).hex()
+    enumerated = numpy_exact_epsilon(l1, l2)
+    k = d1.k
+    raw = exact_epsilon(MechanismDistribution(k, d1.log_probs),
+                        MechanismDistribution(k, d2.log_probs))
+    assert raw.hex() == enumerated.hex()
+    assert_exact(exact_epsilon(d1, d2), enumerated, mp_product_epsilon(*p_ones),
+                 enumeration_bound(*p_ones))
 
 
 # Factors at the edges of [0, 1]: zero mass on one side, the least
@@ -345,11 +351,25 @@ def test_product_of_bits_names_the_bad_factor(p_one, message):
     (lambda: MechanismDistribution.product_of_bits([True]),
      "probability of bit 0 must be in [0, 1], got True"),
     (lambda: MechanismDistribution(-1, [0.0]), "k must be >= 0, got -1"),
+    (lambda: MechanismDistribution.product_of_bits({0: 0.5}),
+     "p_one must be a sequence of probabilities, got {0: 0.5}"),
+    (lambda: MechanismDistribution.product_of_bits({0.5}),
+     "p_one must be a sequence of probabilities, got {0.5}"),
+    (lambda: MechanismDistribution.product_of_bits(frozenset({0.5, 0.25})),
+     f"p_one must be a sequence of probabilities, got {frozenset({0.5, 0.25})!r}"),
+    (lambda: MechanismDistribution(1, {math.log(0.25), math.log(0.75)}),
+     f"log_probs must be a sequence of floats, got {({math.log(0.25), math.log(0.75)})!r}"),
+    (lambda: MechanismDistribution(0, {0: 0.0}),
+     "log_probs must be a sequence of floats, got {0: 0.0}"),
+    (lambda: MechanismDistribution(1, {0.0: 0, -math.inf: 1}.keys()),
+     "log_probs must be a sequence of floats, got dict_keys([0.0, -inf])"),
 ], ids=["log-probs-str", "log-probs-bytes", "log-probs-none", "p-one-str", "p-one-bytes",
-        "p-one-none", "p-bool", "k-negative"])
+        "p-one-none", "p-bool", "k-negative", "p-one-dict", "p-one-set", "p-one-frozenset",
+        "log-probs-set", "log-probs-dict", "log-probs-keys"])
 def test_distribution_arguments_named_when_rejected(call, message):
     # a str or bytes was once read as its characters: "0" as the point mass
-    # (0.0,), and "1" as the factor '1' of bit 0
+    # (0.0,), and "1" as the factor '1' of bit 0; a dict as its keys, and a
+    # set in its own order, which is not the bits' or the outcomes'
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError and str(info.value) == message
@@ -366,6 +386,26 @@ def test_distribution_log_probs_iterable_only_on_the_instance_is_named():
         MechanismDistribution(0, a)
     assert type(info.value) is ValueError
     assert str(info.value) == f"log_probs must be a sequence of floats, got {a!r}"
+
+
+def test_product_of_bits_names_a_sized_object_that_cannot_be_iterated():
+    class L:
+        def __len__(self):
+            return 1
+
+    sized = L()
+    with pytest.raises(ValueError) as info:
+        MechanismDistribution.product_of_bits(sized)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"p_one must be a sequence of probabilities, got {sized!r}"
+
+
+def test_distribution_vectors_are_taken_in_order():
+    want = MechanismDistribution.product_of_bits([0.25, 0.5]).log_probs
+    for vector in (list, tuple, np.array):
+        assert MechanismDistribution.product_of_bits(vector([0.25, 0.5])).log_probs == want
+        assert MechanismDistribution(2, vector(want)).log_probs == want
+    assert MechanismDistribution(2, (x for x in want)).log_probs == want
 
 
 @pytest.mark.parametrize("k", [None, 1.5, "1", True])
@@ -393,16 +433,38 @@ def folded_log_probs(p_one):
     return log_probs
 
 
-def assert_full_enumeration(p1, p2):
-    """exact_epsilon of the two products has the bits of both oracles, each
-    of which enumerates every outcome of the folds above."""
-    d1, d2 = map(MechanismDistribution.product_of_bits, (p1, p2))
-    eps = exact_epsilon(d1, d2)
-    l1, l2 = folded_log_probs(p1), folded_log_probs(p2)
+def enumeration_bound(p1, p2):
+    """How far the full enumeration of two products may round: 2(k + 1)
+    2^-53 (T1 + T2), where T sums each bit's larger finite |term|. Each
+    outcome folds k terms, and the difference rounds once more."""
+    scale = math.fsum(max(-t for t in (bit_term(p, 0), bit_term(p, 1)) if t > -math.inf)
+                      for p in (*p1, *p2))
+    return 2 * (len(p1) + 1) * 2.0**-53 * scale
+
+
+def assert_exact(eps, enumerated, oracle, bound):
+    """``eps`` is within 1e-15 of max(epsilon, T_V) of the 60-digit
+    ``oracle`` (epsilon, T_V), and within ``bound`` of ``enumerated``, the
+    full enumeration; both are infinite where the oracle is."""
+    want, magnitude = oracle
+    if math.isinf(want):
+        assert eps == enumerated == math.inf
+    else:
+        assert_close(eps, want, magnitude, 1e-15)
+        assert abs(eps - enumerated) <= bound, (eps, enumerated)
+
+
+def assert_products_exact(p1, p2):
+    """exact_epsilon of the two products agrees with the 60-digit oracle and
+    with the full enumeration of the folds above, which the raw
+    distributions and numpy compute to the same bits."""
     k = len(p1)
-    assert eps.hex() == exact_epsilon(MechanismDistribution(k, l1),
-                                      MechanismDistribution(k, l2)).hex()
-    assert eps.hex() == numpy_exact_epsilon(np.array(l1), np.array(l2)).hex()
+    l1, l2 = folded_log_probs(p1), folded_log_probs(p2)
+    enumerated = numpy_exact_epsilon(np.array(l1), np.array(l2))
+    raw = exact_epsilon(MechanismDistribution(k, l1), MechanismDistribution(k, l2))
+    assert raw.hex() == enumerated.hex()
+    eps = exact_epsilon(*map(MechanismDistribution.product_of_bits, (p1, p2)))
+    assert_exact(eps, enumerated, mp_product_epsilon(p1, p2), enumeration_bound(p1, p2))
 
 
 def pairs_of(k, draw_p2):
@@ -411,8 +473,8 @@ def pairs_of(k, draw_p2):
 
 
 def neighbour(p):
-    """p, a float 1 to 3 ulps from it (so the per-bit gap is tiny and only the
-    full enumeration is exact), or an unrelated probability."""
+    """p, a float 1 to 3 ulps from it (so the per-bit log-ratios are tiny
+    against the terms), or an unrelated probability."""
     return st.one_of(st.just(p), probabilities, st.tuples(
         st.integers(1, 3), st.sampled_from([0.0, 1.0])).map(lambda nw: nextafter_n(p, *nw)))
 
@@ -425,38 +487,41 @@ def nextafter_n(p, n, toward):
 
 @given(st.integers(0, 12).flatmap(lambda k: st.tuples(
     st.lists(grid, min_size=k, max_size=k), st.lists(grid, min_size=k, max_size=k))))
-def test_exact_epsilon_of_grid_products_is_the_full_enumeration(pair):
-    assert_full_enumeration(*pair)
+def test_exact_epsilon_of_grid_products_agrees_with_both_oracles(pair):
+    assert_products_exact(*pair)
 
 
 @given(st.integers(1, 10).flatmap(lambda k: pairs_of(k, neighbour)))
 @example(([0.07665163703845079, 0.3125, 0.8907681278553053, 0.4577692590412453, 0.875],
           [0.07665163703845078, 0.31249999999999994, 0.8907681278553052, 0.45776925904124516,
            0.8750000000000002]))
-def test_exact_epsilon_of_neighbouring_products_is_the_full_enumeration(pair):
-    # the example: the two patterns alone give 0x1.0p-49, every outcome 0x1.4p-49,
-    # so only the gap check sends it to the full enumeration
-    assert_full_enumeration(*pair)
+def test_exact_epsilon_of_neighbouring_products_agrees_with_both_oracles(pair):
+    # the example: every bit 1 to 3 ulps apart, so epsilon (about 2^-49) is
+    # of the order of the enumeration's own rounding
+    assert_products_exact(*pair)
 
 
 @given(st.integers(0, 8).flatmap(lambda k: st.tuples(
     st.lists(edge_probabilities, min_size=k, max_size=k),
     st.lists(edge_probabilities, min_size=k, max_size=k))))
-def test_exact_epsilon_of_edge_products_is_the_full_enumeration(pair):
-    assert_full_enumeration(*pair)
+def test_exact_epsilon_of_edge_products_agrees_with_both_oracles(pair):
+    assert_products_exact(*pair)
 
 
 @pytest.mark.parametrize("distribution", [prr_distribution, report_distribution])
-def test_every_pair_of_h2_filters_at_k8_is_the_full_enumeration(distribution):
+def test_every_pair_of_h2_filters_at_k8_agrees_with_both_oracles(distribution):
+    mode = "prr" if distribution is prr_distribution else "report"
     filters = [BloomFilter.from_indices(8, pair) for pair in itertools.combinations(range(8), 2)]
-    folds = {f.bits: np.array(folded_log_probs(factors(distribution, f))) for f in filters}
+    p_ones = {f.bits: factors(distribution, f) for f in filters}
+    folds = {bits: np.array(folded_log_probs(p_one)) for bits, p_one in p_ones.items()}
     for f1 in filters:
         for f2 in filters:
             d1, d2 = distribution(f1, PAPER), distribution(f2, PAPER)
             eps = exact_epsilon(d1, d2)
-            # no factor is 0 or 1, so both take the short search
             assert "log_probs" not in vars(d1) and "log_probs" not in vars(d2)
-            assert eps.hex() == numpy_exact_epsilon(folds[f1.bits], folds[f2.bits]).hex()
+            assert_exact(eps, numpy_exact_epsilon(folds[f1.bits], folds[f2.bits]),
+                         mp_epsilon(mode, PAPER.f, PAPER.q, PAPER.p, f1.bits, f2.bits),
+                         enumeration_bound(p_ones[f1.bits], p_ones[f2.bits]))
 
 
 def factors(distribution, bloom):
@@ -467,37 +532,69 @@ def factors(distribution, bloom):
     return [q_star if b else p_star for b in bloom.bits]
 
 
-def test_short_search_leaves_log_probs_unbuilt_until_read():
+def test_products_leave_log_probs_unbuilt_until_read():
     params = params_with(16)
-    d1 = report_distribution(BloomFilter.from_indices(16, [0, 13]), params)
-    d2 = report_distribution(BloomFilter.from_indices(16, [2, 7]), params)
+    bits1, bits2 = BloomFilter.from_indices(16, [0, 13]), BloomFilter.from_indices(16, [2, 7])
+    d1, d2 = report_distribution(bits1, params), report_distribution(bits2, params)
     eps = exact_epsilon(d1, d2)
     assert "log_probs" not in vars(d1) and "log_probs" not in vars(d2)
     assert eps == pytest.approx(epsilon_one(params), abs=1e-9)
     # reading it builds the tuple the full fold gives, once
     assert isinstance(d1.log_probs, tuple) and d1.log_probs is d1.log_probs
     assert "log_probs" in vars(d1)
-    assert exact_epsilon(MechanismDistribution(16, d1.log_probs),
-                         MechanismDistribution(16, d2.log_probs)).hex() == eps.hex()
+    enumerated = exact_epsilon(MechanismDistribution(16, d1.log_probs),
+                               MechanismDistribution(16, d2.log_probs))
+    assert_exact(eps, enumerated, mp_epsilon("report", 0.5, 0.75, 0.5, bits1.bits, bits2.bits),
+                 enumeration_bound(*(factors(report_distribution, b) for b in (bits1, bits2))))
 
 
-def test_zero_mass_and_raw_distributions_enumerate_every_outcome():
+def test_products_with_a_zero_mass_bit_leave_log_probs_unbuilt():
     zero = MechanismDistribution.product_of_bits([0.0, 0.5])
+    also_zero = MechanismDistribution.product_of_bits([0.0, 0.25])
     half = MechanismDistribution.product_of_bits([0.25, 0.5])
-    assert exact_epsilon(zero, half) == math.inf
-    assert "log_probs" in vars(zero)  # a -inf term: the full enumeration ran
-    raw = MechanismDistribution(2, half.log_probs)
+    assert exact_epsilon(zero, half) == math.inf  # bit 0 = 1 has mass on one side only
+    # bit 0 = 1 has mass on neither side: its outcomes are dropped
+    assert exact_epsilon(zero, also_zero) == pytest.approx(math.log(2), abs=1e-15)
+    assert not any("log_probs" in vars(d) for d in (zero, also_zero, half))
+
+
+def test_a_value_with_zero_mass_on_both_sides_is_dropped():
+    # P(bit 0 = 0) is 0 on both sides while the pairs differ: no public
+    # constructor makes such a pair, but __init__'s invariant allows one
+    d1 = MechanismDistribution._from_terms([(-math.inf, 0.0)])
+    d2 = MechanismDistribution._from_terms([(-math.inf, math.log1p(-2**-53))])
+    raw = exact_epsilon(MechanismDistribution(1, d1.log_probs),
+                        MechanismDistribution(1, d2.log_probs))
+    assert exact_epsilon(d1, d2) == raw == 2**-53
+
+
+def test_raw_distributions_enumerate_every_outcome():
+    half = MechanismDistribution.product_of_bits([0.25, 0.5])
     other = MechanismDistribution.product_of_bits([0.5, 0.5])
-    assert exact_epsilon(raw, other).hex() == exact_epsilon(half, other).hex()
+    raw = MechanismDistribution(2, half.log_probs)
+    enumerated = numpy_exact_epsilon(np.array(half.log_probs), np.array(other.log_probs))
+    assert exact_epsilon(raw, other).hex() == enumerated.hex()
+    assert "log_probs" in vars(other)  # the product side's outcomes too
+
+
+@pytest.mark.parametrize("distribution", [prr_distribution, report_distribution])
+def test_bits_that_neither_filter_sets_leave_exact_epsilon_as_it_is(distribution):
+    # bits 0,1 against 2,3 at the paper's params: one float from k=4 to the cap
+    values = {exact_epsilon(distribution(BloomFilter.from_indices(k, [0, 1]), params_with(k)),
+                            distribution(BloomFilter.from_indices(k, [2, 3]), params_with(k)))
+              for k in range(4, ENUMERATION_CAP + 1)}
+    assert len(values) == 1, values
 
 
 # --- exactness at a small f or a q* near 1 ----------------------------------
 #
-# The oracle takes each bit's two probabilities from f, q and p in mpmath at
-# 60 digits, and calls nothing in privkit. The tolerance is 1e-12 of the
-# larger of epsilon and the terms' magnitude: each enumerated outcome adds k
-# rounded terms, so no float enumeration resolves an epsilon far below them
-# (f near 1, or p near q).
+# The oracle takes each bit's two probabilities from f, q and p, or from a
+# product's factors, in mpmath at 60 digits, and calls nothing in privkit.
+# exact_epsilon of two products sums one rounded log-ratio per differing bit,
+# so it is held to 1e-15 of the larger of epsilon and T_V, the sum over the
+# bits whose probabilities differ of the largest |ln P|: an epsilon far below
+# its bits' terms (f near 1, or p near q) keeps only the digits that the
+# difference of two logs can.
 
 def mp_bit_probabilities(mode, f, q, p):
     """(P(bit = 0), P(bit = 1)) of an output bit, keyed by its Bloom bit."""
@@ -510,23 +607,39 @@ def mp_bit_probabilities(mode, f, q, p):
             0: (flip * (1 - Q) + keep * (1 - P), flip * Q + keep * P)}
 
 
+def mp_epsilon_of(pairs):
+    """The true epsilon between two products whose bit i has the
+    probabilities pairs[i] = ((P1(0), P1(1)), (P2(0), P2(1))), as a float,
+    and T_V; called at 60 digits."""
+    top = bottom = magnitude = mpmath.mpf(0)
+    for probs1, probs2 in pairs:
+        if probs1 == probs2:
+            continue
+        d = []
+        for x1, x2 in zip(probs1, probs2):
+            if (x1 == 0) != (x2 == 0):
+                return math.inf, math.inf
+            if x1:
+                d.append(mpmath.log(x1) - mpmath.log(x2))
+        top += max(d)
+        bottom += min(d)
+        magnitude += max(-mpmath.log(x) for x in probs1 + probs2 if x)
+    return float(max(top, -bottom)), float(magnitude)
+
+
 def mp_epsilon(mode, f, q, p, bits1, bits2):
-    """The true epsilon between the outputs of two filters, as a float, and
-    the terms' magnitude: the sum over bits of the largest |ln P|."""
+    """The true epsilon between the outputs of two filters, and T_V."""
     with mpmath.workdps(60):
         probs = mp_bit_probabilities(mode, f, q, p)
-        top = bottom = magnitude = mpmath.mpf(0)
-        for b1, b2 in zip(bits1, bits2):
-            d = []
-            for x1, x2 in zip(probs[b1], probs[b2]):
-                if (x1 == 0) != (x2 == 0):
-                    return math.inf, math.inf
-                if x1:
-                    d.append(mpmath.log(x1) - mpmath.log(x2))
-            top += max(d)
-            bottom += min(d)
-            magnitude += max(-mpmath.log(x) for x in probs[b1] + probs[b2] if x)
-        return float(max(top, -bottom)), float(magnitude)
+        return mp_epsilon_of([(probs[b1], probs[b2]) for b1, b2 in zip(bits1, bits2)])
+
+
+def mp_product_epsilon(p1, p2):
+    """The true epsilon between two products of independent bits with
+    P(bit i = 1) = p1[i] and p2[i], and T_V."""
+    with mpmath.workdps(60):
+        return mp_epsilon_of([tuple((1 - x, x) for x in map(mpmath.mpf, pair))
+                              for pair in zip(p1, p2)])
 
 
 # f log-uniform from 1 down to the least subnormal; q up to 1 - 2^-53, as a
@@ -546,8 +659,8 @@ def distribution(mode, bits, params):
     return build(BloomFilter(bits), params)
 
 
-def assert_close(value, want, magnitude):
-    assert abs(value - want) <= 1e-12 * max(want, magnitude), (value, want)
+def assert_close(value, want, magnitude, tolerance=1e-12):
+    assert abs(value - want) <= tolerance * max(want, magnitude), (value, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -558,6 +671,8 @@ def assert_close(value, want, magnitude):
 @example(("prr", 5e-324, 0.75, 0.25), ([1, 1, 0, 0], [0, 0, 1, 1]))
 @example(("report", 5e-324, 0.75, 0.0), ([1, 0], [0, 1]))
 @example(("report", 1e-17, 1 - 2**-53, 0.5), ([1, 0], [0, 1]))
+@example(("prr", 0.5, 0.75, 0.5), ([1, 1] + [0] * 14, [0, 0, 1, 1] + [0] * 12))
+@example(("prr", 1 - 1e-6, 0.75, 0.25), ([1, 1] + [0] * 14, [0, 0, 1, 1] + [0] * 12))
 def test_exact_epsilon_matches_a_60_digit_oracle(mechanism, filters):
     mode, f, q, p = mechanism
     bits1, bits2 = filters
@@ -568,7 +683,7 @@ def test_exact_epsilon_matches_a_60_digit_oracle(mechanism, filters):
         assert eps == math.inf
     else:
         assert math.isfinite(eps)  # "infinity" only where one side has zero mass
-        assert_close(eps, want, magnitude)
+        assert_close(eps, want, magnitude, 1e-15)
 
 
 @settings(max_examples=300, deadline=None)

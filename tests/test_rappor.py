@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from privkit import rappor
+from privkit._rappor_batch import _bound
 from privkit.dpcheck import prr_distribution, report_distribution, exact_epsilon
 from privkit.errors import (
     DegenerateParams,
@@ -913,7 +914,7 @@ def test_integer_bounds_compare_like_the_uniforms(t):
     # PRR: the word w is the uniform w / 2^64, and float(w) rounds to the
     # nearest even. Words straddling each rounding tie near t * 2^64 must
     # compare with the bound as the uniform compares with t.
-    bound = rappor._bound(t, 64)
+    bound = _bound(t, 64)
     centre = math.floor(Fraction(t) * 2**64)
     half_ulp = 1 << max((centre - 1).bit_length() - 54, 0)
     words = {2**64 - 1, bound - 1, bound, bound + 1}
@@ -922,7 +923,7 @@ def test_integer_bounds_compare_like_the_uniforms(t):
     for w in sorted(w for w in words if 0 <= w < 2**64):
         assert (w < bound) == (w / 2.0**64 < t), w
     # IRR: random() is X / 2^53 for a 53-bit integer X, so no rounding
-    bound = rappor._bound(t, 53)
+    bound = _bound(t, 53)
     assert bound == math.ceil(Fraction(t) * 2**53)
     for x in range(max(bound - 3, 0), min(bound + 4, 2**53)):
         assert (x < bound) == (x / 2**53 < t), x
