@@ -9,9 +9,9 @@ repr, equality, hash and immutability without either.
 The argument rules that many modules share are written here once: an int
 that is not a bool (``_is_int``, ``_check_int``, ``_index``), a number that
 is not a bool (``_is_number``), a collection that is not a bare str or
-bytes (``_is_collection``), an ordered vector, a collection that is not a
-set or a mapping either (``_is_vector``), and JSON that is malformed or
-nested too deep to parse (``_loads``). Each caller keeps its own exception
+bytes nor a 0-d array (``_is_collection``), an ordered vector, a collection
+that is not a set or a mapping either (``_is_vector``), and JSON that is
+malformed or nested too deep to parse (``_loads``). Each caller keeps its own exception
 class and message. The rule that a bit vector holds ``params.k`` bits is written once
 in ``rappor._check_length``.
 """
@@ -37,8 +37,10 @@ def _is_number(value) -> bool:
 
 def _is_collection(value) -> bool:
     """Iterable, but not a bare str or bytes, whose characters or byte
-    values would be read as the items."""
-    return isinstance(value, Iterable) and not isinstance(value, (str, bytes))
+    values would be read as the items, nor a 0-d array (``ndim`` 0), whose
+    class iterates but which holds no items."""
+    return (isinstance(value, Iterable) and not isinstance(value, (str, bytes))
+            and getattr(value, "ndim", None) != 0)
 
 
 def _is_vector(value) -> bool:

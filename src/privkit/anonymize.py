@@ -22,7 +22,7 @@ import random
 import sys
 from bisect import bisect_right, insort
 from functools import reduce
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from ._partition import (  # noqa: F401 (exported here: see privkit._EXPORTS)
@@ -32,7 +32,7 @@ from ._partition import (  # noqa: F401 (exported here: see privkit._EXPORTS)
     k_anonymity,
     l_diversity,
 )
-from ._value import Frozen, _check_int, _index, _is_int, _is_number
+from ._value import Frozen, _check_int, _index, _is_int, _is_number, _is_vector
 from .dataset import (
     _KIND_TYPES,
     GENERALIZED,
@@ -462,8 +462,10 @@ def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
       time, from the first axis to the last, and squares with C ``pow``, as
       Python's ``**`` does (past the float range, where ``**`` raises, the
       square is inf); ``t * t`` and ``sum`` can round differently;
-    * each centroid coordinate is the left-to-right sum of the unassigned
-      points' values, in record order, divided by their count;
+    * each centroid coordinate is the exact mean of the unassigned points'
+      values on its axis, rounded once to the nearest float, so no order of
+      float additions enters it (an exact integer sum, kept as points are
+      assigned, over an integer count: CPython rounds int / int correctly);
     * ties in distance go to the lowest record index, both for the
       farthest point and for the k-1 nearest ones.
 
@@ -485,18 +487,13 @@ def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
       relative margin ``_MARGIN`` covers the rounding of float distances
       many times over. There is no pruning while the largest squared
       distance is outside ``_BAND``, where underflow or overflow breaks
-      relative error bounds;
-    * the centroid: exact integer sums of the unassigned coordinates give
-      the true mean S/m. The left-to-right float centroid lies within
-      gamma(m-1) * sum|x| / m of it on each axis (plus the rounding of the
-      division), so the farthest point is searched around S/m with that
-      slack. Only when the points that can win within the slack are not
-      all one coordinate tuple is the centroid summed left to right.
+      relative error bounds.
 
-    ``k`` must be an int (not a bool), at least 1, and ``coords`` points of
-    one length with finite coordinates; anything else raises TypeError
-    (``k``) or ValueError. Returns the groups as lists of record indices
-    (plain ints), each sorted, the last one holding the leftovers.
+    ``k`` must be an int (not a bool), at least 1, and ``coords`` a sequence
+    (not a set, a mapping, a str or bytes) of points of one length with
+    finite coordinates, no point a str or bytes; anything else raises
+    TypeError (``k``) or ValueError. Returns the groups as lists of record
+    indices (plain ints), each sorted, the last one holding the leftovers.
     """
     _check_int("k", k)
     if k < 1:
@@ -511,7 +508,6 @@ def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
     axes = list(zip(*points))  # each axis's values, in record order
     fixed = [tuple(map(_fixed_point, p)) for p in points]
     sums = [sum(column) for column in zip(*fixed)]
-    abs_sums = [sum(map(abs, column)) for column in zip(*fixed)]
     alive = bytearray(b"\x01") * n
     m = n
     groups: list[list[int]] = []
@@ -546,32 +542,25 @@ def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
                       for i in compress(range(n), alive))
         ring_size = len(ring)
 
-    def farthest(centre, slack):
-        """The unassigned points that can be the farthest from a point
-        within ``slack`` of ``centre``, as (squared distance to ``centre``,
-        record index)."""
+    def farthest(centre):
+        """The unassigned point farthest from ``centre``, the lowest record
+        index among equally far ones."""
         while not alive[ring[-1][1]]:
             ring.pop()
         gap = math.sqrt(_dist2(anchor, centre))
-        stop = limit = -math.inf
-        found = []
+        limit = -math.inf
+        top, at = -1.0, n
         for r, i in reversed(ring):
             if r < limit:  # r + gap < stop, so every later point is nearer
                 break
             if alive[i]:
                 d = _dist2(points[i], centre)
-                if d >= stop * stop or stop <= 0:
-                    found.append((d, i))
+                if d > top or (d == top and i < at):
+                    top, at = d, i
                     if _BAND[0] <= d <= _BAND[1]:
-                        bound = (math.sqrt(d) * (1 - _MARGIN) - 2 * slack) / (1 + _MARGIN)
-                        if bound > stop:
-                            stop, limit = bound, bound - gap
-        return [(d, i) for d, i in found if d >= stop * stop or stop <= 0]
-
-    def farthest_index(centre):
-        found = farthest(centre, 0.0)
-        top = max(d for d, _ in found)
-        return min(i for d, i in found if d == top)
+                        stop = math.sqrt(d) * (1 - _MARGIN) / (1 + _MARGIN)
+                        limit = stop - gap
+        return at
 
     def nearest(at):
         """The k-1 unassigned points nearest point ``at``, as (squared
@@ -625,7 +614,6 @@ def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
             nxt[prv[p]], prv[nxt[p]] = nxt[p], prv[p]
             for j, v in enumerate(fixed[i]):
                 sums[j] -= v
-                abs_sums[j] -= abs(v)
         m -= len(group)
         groups.append(group)
 
@@ -634,19 +622,11 @@ def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
         centre = tuple(s / scale for s in sums)
         if 2 * m <= ring_size or not ring:
             reanchor(centre)
-        if max(abs_sums).bit_length() > _FIXED_BITS + 1020:  # the float sum may overflow
-            slack = math.inf
-        else:
-            slack = (m + 4) * _ULP * sum(a / scale for a in abs_sums) + dims * _TINY
-        near = [i for _, i in farthest(centre, slack)]
-        if all(points[i] == points[near[0]] for i in near):
-            at = min(near)
-        else:  # the rounding of the centroid decides: sum it as the spec does
-            at = farthest_index(tuple(reduce(operator.add, compress(a, alive)) / m for a in axes))
+        at = farthest(centre)
         take(at)
         if m < 2 * k:  # they form the last group
             break
-        take(farthest_index(points[at]))
+        take(farthest(points[at]))
     if m:
         groups.append(list(compress(range(n), alive)))
     return groups
@@ -655,12 +635,18 @@ def mdav_groups(coords: Sequence[Sequence[float]], k: int) -> list[list[int]]:
 _MARGIN = 1e-9  # relative; rounding moves a float distance by about 1e-15
 _BAND = (1e-150, 1e150)  # squared distances whose relative rounding error is bounded
 _FIXED_BITS = 1074  # every finite float times 2**1074 is an integer
-_ULP = 2.0 ** -52
-_TINY = 2.0 ** -1072  # covers the rounding of a subnormal centroid coordinate
 
 
 def _checked_points(coords: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
-    """The points as tuples of floats, all of one length and finite."""
+    """The points as tuples of floats, all of one length and finite. A str
+    or bytes point, whose characters would be read as coordinates, raises
+    ValueError, and so does ``coords`` when it is no vector (``_is_vector``)."""
+    if not _is_vector(coords):
+        raise ValueError(f"coords must be a sequence of points, got {coords!r}")
+    coords = list(coords)
+    if any(map(isinstance, coords, repeat((str, bytes)))):
+        j, p = next((j, p) for j, p in enumerate(coords) if isinstance(p, (str, bytes)))
+        raise ValueError(f"coords must be points of numbers: point {j} is {p!r}")
     points = [tuple(map(float, p)) for p in coords]
     if points:
         dims = len(points[0])

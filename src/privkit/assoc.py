@@ -271,9 +271,12 @@ def transactions_from_dataset(
     dataset: privkit.dataset.Dataset, include_qi: Sequence[str] = ()
 ) -> TransactionSet:
     """Map each record to the set of its sensitive values, optionally joined
-    by selected quasi-identifier categories. Items read ``Attribute=value``."""
-    from .dataset import AttributeRole  # only this path reads a table
+    by selected quasi-identifier categories. Items read ``Attribute=value``.
+    ``include_qi`` is a collection of attribute names; a str or bytes, whose
+    letters would be read as names, raises ValueError."""
+    from .dataset import AttributeRole, _name_tuple  # only this path reads a table
 
+    include_qi = _name_tuple("include_qi", include_qi)
     names = [
         a.name for a in dataset.schema.attributes if a.role is AttributeRole.SENSITIVE
     ]

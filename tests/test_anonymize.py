@@ -8,7 +8,7 @@ import operator
 import pickle
 import random
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -925,9 +925,10 @@ def test_multivariate_group_sizes():
 
 
 # The pure-Python MDAV that the array version replaced, kept as the oracle
-# that it must match group for group. One edit: sums are spelled out left to
-# right, because sum() of floats is compensated from Python 3.12 on, and the
-# array version fixes the plain left-to-right order.
+# that it must match group for group. Two edits: the distance sums are
+# spelled out left to right, because sum() of floats is compensated from
+# Python 3.12 on, and each centroid coordinate is the exact mean of its
+# axis, rounded once, as mdav_groups defines it.
 
 def oracle_mdav_groups(coords, k):
     remaining = list(range(len(coords)))
@@ -959,7 +960,7 @@ def _oracle_nearest_group(coords, remaining, center, k):
 
 def _oracle_mean_point(points):
     dims = len(points[0])
-    return [_left_sum(p[d] for p in points) / len(points) for d in range(dims)]
+    return [_exact_mean([p[d] for p in points]) for d in range(dims)]
 
 
 def _oracle_dist2(a, b):
@@ -968,6 +969,17 @@ def _oracle_dist2(a, b):
 
 def _left_sum(values):
     return functools.reduce(operator.add, values, 0)
+
+
+def _exact_mean(values):
+    """The mean of floats, exact and then rounded once. Each float is an
+    integer over a power of two; the integers are summed per denominator, so
+    only a few Fractions are added, not one per value, which is many times
+    slower on the tables of the size tests."""
+    by_denominator = defaultdict(int)
+    for numerator, denominator in map(float.as_integer_ratio, values):
+        by_denominator[denominator] += numerator
+    return float(sum(Fraction(n, d) for d, n in by_denominator.items()) / len(values))
 
 
 def parent_mdav_groups(coords, k):
@@ -992,13 +1004,15 @@ def parent_mdav_groups(coords, k):
 @st.composite
 def mdav_cases(draw):
     """Points drawn from a small pool, so duplicates are common; grid values
-    make exact distance ties, and n is often in [2k, 3k), the last-pair case."""
+    make exact distance ties, short decimals make centroids whose float sums
+    round, and n is often in [2k, 3k), the last-pair case."""
     k = draw(st.integers(2, 6))
     n = draw(st.integers(0, 5 * k) | st.integers(2 * k, 3 * k - 1))
-    if draw(st.booleans()):
-        value = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0, 0.5 ** 0.5])
-    else:
-        value = st.floats(-1e6, 1e6)
+    value = draw(st.sampled_from([
+        st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0, 0.5 ** 0.5]),
+        st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.7, 1.1, 1.3, 2.9]),
+        st.floats(-1e6, 1e6),
+    ]))
     point = st.tuples(*[value] * draw(st.integers(0, 3)))
     pool = draw(st.lists(point, min_size=1, max_size=max(1, n)))
     return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), k
@@ -1009,7 +1023,9 @@ def mdav_cases(draw):
 # rounds one of the two distances differently (with glibc's pow)
 @example(([(0.0, 0.0), (0.5541073592760104, 1.8477517867186066),
            (1.622405046322486, 1.0435628857874204), (1.5, 1.5)], 2))
-# np.sum's pairwise centroid of these 20 points changes which pair forms
+# the centroid's rounding changes which pair forms: these 20 points' exact
+# mean is 0.655, their left-to-right sum over 20 gives 0.6549999999999997
+# and np.sum's pairwise one 0.6549999999999999
 @example(([(x,) for x in (2.9, 1.3, 0.1, 1.3, 0.6, 0.1, 0.7, 0.3, 0.3, 0.2,
                           1.1, 0.1, 0.2, 0.2, 0.1, 0.6, 0.1, 1.1, 0.7, 1.1)], 2))
 # the squared distances between these points underflow to 0, so 0 and 4 tie
@@ -1077,7 +1093,10 @@ def test_mdav_groups_hold_at_least_k(k):
 
 
 def numpy_mdav_groups(coords, k):
-    """The numpy MDAV this module replaced, verbatim."""
+    """The numpy MDAV this module replaced, verbatim but for one line: each
+    centroid coordinate is the exact mean of its axis, rounded once, as
+    mdav_groups defines it, where the array version took np.cumsum's
+    left-to-right sum."""
     import numpy as np
 
     n = len(coords)
@@ -1108,7 +1127,7 @@ def numpy_mdav_groups(coords, k):
         return rest
 
     while len(rows) >= 2 * k:
-        centroid = [np.cumsum(column)[-1] / len(rows) for column in axes]
+        centroid = [_exact_mean(column) for column in axes]
         at = int(np.argmax(dist2(centroid)))  # argmax: first of equal maxima
         d = dist2([column[at] for column in axes])
         d = d[take(d, at)]
@@ -1218,11 +1237,31 @@ def test_mdav_groups_rejects_a_group_size_that_is_not_a_positive_int(k, error, m
     ([(1.0,), (math.nan,), (3.0,), (4.0,)], "coords must be finite: point 1 is (nan,)"),
     ([(0.0, 1.0), (2.0, -math.inf)], "coords must be finite: point 1 is (2.0, -inf)"),
     ([(math.inf, 0.0), (2.0, 1.0)], "coords must be finite: point 0 is (inf, 0.0)"),
+    # a str or bytes point was once read as its characters, "12" as (1.0, 2.0)
+    (["12", "34", "56", "78"], "coords must be points of numbers: point 0 is '12'"),
+    ([b"12", b"34", b"56", b"78"], "coords must be points of numbers: point 0 is b'12'"),
+    ([(1.0,), (2.0,), "3", (4.0,)], "coords must be points of numbers: point 2 is '3'"),
+    ("ab", "coords must be a sequence of points, got 'ab'"),
+    (b"ab", "coords must be a sequence of points, got b'ab'"),
+    (5, "coords must be a sequence of points, got 5"),
+    # a set was taken in its own order, which is not the records'
+    ({(1.0,)}, "coords must be a sequence of points, got {(1.0,)}"),
+    ({0: (1.0,)}, "coords must be a sequence of points, got {0: (1.0,)}"),
 ])
 def test_mdav_groups_rejects_ragged_or_non_finite_points(coords, message):
     with pytest.raises(ValueError) as info:
         mdav_groups(coords, 2)
-    assert str(info.value) == message
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_mdav_groups_takes_numpy_arrays_and_scalars():
+    np = pytest.importorskip("numpy")
+    coords = [(5.0, 1.0), (1.0, 2.0), (4.0, 0.0), (1.0, 1.0)]
+    expected = mdav_groups(coords, 2)
+    assert mdav_groups(np.array(coords), 2) == expected
+    assert mdav_groups([tuple(map(np.float64, p)) for p in coords], 2) == expected
+    with pytest.raises(ValueError, match=r"^coords must be a sequence of points, got array\(5\)$"):
+        mdav_groups(np.array(5), 2)
 
 
 def test_mdav_groups_of_size_one_are_single_points():

@@ -146,6 +146,7 @@ def test_the_rule_helpers_are_defined_only_in_value():
     (iter("ab"), False, False, True),
     ({"a": 1}, False, False, True),
     (np.int64(3), False, False, False),
+    (np.array(0.5), False, False, False),  # a 0-d array: its class iterates, it does not
 ])
 def test_each_rule(value, is_int, is_number, is_collection):
     assert (_is_int(value), _is_number(value), _is_collection(value)) == (
@@ -164,6 +165,7 @@ def test_each_rule(value, is_int, is_number, is_collection):
     ({"a": 1}.keys(), False),
     ("ab", False),
     (5, False),
+    (np.array(0.5), False),
 ])
 def test_is_vector(value, is_vector):
     assert _is_vector(value) is is_vector

@@ -578,3 +578,20 @@ def test_transactions_from_fixture():
     assert {"Diagnosis=Cancer", "Gender=Female"} in [set(t) for t in ts.transactions]
     with pytest.raises(UnknownItem):
         transactions_from_dataset(fixture_table1(), include_qi=["Name"])
+
+
+@pytest.mark.parametrize("include_qi", ["Age", b"Age", 5, None])
+def test_transactions_from_dataset_names_include_qi_that_is_no_collection(include_qi):
+    # "Age" was once read as its letters: "no attribute named 'A'"
+    with pytest.raises(ValueError) as info:
+        transactions_from_dataset(fixture_table1(), include_qi=include_qi)
+    assert type(info.value) is ValueError
+    assert str(info.value) == (
+        f"include_qi must be a collection of attribute names, got {include_qi!r}")
+
+
+def test_transactions_from_dataset_reads_include_qi_once():
+    # a generator was once read up by the role check, so no QI item was added
+    expected = transactions_from_dataset(fixture_table1(), include_qi=["Gender"])
+    got = transactions_from_dataset(fixture_table1(), include_qi=iter(["Gender"]))
+    assert got.transactions == expected.transactions

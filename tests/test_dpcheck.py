@@ -363,9 +363,14 @@ def test_product_of_bits_names_the_bad_factor(p_one, message):
      "log_probs must be a sequence of floats, got {0: 0.0}"),
     (lambda: MechanismDistribution(1, {0.0: 0, -math.inf: 1}.keys()),
      "log_probs must be a sequence of floats, got dict_keys([0.0, -inf])"),
+    (lambda: MechanismDistribution.product_of_bits(np.array(0.5)),
+     "p_one must be a sequence of probabilities, got array(0.5)"),
+    (lambda: MechanismDistribution(0, np.array(0.0)),
+     "log_probs must be a sequence of floats, got array(0.)"),
 ], ids=["log-probs-str", "log-probs-bytes", "log-probs-none", "p-one-str", "p-one-bytes",
         "p-one-none", "p-bool", "k-negative", "p-one-dict", "p-one-set", "p-one-frozenset",
-        "log-probs-set", "log-probs-dict", "log-probs-keys"])
+        "log-probs-set", "log-probs-dict", "log-probs-keys", "p-one-0d-array",
+        "log-probs-0d-array"])
 def test_distribution_arguments_named_when_rejected(call, message):
     # a str or bytes was once read as its characters: "0" as the point mass
     # (0.0,), and "1" as the factor '1' of bit 0; a dict as its keys, and a
